@@ -4,9 +4,8 @@ Capture logs are process-monitor style CSV exports with the columns Time,
 Process Name, PID, Operation, Path, Result, Detail.  The functions here
 reproduce the noise-reduction pipeline used to find candidate traces for a
 user action: filter the log to the processes of interest, collapse it to the
-set of distinct path names, intersect those sets across repeated runs of the
-action, and finally keep only the names that actually carry timestamps in an
-evidence snapshot.
+set of distinct path names, and intersect those sets across repeated runs of
+the action.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import IO, Iterable, Iterator, Sequence
 
-from .evidence import Snapshot, fold_path
+from .evidence import fold_path
 
 __all__ = [
     "CaptureEvent",
@@ -26,7 +25,6 @@ __all__ = [
     "filter_by_process",
     "intersect_runs",
     "parse_capture",
-    "select_timestamped",
     "unique_traces",
 ]
 
@@ -140,17 +138,3 @@ def intersect_runs(runs: Sequence[TraceNameSet]) -> TraceNameSet:
     if not runs:
         raise ValueError("at least one run is required")
     return TraceNameSet(reduce(lambda a, b: a & b, (r.names for r in runs)))
-
-
-def select_timestamped(names: TraceNameSet, snap: Snapshot) -> TraceNameSet:
-    """Keep names that resolve to a snapshot record carrying a timestamp.
-
-    Registry value names and other capture artifacts that have no record of
-    their own disappear here, since only files and keys bear timestamps.
-    """
-    available = {
-        folded
-        for (_kind, folded), rec in snap.records.items()
-        if rec.modified is not None or rec.accessed is not None or rec.created is not None
-    }
-    return TraceNameSet(names.names & available)

@@ -26,7 +26,7 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -43,7 +43,6 @@ from .evidence import (
 from .capture import TraceNameSet
 
 __all__ = [
-    "ALWAYS_LABELS",
     "CategoryLabel",
     "FieldPattern",
     "RunInfo",
@@ -83,7 +82,7 @@ class CategoryLabel(Enum):
     NEVER = "Never"
 
 
-ALWAYS_LABELS = frozenset(
+_ALWAYS = frozenset(
     {CategoryLabel.AU1, CategoryLabel.AU2, CategoryLabel.AU3, CategoryLabel.AU4, CategoryLabel.AU5}
 )
 
@@ -95,7 +94,7 @@ class TraceCategory:
 
     @property
     def is_always(self) -> bool:
-        return self.label in ALWAYS_LABELS
+        return self.label in _ALWAYS
 
 
 @dataclass(frozen=True)
@@ -121,20 +120,17 @@ class RunObservation:
 
 @dataclass(frozen=True)
 class UpdateMatrix:
-    """Boolean update vectors per (trace, field), plus per-run context.
+    """Boolean update vectors per trace and field, plus per-run context.
 
-    Vectors are keyed by folded trace name and field; every vector has one
-    entry per run.  Traces never seen in any snapshot are omitted.
+    ``vectors`` maps each folded trace name to its ``{field: vector}`` dict,
+    fields in ``FIELDS`` order; every vector has one entry per run.  Traces
+    never seen in any snapshot are omitted.
     """
 
     runs: tuple[RunInfo, ...]
-    vectors: Mapping[tuple[str, str], tuple[bool, ...]]
+    vectors: Mapping[str, Mapping[str, tuple[bool, ...]]]
     kinds: Mapping[str, RecordKind]
     display: Mapping[str, str]
-
-    @classmethod
-    def empty(cls) -> "UpdateMatrix":
-        return cls(runs=(), vectors={}, kinds={}, display={})
 
     @property
     def run_count(self) -> int:
@@ -143,18 +139,11 @@ class UpdateMatrix:
     def traces(self) -> list[str]:
         return sorted(self.kinds)
 
-    def fields_of(self, trace: str) -> list[str]:
-        folded = fold_path(trace)
-        return [f for f in FIELDS if (folded, f) in self.vectors]
-
     def vector(self, trace: str, field: str) -> tuple[bool, ...]:
-        return self.vectors[(fold_path(trace), field)]
+        return self.vectors[fold_path(trace)][field]
 
     def any_update(self, trace: str) -> bool:
-        folded = fold_path(trace)
-        return any(
-            any(vec) for (name, _f), vec in self.vectors.items() if name == folded
-        )
+        return any(any(vec) for vec in self.vectors.get(fold_path(trace), {}).values())
 
 
 def _field_updated(
@@ -197,7 +186,7 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
             )
 
     runs = tuple(RunInfo(o.session_id, o.first_of_session, o.launch_method) for o in ordered)
-    vectors: dict[tuple[str, str], tuple[bool, ...]] = {}
+    vectors: dict[str, dict[str, tuple[bool, ...]]] = {}
     kinds: dict[str, RecordKind] = {}
     display: dict[str, str] = {}
 
@@ -208,17 +197,17 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
             continue  # never present in any snapshot
         kinds[name] = seen[0].kind
         display[name] = seen[0].path
-        present_fields = [
-            f for f in FIELDS if any(r.timestamp(f) is not None for r in seen)
-        ]
-        for f in present_fields:
-            vectors[(name, f)] = tuple(_field_updated(b, a, f) for b, a in pairs)
+        vectors[name] = {
+            f: tuple(_field_updated(b, a, f) for b, a in pairs)
+            for f in FIELDS
+            if any(r.timestamp(f) is not None for r in seen)
+        }
     return UpdateMatrix(runs=runs, vectors=vectors, kinds=kinds, display=display)
 
 
 def classify_field(
     vector: Sequence[bool],
-    runs: Sequence[RunInfo] | Sequence[RunObservation],
+    runs: Sequence[RunInfo],
     trace_path: str | None = None,
 ) -> FieldPattern:
     """Name the update pattern of one field across runs.
@@ -336,10 +325,10 @@ def categorize_matrix(
     """Classify every trace in an action matrix, marking confounded ones."""
     out: dict[str, TraceAnalysis] = {}
     for trace in action.traces():
+        vectors = action.vectors[trace]
         display = action.display[trace]
         patterns = {
-            f: classify_field(action.vector(trace, f), action.runs, trace_path=display)
-            for f in action.fields_of(trace)
+            f: classify_field(vec, action.runs, trace_path=display) for f, vec in vectors.items()
         }
         background_updates = background.any_update(trace) if background is not None else False
         category = classify_trace(
@@ -347,7 +336,7 @@ def categorize_matrix(
             patterns,
             action.kinds[trace],
             background_updates,
-            accessed_vector=action.vectors.get((trace, "accessed")),
+            accessed_vector=vectors.get("accessed"),
             runs=action.runs,
         )
         out[trace] = TraceAnalysis(category=category, patterns=patterns)

@@ -9,8 +9,9 @@ Subcommands mirror the library pipeline:
     inspect   dump an observation directory's update matrix as CSV
 
 Exit codes: 0 success (for ``match``: at least one Detected), 1 clean negative
-(no signature detected), 2 usage or file format error.  Reports go to the
-output stream, diagnostics to the error stream.
+(no signature detected), 2 usage or file format error, 3 internal error (an
+unexpected exception; never read it as a verdict).  Reports go to the output
+stream, diagnostics to the error stream.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ logger = logging.getLogger(__name__)
 from . import __version__
 from .capture import filter_by_process, intersect_runs, parse_capture, unique_traces
 from .capture import TraceNameSet
-from .categorize import UpdateMatrix, build_update_matrix, read_observations
+from .categorize import RunObservation, build_update_matrix, read_observations
 from .evidence import format_timestamp, parse_snapshot, parse_timestamp
 from .matching import DetectionResult, Verdict, match_signature
 from .signatures import (
@@ -37,6 +38,7 @@ from .signatures import (
     derive_signature,
     load_signature,
     save_signature,
+    templates_per_label,
 )
 from .simulate import load_scenario, run_scenario, write_scenario_outputs
 
@@ -62,17 +64,14 @@ def _load_signatures(args: argparse.Namespace) -> list[Signature]:
     return sigs
 
 
-def _union_names(observations) -> TraceNameSet:
-    names = []
-    for obs in observations:
-        for snap in (obs.before, obs.after):
-            names.extend(rec.path for rec in snap)
-    return TraceNameSet.of(names)
-
-
-def _names_from_file(path: str) -> TraceNameSet:
-    lines = _read_text(path).splitlines()
-    return TraceNameSet.of([line.strip() for line in lines if line.strip()])
+def _trace_names(args: argparse.Namespace, observations: list[RunObservation]) -> TraceNameSet:
+    """The names in the ``--traces`` file, else every name the observations hold."""
+    if args.traces:
+        lines = _read_text(args.traces).splitlines()
+        return TraceNameSet.of(line.strip() for line in lines if line.strip())
+    return TraceNameSet.of(
+        rec.path for obs in observations for snap in (obs.before, obs.after) for rec in snap
+    )
 
 
 # --- traces -----------------------------------------------------------------
@@ -96,36 +95,19 @@ def cmd_traces(args: argparse.Namespace) -> int:
 
 def cmd_derive(args: argparse.Namespace) -> int:
     observations = read_observations(args.obs)
-    names = _names_from_file(args.traces) if args.traces else _union_names(observations)
+    names = _trace_names(args, observations)
     matrix = build_update_matrix(observations, names)
-    if args.background:
-        background = build_update_matrix(read_observations(args.background), names)
-    else:
-        background = UpdateMatrix.empty()
+    background = (
+        build_update_matrix(read_observations(args.background), names) if args.background else None
+    )
     sig = derive_signature(
-        args.action, matrix, background, observations, observations[0].before,
-        platform=args.platform,
+        args.action, matrix, background, observations[0].before, platform=args.platform
     )
     _write_output(save_signature(sig), args.output)
     return 0
 
 
 # --- match ------------------------------------------------------------------
-
-_VERDICT_TEXT = {
-    Verdict.DETECTED: "Detected",
-    Verdict.INCONSISTENT: "Inconsistent",
-    Verdict.MISSING: "Missing",
-    Verdict.INAPPLICABLE: "Inapplicable",
-}
-
-
-def _supporting_totals(sig: Signature) -> dict[str, int]:
-    totals: dict[str, set[str]] = {}
-    for entry in sig.supporting:
-        totals.setdefault(entry.category.label.value, set()).add(entry.template.text.lower())
-    return {label: len(seen) for label, seen in totals.items()}
-
 
 def _point_text(tp) -> str:
     text = tp.iso()
@@ -134,11 +116,19 @@ def _point_text(tp) -> str:
     return text
 
 
+def _core_evidence(result: DetectionResult) -> list[str]:
+    return ["core evidence:"] + [
+        f"  {rc.record.kind.value:<6}  {rc.trace.field:<8}  "
+        f"{_point_text(rc.timestamp):<37}  {rc.record.path}"
+        for rc in result.resolved_core
+    ]
+
+
 def _render_text(sig: Signature, result: DetectionResult, now: int | None) -> str:
     lines = [f"action: {result.action}", f"platform: {sig.platform}"]
     if now is not None:
         lines.append(f"report time: {format_timestamp(now)}")
-    lines.append(f"verdict: {_VERDICT_TEXT[result.verdict]}")
+    lines.append(f"verdict: {result.verdict.value.capitalize()}")
     lines.append(f"window: {result.window_s}s")
     lines.append(f"weak: {'yes' if result.weak else 'no'}")
     if result.sid is not None:
@@ -148,13 +138,8 @@ def _render_text(sig: Signature, result: DetectionResult, now: int | None) -> st
         lo, hi = result.event_interval
         lines.append(f"event interval: [{format_timestamp(lo)}, {format_timestamp(hi)}]")
         lines.append(f"core span: {result.core_span_s}s")
-        lines.append("core evidence:")
-        for rc in result.resolved_core:
-            lines.append(
-                f"  {rc.record.kind.value:<6}  {rc.trace.field:<8}  "
-                f"{_point_text(rc.timestamp):<37}  {rc.record.path}"
-            )
-        totals = _supporting_totals(sig)
+        lines.extend(_core_evidence(result))
+        totals = templates_per_label(sig.supporting)
         if totals:
             counts = result.supporting_counts()
             tally = ", ".join(
@@ -167,12 +152,7 @@ def _render_text(sig: Signature, result: DetectionResult, now: int | None) -> st
         lines.append(
             f"core span: {result.core_span_s}s exceeds the {result.window_s}s window"
         )
-        lines.append("core evidence:")
-        for rc in result.resolved_core:
-            lines.append(
-                f"  {rc.record.kind.value:<6}  {rc.trace.field:<8}  "
-                f"{_point_text(rc.timestamp):<37}  {rc.record.path}"
-            )
+        lines.extend(_core_evidence(result))
     elif result.verdict is Verdict.MISSING:
         lines.append("missing evidence:")
         for text in result.missing:
@@ -194,7 +174,7 @@ def _render_structured(sig: Signature, result: DetectionResult) -> dict:
             "lo_iso": format_timestamp(lo),
             "hi_iso": format_timestamp(hi),
         }
-    totals = _supporting_totals(sig)
+    totals = templates_per_label(sig.supporting)
     counts = result.supporting_counts()
     return {
         "action": result.action,
@@ -267,14 +247,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     observations = read_observations(args.obs)
-    names = _names_from_file(args.traces) if args.traces else _union_names(observations)
-    matrix = build_update_matrix(observations, names)
+    matrix = build_update_matrix(observations, _trace_names(args, observations))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trace", "field"] + [f"run{i}" for i in range(matrix.run_count)])
     for trace in matrix.traces():
-        for field in matrix.fields_of(trace):
-            vec = matrix.vector(trace, field)
+        for field, vec in matrix.vectors[trace].items():
             writer.writerow([matrix.display[trace], field] + ["1" if v else "0" for v in vec])
     _write_output(buf.getvalue(), args.output)
     return 0
@@ -355,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must never read as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     finally:
         pkg_logger.removeHandler(handler)
 

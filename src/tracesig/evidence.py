@@ -25,7 +25,6 @@ from typing import IO, Iterable, Iterator, Mapping
 __all__ = [
     "FIELDS",
     "ArtifactRecord",
-    "LinkInterpretation",
     "RecordKind",
     "Snapshot",
     "SnapshotFormatError",
@@ -33,7 +32,6 @@ __all__ = [
     "TimePoint",
     "fold_path",
     "format_timestamp",
-    "interpret_link_times",
     "parse_snapshot",
     "parse_timestamp",
     "save_snapshot",
@@ -290,17 +288,15 @@ def parse_snapshot(source: str | IO[str]) -> Snapshot:
     return Snapshot.build(meta, records)
 
 
-_KINDS = {"file": RecordKind.FILE, "regkey": RecordKind.REGKEY}
-
-
 def _parse_row(row: list[str], line_no: int) -> ArtifactRecord:
     if len(row) != 6:
         raise SnapshotFormatError(
             f"line {line_no}: row has {len(row)} columns, expected 6"
         )
     kind_text, path, modified, accessed, created, precision_text = row
-    kind = _KINDS.get(fold_path(kind_text))
-    if kind is None:
+    try:
+        kind = RecordKind(fold_path(kind_text))
+    except ValueError:
         raise SnapshotFormatError(f"line {line_no}: unknown record kind {kind_text!r}")
     if precision_text == "":
         precision = 1
@@ -363,27 +359,3 @@ def save_snapshot(snap: Snapshot) -> str:
         cells.append(str(precisions.pop()))
         writer.writerow(cells)
     return out.getvalue()
-
-
-@dataclass(frozen=True)
-class LinkInterpretation:
-    """What a shortcut's own timestamps say about its target's usage."""
-
-    first_target_open: TimePoint
-    last_target_open: TimePoint
-
-
-def interpret_link_times(rec: ArtifactRecord) -> LinkInterpretation:
-    """Read a ``.lnk`` file's created/modified pair as target-open brackets.
-
-    A shortcut's created time is pinned to the first time the target was
-    opened through it, and its modified time tracks the most recent open, so
-    the pair brackets the target's usage over the link's lifetime.
-    """
-    if rec.kind is not RecordKind.FILE or not fold_path(rec.path).endswith(".lnk"):
-        raise ValueError(f"not a link file: {rec.path!r}")
-    if rec.created is None or rec.modified is None:
-        raise ValueError(
-            f"link file {rec.path!r} needs both created and modified timestamps"
-        )
-    return LinkInterpretation(first_target_open=rec.created, last_target_open=rec.modified)

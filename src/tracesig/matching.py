@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .categorize import CategoryLabel
 from .evidence import ArtifactRecord, Snapshot, TimePoint, fold_path
-from .signatures import CoreTrace, Signature, SupportingTrace
+from .signatures import CoreTrace, Signature, SupportingTrace, templates_per_label
 from .templates import Binding, instantiate
 
 __all__ = [
@@ -88,19 +89,7 @@ class DetectionResult:
 
     def supporting_counts(self) -> dict[str, int]:
         """Distinct supporting templates with a hit, per category label."""
-        seen: dict[str, set[str]] = {}
-        for hit in self.supporting_hits:
-            label = hit.trace.category.label.value
-            seen.setdefault(label, set()).add(fold_path(hit.trace.template.text))
-        return {label: len(templates) for label, templates in sorted(seen.items())}
-
-
-_RANK = {
-    Verdict.MISSING: 0,
-    Verdict.INAPPLICABLE: 1,
-    Verdict.INCONSISTENT: 2,
-    Verdict.DETECTED: 3,
-}
+        return templates_per_label(hit.trace for hit in self.supporting_hits)
 
 
 @dataclass(frozen=True)
@@ -111,6 +100,15 @@ class _Evaluation:
     interval: tuple[int, int] | None = None
     span: int = 0
     combo: tuple[ResolvedCore, ...] = ()
+
+
+_VERDICT_STRENGTH = (Verdict.MISSING, Verdict.INAPPLICABLE, Verdict.INCONSISTENT, Verdict.DETECTED)
+
+
+def _strength(ev: _Evaluation) -> tuple:
+    """Verdict first; then the most recent interval, or the fewest missing templates."""
+    latest = (ev.interval[1], ev.interval[0]) if ev.interval is not None else ()
+    return (_VERDICT_STRENGTH.index(ev.verdict), latest, -len(ev.missing))
 
 
 def _evaluate(sig: Signature, snap: Snapshot, sid: str | None, window: int) -> _Evaluation:
@@ -183,7 +181,7 @@ def _supporting_hits(
                 continue
             hits.append(SupportingHit(trace, rec, point))
     launch = None
-    usage_hits = [h for h in hits if h.trace.category.label.value == "UB"]
+    usage_hits = [h for h in hits if h.trace.category.label is CategoryLabel.UB]
     if usage_hits:
         best = max(usage_hits, key=lambda h: (h.timestamp.hi, fold_path(h.record.path)))
         launch = best.record.path
@@ -231,15 +229,5 @@ def match_signature(sig: Signature, snap: Snapshot, window_s: int | None = None)
         return result(_Evaluation(Verdict.MISSING, None, missing=missing))
     candidates: Iterable[str | None] = snap.meta.sids if core_needs_sid else (None,)
 
-    evaluations = [_evaluate(sig, snap, sid, window) for sid in candidates]
-    best = evaluations[0]
-    for ev in evaluations[1:]:
-        if _RANK[ev.verdict] > _RANK[best.verdict]:
-            best = ev
-        elif ev.verdict is Verdict.DETECTED and best.verdict is Verdict.DETECTED:
-            if (ev.interval[1], ev.interval[0]) > (best.interval[1], best.interval[0]):
-                best = ev
-        elif ev.verdict is Verdict.MISSING and best.verdict is Verdict.MISSING:
-            if len(ev.missing) < len(best.missing):
-                best = ev
-    return result(best)
+    # max keeps the first of equally strong evaluations
+    return result(max((_evaluate(sig, snap, sid, window) for sid in candidates), key=_strength))

@@ -21,13 +21,11 @@ import json
 import logging
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .categorize import (
-    ALWAYS_LABELS,
     CategoryLabel,
     FieldPattern,
-    RunObservation,
     TraceAnalysis,
     TraceCategory,
     UpdateMatrix,
@@ -48,6 +46,7 @@ __all__ = [
     "derive_signature",
     "load_signature",
     "save_signature",
+    "templates_per_label",
 ]
 
 logger = logging.getLogger(__name__)
@@ -86,6 +85,14 @@ class SupportingTrace:
             raise ValueError("a never-updated trace cannot support a signature")
 
 
+def templates_per_label(traces: Iterable[SupportingTrace]) -> dict[str, int]:
+    """Distinct supporting templates per category label, paths compared folded."""
+    seen: dict[str, set[str]] = {}
+    for trace in traces:
+        seen.setdefault(trace.category.label.value, set()).add(fold_path(trace.template.text))
+    return {label: len(templates) for label, templates in sorted(seen.items())}
+
+
 @dataclass(frozen=True)
 class Signature:
     action: str
@@ -112,10 +119,6 @@ class Signature:
         return len(self.core) <= 1
 
 
-_KINDS = {"file": RecordKind.FILE, "regkey": RecordKind.REGKEY}
-_LABELS = {label.value: label for label in CategoryLabel}
-
-
 def _parse_entry(entry: object, where: str, supporting: bool) -> CoreTrace | SupportingTrace:
     if not isinstance(entry, dict):
         raise SignatureFormatError(f"{where}: trace entries must be JSON objects")
@@ -129,8 +132,9 @@ def _parse_entry(entry: object, where: str, supporting: bool) -> CoreTrace | Sup
         field = entry["field"]
     except KeyError as exc:
         raise SignatureFormatError(f"{where}: missing key {exc.args[0]!r}")
-    kind = _KINDS.get(kind_text)
-    if kind is None:
+    try:
+        kind = RecordKind(kind_text)
+    except ValueError:
         raise SignatureFormatError(f"{where}: unknown kind {kind_text!r}")
     try:
         template = PathTemplate(template_text, kind)
@@ -139,11 +143,10 @@ def _parse_entry(entry: object, where: str, supporting: bool) -> CoreTrace | Sup
     try:
         if not supporting:
             return CoreTrace(template=template, field=field)
-        label = _LABELS.get(entry.get("category", ""))
-        if label is None:
-            raise SignatureFormatError(
-                f"{where}: unknown category {entry.get('category')!r}"
-            )
+        try:
+            label = CategoryLabel(entry.get("category", ""))
+        except ValueError:
+            raise SignatureFormatError(f"{where}: unknown category {entry.get('category')!r}")
         confounded = entry.get("confounded", False)
         if not isinstance(confounded, bool):
             raise SignatureFormatError(f"{where}: confounded must be a boolean")
@@ -249,12 +252,11 @@ def _core_field(patterns: Mapping[str, FieldPattern]) -> str:
 
 
 def _supporting_field(analysis: TraceAnalysis) -> str:
-    label = analysis.category.label
-    if label is CategoryLabel.FRO:
+    if analysis.category.label is CategoryLabel.FRO:
         for f in FIELDS:
             if analysis.patterns.get(f) is FieldPattern.FIRST_RUN_ONLY:
                 return f
-    if label in ALWAYS_LABELS:
+    if analysis.category.is_always:
         return _core_field(analysis.patterns)
     for f in FIELDS:
         if analysis.patterns.get(f, FieldPattern.NEVER) is not FieldPattern.NEVER:
@@ -266,7 +268,6 @@ def derive_signature(
     action: str,
     matrix_action: UpdateMatrix,
     matrix_background: UpdateMatrix | None,
-    obs: Sequence[RunObservation],
     snap: Snapshot,
     platform: str = "unknown",
 ) -> Signature:

@@ -264,9 +264,6 @@ def _parse_mode(value: object, where: str) -> UpdateMode:
     raise ScenarioError(f"{where}: unknown mode {value!r}")
 
 
-_KINDS = {"file": RecordKind.FILE, "regkey": RecordKind.REGKEY}
-
-
 def load_scenario(text: str) -> Scenario:
     """Parse scenario JSON: seed, meta, model (rules per action), script."""
     try:
@@ -312,8 +309,9 @@ def load_scenario(text: str) -> Scenario:
             unknown = set(rule_data) - {"trace", "kind", "field", "mode", "latency_s"}
             if unknown:
                 raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-            kind = _KINDS.get(rule_data.get("kind"))
-            if kind is None:
+            try:
+                kind = RecordKind(rule_data.get("kind"))
+            except ValueError:
                 raise ScenarioError(f"{where}: unknown kind {rule_data.get('kind')!r}")
             rules.append(
                 UpdateRule(
@@ -605,9 +603,7 @@ def oracle_compare(
         agrees = classified == planted_cat
         artifact = False
         if not agrees and planted_cat.label is CategoryLabel.IU:
-            vectors = [
-                vec for (name, _f), vec in matrix.vectors.items() if name == folded
-            ]
+            vectors = matrix.vectors.get(folded, {}).values()
             artifact = bool(vectors) and all(all(v) or not any(v) for v in vectors)
         entries.append(OracleEntry(trace, planted_cat, classified, agrees, artifact))
     core_expected = sum(1 for cat in planted.values() if cat.is_always and not cat.confounded)

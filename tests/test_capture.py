@@ -1,13 +1,11 @@
 import pytest
 
-from conftest import frec, krec, snap_of
 from tracesig import (
     CaptureFormatError,
     TraceNameSet,
     filter_by_process,
     intersect_runs,
     parse_capture,
-    select_timestamped,
     unique_traces,
 )
 from tracesig.data import fixture_text
@@ -96,24 +94,3 @@ class TestIntersectRuns:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             intersect_runs([])
-
-
-class TestSelectTimestamped:
-    def test_counts_on_synthetic_corpus(self):
-        # 156 files and 611 keys with timestamps, plus capture-only names
-        # that have no record at all and therefore must drop out.
-        files = [frec(f"C:\\data\\f{i:04d}.bin", m="2010-04-12T14:30:37Z") for i in range(156)]
-        keys = [krec(f"HKEY_LOCAL_MACHINE\\Soft\\k{i:04d}", "2010-04-12T14:30:00Z") for i in range(611)]
-        snap = snap_of(files + keys)
-        names = TraceNameSet.of(
-            [r.path for r in files]
-            + [r.path for r in keys]
-            + [f"HKEY_LOCAL_MACHINE\\Soft\\k0001\\ValueName{i}" for i in range(40)]
-        )
-        kept = select_timestamped(names, snap)
-        assert len(kept) == 767
-
-    def test_all_names_absent(self):
-        snap = snap_of([frec("C:\\present", m="2010-04-12T14:30:37Z")])
-        kept = select_timestamped(TraceNameSet.of(["C:\\gone"]), snap)
-        assert len(kept) == 0

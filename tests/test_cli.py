@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from conftest import FROZEN_FILTERED_TRACES
+from tracesig import cli
 from tracesig.cli import main
 from tracesig.data import fixture_text, signature_text
 
@@ -154,6 +156,79 @@ class TestMatch:
         assert main(["match", "--bundled", "ie8_open", "--snapshot", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_supporting_templates_counted_with_one_folding_rule(self, tmp_path, capsys):
+        # Two IU templates that differ only in the case of a non-ASCII letter
+        # are distinct paths; the tally's hits and totals must agree on that.
+        sig_file = tmp_path / "x.sig"
+        sig_file.write_text(json.dumps({
+            "schema": 1, "action": "x.open", "platform": "test", "window_s": 60,
+            "core": [{"kind": "file", "template": "C:\\core.dat", "field": "modified"}],
+            "supporting": [
+                {"kind": "file", "template": path, "field": "modified", "category": "IU"}
+                for path in ("C:\\\u00c4.dat", "C:\\\u00e4.dat")
+            ],
+        }), encoding="utf-8")
+        snap = tmp_path / "snap.csv"
+        snap.write_text(
+            "#system_root=C:\\WINDOWS\n#home_drive=C:\n#home_path=\\Documents and Settings\\x\n"
+            "#last_access_enabled=true\n#capture_time=2010-04-14T16:45:00Z\n"
+            "kind,path,modified,accessed,created,precision_s\n"
+            "file,C:\\core.dat,2010-04-14T12:00:00Z,,,1\n"
+            "file,C:\\\u00c4.dat,2010-04-14T12:00:10Z,,,1\n"
+            "file,C:\\\u00e4.dat,2010-04-14T12:00:20Z,,,1\n",
+            encoding="utf-8",
+        )
+        args = ["match", "--signature", str(sig_file), "--snapshot", str(snap)]
+        assert main(args) == 0
+        assert "supporting: IU 2/2" in capsys.readouterr().out
+        assert main(args + ["--format", "structured"]) == 0
+        [payload] = json.loads(capsys.readouterr().out)
+        assert payload["supporting"] == {"IU": {"hits": 2, "total": 2}}
+
+
+class TestExitCodes:
+    """A malformed input exits 2 and a crash exits 3; neither reads as a verdict."""
+
+    def test_signature_kind_of_wrong_json_type(self, ie8_snapshot, tmp_path, capsys):
+        data = json.loads(signature_text("ie8_open"))
+        data["core"][0]["kind"] = []
+        sig_file = tmp_path / "bad.sig"
+        sig_file.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
+        assert capsys.readouterr().err.startswith("error: core[0]: unknown kind []")
+
+    def test_signature_category_of_wrong_json_type(self, ie8_snapshot, tmp_path, capsys):
+        data = json.loads(signature_text("ie8_open"))
+        data["supporting"][0]["category"] = []
+        sig_file = tmp_path / "bad.sig"
+        sig_file.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
+        assert capsys.readouterr().err.startswith("error: supporting[0]: unknown category []")
+
+    def test_scenario_kind_of_wrong_json_type(self, tmp_path, capsys):
+        data = json.loads(fixture_text("demo_scenario.json"))
+        data["model"]["app.open"][0]["kind"] = []
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) == 2
+        assert "unknown kind []" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capture_file, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_traces", boom)
+        assert main(["traces", "--capture", capture_file]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_mistyped_scenario_value_never_reads_as_a_verdict(self, tmp_path, capsys):
+        data = json.loads(fixture_text("demo_scenario.json"))
+        data["model"]["app.open"][0]["latency_s"] = "5"
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) not in (0, 1)
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSimulateDeriveRoundTrip:
     @pytest.fixture
@@ -195,6 +270,30 @@ class TestSimulateDeriveRoundTrip:
         assert lines[0] == "trace,field,run0,run1,run2,run3,run4,run5,run6"
         flag_rows = [l for l in lines if "FirstRun" in l]
         assert flag_rows and flag_rows[0].endswith("1,0,1,0,1,0,0")
+
+    # sha256 of each output on the bundled demo scenario, frozen when these
+    # outputs were last changed on purpose.
+    GOLDEN = {
+        "derive_background": "384a8e6963bf803e86961f46d339f2cbf6ee2ddb99a55e956e079e5553df93cb",
+        "derive_alone": "764ca59fbef4157b00c99669d8353e40cb394c219307583465f57441cf4eb450",
+        "inspect": "94764ffd1eb645521ca0fa00a442330c4352e130f4bfb4a45ec04ddc4e3ad5c7",
+    }
+
+    def test_demo_outputs_are_byte_stable(self, sim_tree, tmp_path, capsys):
+        obs = sim_tree / "obs"
+        derive = ["derive", "--obs", str(obs / "app.open"), "--action", "app.open", "--platform", "sim"]
+        calls = {
+            "derive_background": derive + ["--background", str(obs / "web.browse")],
+            "derive_alone": derive,
+            "inspect": ["inspect", "--obs", str(obs / "app.open")],
+        }
+        digests = {}
+        for name, argv in calls.items():
+            out = tmp_path / f"{name}.out"
+            assert main(argv + ["-o", str(out)]) == 0
+            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        capsys.readouterr()
+        assert digests == self.GOLDEN
 
     def test_bad_scenario_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from conftest import ADMIN, HKU, SID, frec, krec, pt, snap_of, t, xp_meta
+from conftest import HKU, SID, frec, krec, pt, snap_of, t, xp_meta
 from tracesig import (
     ArtifactRecord,
     RecordKind,
@@ -11,7 +11,6 @@ from tracesig import (
     TimePoint,
     fold_path,
     format_timestamp,
-    interpret_link_times,
     parse_snapshot,
     parse_timestamp,
     save_snapshot,
@@ -216,25 +215,3 @@ class TestSnapshotIO:
         )
         with pytest.raises(SnapshotFormatError, match="precision"):
             save_snapshot(snap_of([rec]))
-
-
-class TestLinkTimes:
-    def test_link_brackets_target_usage(self):
-        lnk = frec(
-            f"{ADMIN}\\Desktop\\App.lnk",
-            m="2010-04-12T14:30:02Z",
-            a="2010-04-12T14:30:02Z",
-            c="2009-11-03T09:12:44Z",
-        )
-        info = interpret_link_times(lnk)
-        assert info.first_target_open == pt("2009-11-03T09:12:44Z")
-        assert info.last_target_open == pt("2010-04-12T14:30:02Z")
-
-    def test_non_link_rejected(self):
-        with pytest.raises(ValueError):
-            interpret_link_times(frec("C:\\x.txt", m="2010-04-12T14:30:02Z"))
-
-    def test_link_needs_created_and_modified(self):
-        lnk = frec(f"{ADMIN}\\Desktop\\App.lnk", a="2010-04-12T14:30:02Z")
-        with pytest.raises(ValueError):
-            interpret_link_times(lnk)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import ADMIN, SID, frec, krec, pt, snap_of, t, xp_meta
 from tracesig import (
@@ -14,6 +16,7 @@ from tracesig import (
     infer_event_interval,
     match_signature,
 )
+from tracesig.matching import _Evaluation, _strength
 
 SID2 = "S-1-5-21-1417001333-573735546-682003330-1004"
 
@@ -225,6 +228,41 @@ class TestSidResolution:
         got = match_signature(SID_SIG, snap)
         assert got.verdict is Verdict.MISSING
         assert got.missing == ("HKEY_USERS\\%SID%\\Software\\App",)
+
+
+def first_strongest(evaluations):
+    """The per-SID choice written out: a stronger verdict wins, then the most
+    recent interval among detections, then the fewest missing templates among
+    misses; an equal outcome never displaces an earlier one."""
+    rank = {Verdict.MISSING: 0, Verdict.INAPPLICABLE: 1, Verdict.INCONSISTENT: 2, Verdict.DETECTED: 3}
+    best = evaluations[0]
+    for ev in evaluations[1:]:
+        if rank[ev.verdict] > rank[best.verdict]:
+            best = ev
+        elif ev.verdict is best.verdict is Verdict.DETECTED:
+            if (ev.interval[1], ev.interval[0]) > (best.interval[1], best.interval[0]):
+                best = ev
+        elif ev.verdict is best.verdict is Verdict.MISSING:
+            if len(ev.missing) < len(best.missing):
+                best = ev
+    return best
+
+
+@hs.composite
+def evaluations(draw, sid):
+    verdict = draw(hs.sampled_from(Verdict))
+    if verdict is Verdict.DETECTED:
+        lo = draw(hs.integers(0, 3))
+        return _Evaluation(verdict, sid, interval=(lo, lo + draw(hs.integers(0, 3))))
+    if verdict is Verdict.MISSING:
+        return _Evaluation(verdict, sid, missing=("x",) * draw(hs.integers(1, 3)))
+    return _Evaluation(verdict, sid)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(hs.integers(1, 6).flatmap(lambda n: hs.tuples(*(evaluations(str(i)) for i in range(n)))))
+def test_sid_choice_keeps_the_first_of_equals(evs):
+    assert max(evs, key=_strength) is first_strongest(evs)
 
 
 SUPPORTED = Signature(

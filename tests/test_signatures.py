@@ -102,6 +102,11 @@ class TestLoadSignature:
         with pytest.raises(SignatureFormatError, match="mailbox"):
             load_signature(bad)
 
+    def test_kind_of_wrong_json_type(self):
+        bad = sig_json(core=[{"kind": [], "template": "C:\\x", "field": "modified"}])
+        with pytest.raises(SignatureFormatError, match=r"core\[0\]: unknown kind \[\]"):
+            load_signature(bad)
+
     def test_unknown_entry_key_carries_position(self):
         bad = sig_json(
             core=[
@@ -117,6 +122,13 @@ class TestLoadSignature:
             supporting=[{"kind": "file", "template": "C:\\x", "field": "accessed", "category": "XX"}]
         )
         with pytest.raises(SignatureFormatError, match="XX"):
+            load_signature(bad)
+
+    def test_category_of_wrong_json_type(self):
+        bad = sig_json(
+            supporting=[{"kind": "file", "template": "C:\\x", "field": "accessed", "category": []}]
+        )
+        with pytest.raises(SignatureFormatError, match=r"supporting\[0\]: unknown category \[\]"):
             load_signature(bad)
 
     def test_confounded_must_be_boolean(self):
@@ -232,7 +244,7 @@ class TestDeriveSignature:
 
     def test_core_collapses_to_one_template_and_confounds_move_out(self):
         obs, action, background = self.matrices()
-        sig = derive_signature("app.open", action, background, obs, obs[0].before)
+        sig = derive_signature("app.open", action, background, obs[0].before)
         assert [t.template.text for t in sig.core] == ["%SystemRoot%\\Prefetch\\APP.EXE-%s.pf"]
         assert sig.core[0].field == "modified"
         assert sig.weak
@@ -243,25 +255,25 @@ class TestDeriveSignature:
 
     def test_never_updated_traces_vanish(self):
         obs, action, background = self.matrices()
-        sig = derive_signature("app.open", action, background, obs, obs[0].before)
+        sig = derive_signature("app.open", action, background, obs[0].before)
         texts = [t.template.text for t in sig.core + sig.supporting]
         assert not any("stale" in t for t in texts)
 
     def test_without_background_log_joins_core(self):
         obs, action, _ = self.matrices()
-        sig = derive_signature("app.open", action, None, obs, obs[0].before)
+        sig = derive_signature("app.open", action, None, obs[0].before)
         assert len(sig.core) == 2
         assert not sig.weak
 
     def test_weak_derivation_warns(self, caplog):
         obs, action, background = self.matrices()
         with caplog.at_level("WARNING", logger="tracesig"):
-            derive_signature("app.open", action, background, obs, obs[0].before)
+            derive_signature("app.open", action, background, obs[0].before)
         assert any("corroborat" in r.message for r in caplog.records)
 
     def test_round_trips_through_text(self):
         obs, action, background = self.matrices()
-        sig = derive_signature("app.open", action, background, obs, obs[0].before, platform="xp")
+        sig = derive_signature("app.open", action, background, obs[0].before, platform="xp")
         text = save_signature(sig)
         assert save_signature(load_signature(text)) == text
         assert load_signature(text).platform == "xp"

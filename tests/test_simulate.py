@@ -271,6 +271,12 @@ class TestScenarioJson:
         with pytest.raises(ScenarioError, match="sometimes"):
             load_scenario(json.dumps(data))
 
+    def test_kind_of_wrong_json_type(self):
+        data = self.base()
+        data["model"]["app.open"][0]["kind"] = []
+        with pytest.raises(ScenarioError, match=r"unknown kind \[\]"):
+            load_scenario(json.dumps(data))
+
     def test_bad_probability_encoding(self):
         data = self.base()
         data["model"]["app.open"][0]["mode"] = {"probability": "0.5"}

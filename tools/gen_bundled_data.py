@@ -607,12 +607,8 @@ def verify_match(sig: Signature, snap: Snapshot, lo_iso: str, hi_iso: str) -> No
     assert got == (lo_iso, hi_iso), (sig.action, got)
 
 
-def main() -> None:
-    sig_dir = DATA / "signatures"
-    fix_dir = DATA / "fixtures"
-    sig_dir.mkdir(parents=True, exist_ok=True)
-    fix_dir.mkdir(parents=True, exist_ok=True)
-
+def build_all() -> dict[str, str]:
+    """Every bundled file's text, keyed by its path relative to tracesig.data."""
     meta = meta_at("2010-04-14T16:45:00Z")
     ie8 = build_ie8_signature(meta)
     msn = build_msn_signature(meta)
@@ -633,33 +629,34 @@ def main() -> None:
     verify_match(msn, fixtures["msn2009_2010-04-14_1958.csv"], "2010-04-14T19:55:46Z", "2010-04-14T19:56:46Z")
     verify_match(ff36, fixtures["ff36_2010-04-14.csv"], "2010-04-14T12:04:03Z", "2010-04-14T12:05:03Z")
 
+    files: dict[str, str] = {}
     for sig in (ie8, msn, ff36):
         text = save_signature(sig)
         assert save_signature(load_signature(text)) == text, sig.action
-        (sig_dir / f"{sig.action}.sig").write_text(text, encoding="utf-8")
-        print(f"wrote {sig.action}.sig  core={len(sig.core)} supporting={len(sig.supporting)}")
+        files[f"signatures/{sig.action}.sig"] = text
 
     for name, snap in fixtures.items():
         text = save_snapshot(snap)
         assert save_snapshot(parse_snapshot(text)) == text, name
-        (fix_dir / name).write_text(text, encoding="utf-8")
-        print(f"wrote {name}  records={len(snap)}")
+        files[f"fixtures/{name}"] = text
 
-    capture_text = build_capture_csv()
-    (fix_dir / "capture_40rows.csv").write_text(capture_text, encoding="utf-8")
-    print("wrote capture_40rows.csv")
-
-    (fix_dir / "ie8_irregular_traces.txt").write_text(
-        "".join(f"{p}\n" for p in IE8_IRREGULAR), encoding="utf-8"
-    )
-    print(f"wrote ie8_irregular_traces.txt  paths={len(IE8_IRREGULAR)}")
+    files["fixtures/capture_40rows.csv"] = build_capture_csv()
+    files["fixtures/ie8_irregular_traces.txt"] = "".join(f"{p}\n" for p in IE8_IRREGULAR)
 
     scenario_text = json.dumps(DEMO_SCENARIO, indent=2) + "\n"
     result = run_scenario(load_scenario(scenario_text))
     assert set(result.observations) == {"app.open", "web.browse"}
     assert len(result.observations["app.open"]) == 7
-    (fix_dir / "demo_scenario.json").write_text(scenario_text, encoding="utf-8")
-    print("wrote demo_scenario.json")
+    files["fixtures/demo_scenario.json"] = scenario_text
+    return files
+
+
+def main() -> None:
+    for rel, text in build_all().items():
+        path = DATA / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {rel}")
 
 
 if __name__ == "__main__":
