@@ -5,18 +5,25 @@ produced by a single action iff ``max(lo) - min(hi) <= window``.  When it
 holds, the action time t lies in ``[max(lo) - window, min(hi)]``, exactly the
 t for which every true update time can fall within [t, t + window].
 
-``match_signature`` resolves a signature's core templates against a snapshot,
-runs the test over every combination of resolved records, and reports one of
-four verdicts: Detected (some combination is consistent), Inconsistent (all
-core evidence present but nothing lines up), Missing (a core template
-resolves to no record), or Inapplicable (the signature needs last-access
-timestamps and the system had them disabled, so absence of agreement proves
-nothing).
+``match_signature`` resolves a signature's core templates against a snapshot
+and reports one of four verdicts: Detected (some combination of one record
+per core template is consistent), Inconsistent (all core evidence present
+but nothing lines up), Missing (a core template resolves to no record), or
+Inapplicable (the signature needs last-access timestamps and the system had
+them disabled, so absence of agreement proves nothing).
+
+The core search never enumerates combinations.  It sorts the N candidate
+records of one SID by ``hi`` and sweeps them once, so it costs O(N log N).
+It finds the combination with the most recent event interval (latest
+``min(hi)``, then latest ``max(lo)``) or, when none is consistent, the
+smallest span any combination reaches.  When several combinations share the
+best interval, the first in product order is reported: template order, then
+each template's candidates in ``instantiate``'s folded-path order.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -140,27 +147,69 @@ def _evaluate(sig: Signature, snap: Snapshot, sid: str | None, window: int) -> _
     if missing:
         return _Evaluation(Verdict.MISSING, sid, missing=tuple(missing))
 
-    best: _Evaluation | None = None
-    min_span: int | None = None
-    for combo in itertools.product(*resolved):
-        points = [rc.timestamp for rc in combo]
-        span = max(p.lo for p in points) - min(p.hi for p in points)
-        if min_span is None or span < min_span:
-            min_span = span
-        if span > window:
+    return _core_search(resolved, sid, window)
+
+
+def _core_search(
+    resolved: Sequence[Sequence[ResolvedCore]], sid: str | None, window: int
+) -> _Evaluation:
+    """The consistent combination with the most recent interval, or the smallest span.
+
+    A combination whose smallest ``hi`` is h is consistent iff its largest
+    ``lo`` is at most h + window.  The sweep visits the distinct ``hi`` values
+    from the highest down; ``least[j]`` is the smallest ``lo`` of template j
+    among the candidates with ``hi`` >= h, so ``max(least) - h`` is the
+    smallest span of any combination drawn from them.  The first h where that
+    fits the window is the latest achievable ``min(hi)``.
+    """
+    by_hi = sorted(
+        ((rc.timestamp.hi, rc.timestamp.lo, j) for j, found in enumerate(resolved) for rc in found),
+        reverse=True,
+    )
+    least: dict[int, int] = {}
+    heap: list[tuple[int, int]] = []  # (-lo, j); stale once least[j] drops below lo
+    spans = []
+    top = None
+    for i, (h, lo, j) in enumerate(by_hi):
+        if j not in least or lo < least[j]:
+            least[j] = lo
+            heapq.heappush(heap, (-lo, j))
+        # test h once every template and every candidate with hi == h is in
+        if len(least) < len(resolved) or (i + 1 < len(by_hi) and by_hi[i + 1][0] == h):
             continue
-        interval = (max(p.lo for p in points) - window, min(p.hi for p in points))
-        if best is None or (interval[1], interval[0]) > (best.interval[1], best.interval[0]):
-            best = _Evaluation(
-                Verdict.DETECTED,
-                sid,
-                interval=interval,
-                span=max(span, 0),
-                combo=tuple(combo),
-            )
-    if best is not None:
-        return best
-    return _Evaluation(Verdict.INCONSISTENT, sid, span=min_span or 0)
+        while -heap[0][0] != least[heap[0][1]]:
+            heapq.heappop(heap)
+        span = -heap[0][0] - h
+        if span <= window:
+            top = h
+            break
+        spans.append(span)
+    if top is None:
+        return _Evaluation(Verdict.INCONSISTENT, sid, span=min(spans))
+
+    latest = max(
+        rc.timestamp.lo
+        for found in resolved
+        for rc in found
+        if rc.timestamp.hi >= top and rc.timestamp.lo <= top + window
+    )
+    # Every combination drawn from the pools is consistent, and its min(hi)
+    # is top: a later one would have ended the sweep sooner.  The best ones
+    # also reach max(lo) == latest.  The first of those in product order takes
+    # each pool's first entry, unless none of them reaches latest; then pool
+    # `last`, the last that can, takes its first entry that does.
+    pools = [
+        [rc for rc in found if rc.timestamp.hi >= top and rc.timestamp.lo <= latest]
+        for found in resolved
+    ]
+    last = max(j for j, pool in enumerate(pools) if any(rc.timestamp.lo == latest for rc in pool))
+    combo = [pool[0] for pool in pools]
+    if all(rc.timestamp.lo < latest for rc in combo):
+        combo[last] = next(rc for rc in pools[last] if rc.timestamp.lo == latest)
+    interval = infer_event_interval([rc.timestamp for rc in combo], window)
+    return _Evaluation(
+        Verdict.DETECTED, sid, interval=interval, span=max(latest - top, 0), combo=tuple(combo)
+    )
 
 
 def _supporting_hits(

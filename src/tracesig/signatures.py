@@ -136,6 +136,8 @@ def _parse_entry(entry: object, where: str, supporting: bool) -> CoreTrace | Sup
         kind = RecordKind(kind_text)
     except ValueError:
         raise SignatureFormatError(f"{where}: unknown kind {kind_text!r}")
+    if not isinstance(template_text, str):
+        raise SignatureFormatError(f"{where}: template must be a string")
     try:
         template = PathTemplate(template_text, kind)
     except TemplateSyntaxError as exc:

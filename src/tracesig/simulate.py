@@ -281,15 +281,29 @@ def load_scenario(text: str) -> Scenario:
     meta_data = data.get("meta")
     if not isinstance(meta_data, dict):
         raise ScenarioError("meta must be a JSON object")
+    for key in ("system_root", "home_drive", "home_path"):
+        if not isinstance(meta_data.get(key, ""), str):
+            raise ScenarioError(f"meta.{key} must be a string")
+    sids = meta_data.get("sids", [])
+    if not isinstance(sids, list) or not all(isinstance(sid, str) for sid in sids):
+        raise ScenarioError("meta.sids must be a list of strings")
+    last_access_enabled = meta_data.get("last_access_enabled", True)
+    if not isinstance(last_access_enabled, bool):
+        raise ScenarioError("meta.last_access_enabled must be true or false")
+    install_paths = meta_data.get("install_paths", {})
+    if not isinstance(install_paths, dict) or not all(
+        isinstance(path, str) for path in install_paths.values()
+    ):
+        raise ScenarioError("meta.install_paths must map names to path strings")
     try:
         meta = SnapshotMeta(
             system_root=meta_data["system_root"],
             home_drive=meta_data["home_drive"],
             home_path=meta_data["home_path"],
-            sids=tuple(meta_data.get("sids", ())),
-            last_access_enabled=bool(meta_data.get("last_access_enabled", True)),
+            sids=tuple(sids),
+            last_access_enabled=last_access_enabled,
             capture_time=TimePoint(_parse_time(meta_data["capture_time"], "meta.capture_time")),
-            install_paths=dict(meta_data.get("install_paths", {})),
+            install_paths=dict(install_paths),
         )
     except KeyError as exc:
         raise ScenarioError(f"meta is missing key {exc.args[0]!r}")
@@ -313,13 +327,19 @@ def load_scenario(text: str) -> Scenario:
                 kind = RecordKind(rule_data.get("kind"))
             except ValueError:
                 raise ScenarioError(f"{where}: unknown kind {rule_data.get('kind')!r}")
+            trace = rule_data.get("trace", "")
+            if not isinstance(trace, str):
+                raise ScenarioError(f"{where}: trace must be a string")
+            latency_s = rule_data.get("latency_s")
+            if latency_s is not None and (isinstance(latency_s, bool) or not isinstance(latency_s, int)):
+                raise ScenarioError(f"{where}: latency_s must be an integer")
             rules.append(
                 UpdateRule(
-                    trace=rule_data.get("trace", ""),
+                    trace=trace,
                     kind=kind,
                     field=rule_data.get("field", ""),
                     mode=_parse_mode(rule_data.get("mode"), where),
-                    latency_s=rule_data.get("latency_s"),
+                    latency_s=latency_s,
                 )
             )
         model[action] = tuple(rules)
@@ -338,12 +358,18 @@ def load_scenario(text: str) -> Scenario:
         session = step_data.get("session")
         if isinstance(session, bool) or not isinstance(session, int):
             raise ScenarioError(f"{where}: session must be an integer")
+        action = step_data.get("action", "")
+        if not isinstance(action, str):
+            raise ScenarioError(f"{where}: action must be a string")
+        launch = step_data.get("launch")
+        if launch is not None and not isinstance(launch, str):
+            raise ScenarioError(f"{where}: launch must be a string")
         script.append(
             ScriptStep(
                 time=_parse_time(step_data.get("time"), where),
-                action=step_data.get("action", ""),
+                action=action,
                 session_id=session,
-                launch_method=step_data.get("launch"),
+                launch_method=launch,
             )
         )
     return Scenario(seed=seed, meta=meta, model=model, script=tuple(script))

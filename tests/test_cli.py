@@ -213,6 +213,34 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) == 2
         assert "unknown kind []" in capsys.readouterr().err
 
+    def test_signature_template_of_wrong_json_type(self, ie8_snapshot, tmp_path, capsys):
+        data = json.loads(signature_text("ie8_open"))
+        data["core"][0]["template"] = 5
+        sig_file = tmp_path / "bad.sig"
+        sig_file.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
+        assert capsys.readouterr().err.startswith("error: core[0]: template must be a string")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("rule", "latency_s", "5"),
+            ("meta", "sids", "S-1-5"),
+            ("meta", "system_root", 5),
+            ("meta", "home_drive", 5),
+            ("meta", "home_path", 5),
+            ("meta", "last_access_enabled", "false"),
+        ],
+    )
+    def test_scenario_value_of_wrong_json_type(self, section, key, value, tmp_path, capsys):
+        data = json.loads(fixture_text("demo_scenario.json"))
+        target = data["meta"] if section == "meta" else data["model"]["app.open"][0]
+        target[key] = value
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capture_file, capsys):
         def boom(args):
             raise RuntimeError("boom")

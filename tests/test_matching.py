@@ -1,21 +1,27 @@
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import ADMIN, SID, frec, krec, pt, snap_of, t, xp_meta
 from tracesig import (
+    ArtifactRecord,
     CategoryLabel,
     CoreTrace,
     PathTemplate,
     RecordKind,
     Signature,
     SupportingTrace,
+    TimePoint,
     TraceCategory,
     Verdict,
     check_consistency,
     infer_event_interval,
     match_signature,
 )
+from tracesig import matching
 from tracesig.matching import _Evaluation, _strength
 
 SID2 = "S-1-5-21-1417001333-573735546-682003330-1004"
@@ -193,6 +199,33 @@ class TestMultipleCandidates:
         assert got.verdict is Verdict.INCONSISTENT
         assert got.core_span_s == 7200
 
+    def test_search_never_enumerates_combinations(self):
+        # 200**5 = 3.2e11 combinations, far beyond any enumeration; the only
+        # consistent one is the planted set, with decoys on days either side.
+        day0 = t("2010-01-01T00:00:00Z")
+        planted = t("2010-03-15T12:00:00Z")
+        core, records = [], []
+        for j in range(5):
+            core.append(ct(f"C:\\core\\t{j}\\%s.dat"))
+            records.append(
+                ArtifactRecord(RecordKind.FILE, f"C:\\core\\t{j}\\P.dat",
+                               modified=TimePoint(planted + 10 * j))
+            )
+            for i in range(199):
+                # one decoy a day, each template's an hour after the last one's
+                records.append(
+                    ArtifactRecord(RecordKind.FILE, f"C:\\core\\t{j}\\D{i:03d}.dat",
+                                   modified=TimePoint(day0 + 86400 * i + 3600 * j))
+                )
+        snap = snap_of(records, meta=xp_meta(capture="2011-01-01T00:00:00Z"))
+        got = match_signature(Signature("app.open", "xp", tuple(core)), snap)
+        assert got.verdict is Verdict.DETECTED
+        assert got.event_interval == (planted + 40 - 60, planted)
+        assert got.core_span_s == 40
+        assert [rc.record.path for rc in got.resolved_core] == [
+            f"C:\\core\\t{j}\\P.dat" for j in range(5)
+        ]
+
 
 SID_SIG = Signature(
     "app.open", "xp",
@@ -263,6 +296,69 @@ def evaluations(draw, sid):
 @given(hs.integers(1, 6).flatmap(lambda n: hs.tuples(*(evaluations(str(i)) for i in range(n)))))
 def test_sid_choice_keeps_the_first_of_equals(evs):
     assert max(evs, key=_strength) is first_strongest(evs)
+
+
+def product_search(resolved, sid, window):
+    """The combination loop the sorted search replaced, kept as its oracle:
+    it tries every combination in product order and keeps the first with the
+    most recent interval, or else the smallest span."""
+    best = None
+    min_span = None
+    for combo in itertools.product(*resolved):
+        points = [rc.timestamp for rc in combo]
+        span = max(p.lo for p in points) - min(p.hi for p in points)
+        if min_span is None or span < min_span:
+            min_span = span
+        if span > window:
+            continue
+        interval = (max(p.lo for p in points) - window, min(p.hi for p in points))
+        if best is None or (interval[1], interval[0]) > (best.interval[1], best.interval[0]):
+            best = _Evaluation(
+                Verdict.DETECTED, sid, interval=interval, span=max(span, 0), combo=tuple(combo)
+            )
+    if best is not None:
+        return best
+    return _Evaluation(Verdict.INCONSISTENT, sid, span=min_span)
+
+
+CASE_BASE = t("2010-04-01T10:00:00Z")
+candidate_names = hs.lists(
+    hs.text("aB1-", min_size=1, max_size=3), min_size=1, max_size=5, unique_by=str.lower
+)
+
+
+@hs.composite
+def ambiguous_snapshots(draw):
+    """1-4 core templates with 1-5 candidates each, on a timeline short enough
+    that ties and near misses are common; some files lack the core field."""
+    sids = (SID, SID2)[: draw(hs.integers(1, 2))]
+    core, records = [], []
+    for j in range(draw(hs.integers(1, 4))):
+        if draw(hs.booleans()):
+            core.append(ct(f"HKEY_USERS\\%SID%\\Software\\T{j}\\%s", kind=RecordKind.REGKEY))
+            for sid in sids:
+                for name in draw(candidate_names):
+                    stamp = TimePoint(CASE_BASE + 60 * draw(hs.integers(0, 2)), 60)
+                    path = f"HKEY_USERS\\{sid}\\Software\\T{j}\\{name}"
+                    records.append(ArtifactRecord(RecordKind.REGKEY, path, modified=stamp))
+        else:
+            core.append(ct(f"C:\\core\\t{j}\\%s.dat"))
+            for name in draw(candidate_names):
+                stamp = TimePoint(CASE_BASE + 10 * draw(hs.integers(0, 12)))
+                path = f"C:\\core\\t{j}\\{name}.dat"
+                field = draw(hs.sampled_from(("modified",) * 4 + ("accessed",)))
+                records.append(ArtifactRecord(RecordKind.FILE, path, **{field: stamp}))
+    snap = snap_of(records, meta=xp_meta(sids=sids))
+    return Signature("app.open", "xp", tuple(core)), snap, draw(hs.sampled_from((1, 30, 60, 120)))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(ambiguous_snapshots())
+def test_core_search_agrees_with_the_product_oracle(case):
+    sig, snap, window = case
+    got = match_signature(sig, snap, window)
+    with mock.patch.object(matching, "_core_search", product_search):
+        assert got == match_signature(sig, snap, window)
 
 
 SUPPORTED = Signature(

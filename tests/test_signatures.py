@@ -107,6 +107,11 @@ class TestLoadSignature:
         with pytest.raises(SignatureFormatError, match=r"core\[0\]: unknown kind \[\]"):
             load_signature(bad)
 
+    def test_template_of_wrong_json_type(self):
+        bad = sig_json(core=[{"kind": "file", "template": 5, "field": "modified"}])
+        with pytest.raises(SignatureFormatError, match=r"core\[0\]: template must be a string"):
+            load_signature(bad)
+
     def test_unknown_entry_key_carries_position(self):
         bad = sig_json(
             core=[

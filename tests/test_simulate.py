@@ -277,6 +277,34 @@ class TestScenarioJson:
         with pytest.raises(ScenarioError, match=r"unknown kind \[\]"):
             load_scenario(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "section, key, value, fragment",
+        [
+            ("meta", "sids", "S-1-5", "meta.sids"),
+            ("meta", "sids", [5], "meta.sids"),
+            ("meta", "system_root", 5, "meta.system_root"),
+            ("meta", "home_drive", ["C:"], "meta.home_drive"),
+            ("meta", "home_path", None, "meta.home_path"),
+            ("meta", "last_access_enabled", "false", "meta.last_access_enabled"),
+            ("meta", "install_paths", {"App": 5}, "meta.install_paths"),
+            ("rule", "latency_s", "5", "latency_s"),
+            ("rule", "latency_s", True, "latency_s"),
+            ("rule", "trace", 5, "trace"),
+            ("step", "action", [], "action"),
+            ("step", "launch", 5, "launch"),
+        ],
+    )
+    def test_value_of_wrong_json_type(self, section, key, value, fragment):
+        data = self.base()
+        target = {
+            "meta": data["meta"],
+            "rule": data["model"]["app.open"][0],
+            "step": data["script"][0],
+        }[section]
+        target[key] = value
+        with pytest.raises(ScenarioError, match=fragment):
+            load_scenario(json.dumps(data))
+
     def test_bad_probability_encoding(self):
         data = self.base()
         data["model"]["app.open"][0]["mode"] = {"probability": "0.5"}

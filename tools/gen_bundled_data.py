@@ -13,7 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from pathlib import Path
+
+# Import the package from this checkout's src/, installed or not.
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from tracesig import (
     ArtifactRecord,
@@ -41,7 +46,7 @@ from tracesig import (
     save_snapshot,
 )
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "tracesig" / "data"
+DATA = SRC / "tracesig" / "data"
 
 SID = "S-1-5-21-1417001333-573735546-682003330-500"
 HKU = f"HKEY_USERS\\{SID}"
