@@ -5,173 +5,51 @@ an action updates, generalizes their paths across machines, and matches the
 signatures against a single after-the-fact snapshot to decide whether and
 when the action ran.  A deterministic simulator provides ground truth for
 validating the pipeline end to end.
+
+The root re-exports the names callers import from it; everything else is
+imported from its module (``tracesig.evidence``, ``tracesig.matching``, ...).
 """
 
-from .capture import (
-    CaptureEvent,
-    CaptureFormatError,
-    CaptureLog,
-    TraceNameSet,
-    filter_by_process,
-    intersect_runs,
-    parse_capture,
-    unique_traces,
-)
-from .categorize import (
-    CategoryLabel,
-    FieldPattern,
-    RunInfo,
-    RunObservation,
-    TraceAnalysis,
-    TraceCategory,
-    UpdateMatrix,
-    build_update_matrix,
-    categorize_matrix,
-    classify_field,
-    classify_trace,
-    read_observations,
-    write_observations,
-)
+from .capture import TraceNameSet
+from .categorize import CategoryLabel, TraceCategory, build_update_matrix, read_observations
 from .evidence import (
     ArtifactRecord,
     RecordKind,
     Snapshot,
-    SnapshotFormatError,
     SnapshotMeta,
     TimePoint,
-    fold_path,
     format_timestamp,
     parse_snapshot,
     parse_timestamp,
     save_snapshot,
 )
-from .matching import (
-    DetectionResult,
-    ResolvedCore,
-    SupportingHit,
-    Verdict,
-    check_consistency,
-    infer_event_interval,
-    match_signature,
-)
-from .signatures import (
-    CoreTrace,
-    Signature,
-    SignatureFormatError,
-    SupportingTrace,
-    bundled_signature,
-    bundled_signature_names,
-    derive_signature,
-    load_signature,
-    save_signature,
-)
-from .simulate import (
-    MAX_LATENCY_S,
-    Always,
-    Background,
-    FirstRunOfSession,
-    OracleEntry,
-    OracleReport,
-    Probability,
-    Scenario,
-    ScenarioError,
-    ScenarioResult,
-    ScriptStep,
-    UpdateRule,
-    UsageBased,
-    draw_latency,
-    draw_uniform,
-    load_scenario,
-    oracle_compare,
-    planted_categories,
-    run_scenario,
-    write_scenario_outputs,
-)
-from .templates import (
-    Binding,
-    PathTemplate,
-    TemplateSyntaxError,
-    generalize_path,
-    instantiate,
-    parse_template,
-)
+from .matching import match_signature
+from .signatures import bundled_signature, load_signature
+from .simulate import load_scenario, oracle_compare, run_scenario, write_scenario_outputs
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_LATENCY_S",
-    "Always",
     "ArtifactRecord",
-    "Background",
-    "Binding",
-    "CaptureEvent",
-    "CaptureFormatError",
-    "CaptureLog",
     "CategoryLabel",
-    "CoreTrace",
-    "DetectionResult",
-    "FieldPattern",
-    "FirstRunOfSession",
-    "OracleEntry",
-    "OracleReport",
-    "PathTemplate",
-    "Probability",
     "RecordKind",
-    "ResolvedCore",
-    "RunInfo",
-    "RunObservation",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioResult",
-    "ScriptStep",
-    "Signature",
-    "SignatureFormatError",
     "Snapshot",
-    "SnapshotFormatError",
     "SnapshotMeta",
-    "SupportingHit",
-    "SupportingTrace",
-    "TemplateSyntaxError",
     "TimePoint",
-    "TraceAnalysis",
     "TraceCategory",
     "TraceNameSet",
-    "UpdateMatrix",
-    "UpdateRule",
-    "UsageBased",
-    "Verdict",
     "__version__",
     "build_update_matrix",
     "bundled_signature",
-    "bundled_signature_names",
-    "categorize_matrix",
-    "check_consistency",
-    "classify_field",
-    "classify_trace",
-    "derive_signature",
-    "draw_latency",
-    "draw_uniform",
-    "filter_by_process",
-    "fold_path",
     "format_timestamp",
-    "generalize_path",
-    "infer_event_interval",
-    "instantiate",
-    "intersect_runs",
     "load_scenario",
     "load_signature",
     "match_signature",
     "oracle_compare",
-    "parse_capture",
     "parse_snapshot",
-    "parse_template",
     "parse_timestamp",
-    "planted_categories",
     "read_observations",
     "run_scenario",
-    "save_signature",
     "save_snapshot",
-    "unique_traces",
-    "write_observations",
     "write_scenario_outputs",
 ]

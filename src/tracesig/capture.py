@@ -20,7 +20,6 @@ from .evidence import fold_path
 __all__ = [
     "CaptureEvent",
     "CaptureFormatError",
-    "CaptureLog",
     "TraceNameSet",
     "filter_by_process",
     "intersect_runs",
@@ -53,17 +52,6 @@ class CaptureEvent:
 
 
 @dataclass(frozen=True)
-class CaptureLog:
-    events: tuple[CaptureEvent, ...]
-
-    def __iter__(self) -> Iterator[CaptureEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-@dataclass(frozen=True)
 class TraceNameSet:
     """Case-folded trace names; iteration is sorted for stable output."""
 
@@ -83,8 +71,8 @@ class TraceNameSet:
         return fold_path(name) in self.names
 
 
-def parse_capture(source: str | IO[str]) -> CaptureLog:
-    """Parse capture CSV text into a CaptureLog.
+def parse_capture(source: str | IO[str]) -> tuple[CaptureEvent, ...]:
+    """Parse capture CSV text into its events, in log order.
 
     An optional first header row is recognized by the literal cell
     ``Process Name`` and skipped.  Rows need at least the seven standard
@@ -117,18 +105,20 @@ def parse_capture(source: str | IO[str]) -> CaptureLog:
                 raise CaptureFormatError(f"line {rows.line_num}: {exc}")
     except csv.Error as exc:
         raise CaptureFormatError(f"unbalanced quotes near line {rows.line_num}: {exc}")
-    return CaptureLog(tuple(events))
+    return tuple(events)
 
 
-def filter_by_process(log: CaptureLog, processes: Iterable[str]) -> CaptureLog:
+def filter_by_process(
+    log: Iterable[CaptureEvent], processes: Iterable[str]
+) -> tuple[CaptureEvent, ...]:
     """Keep only events from the named processes (case-insensitive)."""
     wanted = {fold_path(p) for p in processes}
     if not wanted:
         raise ValueError("at least one process name is required")
-    return CaptureLog(tuple(e for e in log if fold_path(e.process_name) in wanted))
+    return tuple(e for e in log if fold_path(e.process_name) in wanted)
 
 
-def unique_traces(log: CaptureLog) -> TraceNameSet:
+def unique_traces(log: Iterable[CaptureEvent]) -> TraceNameSet:
     """The distinct path names a log touches, case-folded."""
     return TraceNameSet.of(e.path for e in log)
 

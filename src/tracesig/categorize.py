@@ -112,7 +112,6 @@ class RunObservation:
 
     run_index: int
     session_id: int
-    first_of_session: bool
     launch_method: str | None
     before: Snapshot
     after: Snapshot
@@ -139,9 +138,6 @@ class UpdateMatrix:
     def traces(self) -> list[str]:
         return sorted(self.kinds)
 
-    def vector(self, trace: str, field: str) -> tuple[bool, ...]:
-        return self.vectors[fold_path(trace)][field]
-
     def any_update(self, trace: str) -> bool:
         return any(any(vec) for vec in self.vectors.get(fold_path(trace), {}).values())
 
@@ -166,7 +162,11 @@ def _lookup(snap: Snapshot, folded: str) -> ArtifactRecord | None:
 
 
 def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> UpdateMatrix:
-    """Diff each run's snapshot pair into per-trace, per-field update vectors."""
+    """Diff each run's snapshot pair into per-trace, per-field update vectors.
+
+    A run is the first of its session when no lower run index shares its
+    session id.
+    """
     if not obs:
         raise ValueError("at least one run observation is required")
     ordered = sorted(obs, key=lambda o: o.run_index)
@@ -176,16 +176,11 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     for o in ordered:
         if o.before.meta != meta0 or o.after.meta != meta0:
             raise ValueError("observations use inconsistent snapshot metadata")
-    firsts: dict[int, int] = {}
+    sessions: set[int] = set()
+    runs = []
     for o in ordered:
-        firsts.setdefault(o.session_id, o.run_index)
-    for o in ordered:
-        if o.first_of_session != (firsts[o.session_id] == o.run_index):
-            raise ValueError(
-                f"run {o.run_index} first_of_session flag contradicts the session order"
-            )
-
-    runs = tuple(RunInfo(o.session_id, o.first_of_session, o.launch_method) for o in ordered)
+        runs.append(RunInfo(o.session_id, o.session_id not in sessions, o.launch_method))
+        sessions.add(o.session_id)
     vectors: dict[str, dict[str, tuple[bool, ...]]] = {}
     kinds: dict[str, RecordKind] = {}
     display: dict[str, str] = {}
@@ -202,7 +197,7 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
             for f in FIELDS
             if any(r.timestamp(f) is not None for r in seen)
         }
-    return UpdateMatrix(runs=runs, vectors=vectors, kinds=kinds, display=display)
+    return UpdateMatrix(runs=tuple(runs), vectors=vectors, kinds=kinds, display=display)
 
 
 def classify_field(
@@ -373,38 +368,40 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
     sessions_file = directory / "sessions.csv"
     if not sessions_file.exists():
         raise ValueError(f"missing sessions.csv in {directory}")
-    rows = list(csv.reader(sessions_file.read_text(encoding="utf-8").splitlines()))
+    try:
+        rows = list(csv.reader(sessions_file.read_text(encoding="utf-8").splitlines()))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"sessions.csv is not UTF-8 text: {exc}")
     if not rows or rows[0] != _SESSIONS_HEADER:
         raise ValueError("sessions.csv must start with the header run,session,launch_method")
     session_of: dict[int, int] = {}
     launch_of: dict[int, str | None] = {}
-    for row in rows[1:]:
+    for row_no, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
-            raise ValueError(f"sessions.csv row has {len(row)} columns, expected 3")
-        run = int(row[0])
-        session_of[run] = int(row[1])
+            raise ValueError(f"sessions.csv row {row_no} has {len(row)} columns, expected 3")
+        run = _session_int(row[0], "run", row_no)
+        session_of[run] = _session_int(row[1], "session", row_no)
         launch_of[run] = row[2] or None
     if set(session_of) != set(pairs):
         raise ValueError("sessions.csv rows do not match the run files")
 
-    firsts: dict[int, int] = {}
-    for run in sorted(pairs):
-        firsts.setdefault(session_of[run], run)
-    observations = []
-    for run in sorted(pairs):
-        before = parse_snapshot(pairs[run]["before"].read_text(encoding="utf-8"))
-        after = parse_snapshot(pairs[run]["after"].read_text(encoding="utf-8"))
-        observations.append(
-            RunObservation(
-                run_index=run,
-                session_id=session_of[run],
-                first_of_session=(firsts[session_of[run]] == run),
-                launch_method=launch_of[run],
-                before=before,
-                after=after,
-            )
+    return [
+        RunObservation(
+            run_index=run,
+            session_id=session_of[run],
+            launch_method=launch_of[run],
+            before=parse_snapshot(pairs[run]["before"].read_text(encoding="utf-8")),
+            after=parse_snapshot(pairs[run]["after"].read_text(encoding="utf-8")),
         )
-    return observations
+        for run in sorted(pairs)
+    ]
+
+
+def _session_int(cell: str, column: str, row_no: int) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"sessions.csv row {row_no}: {column} must be an integer, got {cell!r}")
 
 
 def write_observations(directory: str | Path, obs: Iterable[RunObservation]) -> None:

@@ -70,6 +70,11 @@ def format_timestamp(epoch_s: int) -> str:
     return datetime.fromtimestamp(epoch_s, tz=timezone.utc).strftime(_TS_FORMAT)
 
 
+_EARLIEST_S = -11644473600  # 1601-01-01T00:00:00Z, where NTFS FILETIME starts
+_LATEST_S = 253402300799  # 9999-12-31T23:59:59Z
+_MAX_PRECISION_S = 86400  # one day: FAT's last-access date, the coarsest Windows time
+
+
 @dataclass(frozen=True)
 class TimePoint:
     """A timestamp known to whole-second resolution or coarser.
@@ -77,15 +82,22 @@ class TimePoint:
     ``epoch_s`` is UTC seconds since the Unix epoch; ``precision_s`` is the
     granularity of the source (1 for NTFS-style file times, 60 for
     minute-granular registry exports).  The value denotes the closed interval
-    ``[epoch_s, epoch_s + precision_s - 1]`` of possible true times.
+    ``[epoch_s, epoch_s + precision_s - 1]`` of possible true times, which
+    must lie within 1601-01-01T00:00:00Z .. 9999-12-31T23:59:59Z.
     """
 
     epoch_s: int
     precision_s: int = 1
 
     def __post_init__(self) -> None:
-        if self.precision_s < 1:
-            raise ValueError(f"precision_s must be >= 1, got {self.precision_s}")
+        if not 1 <= self.precision_s <= _MAX_PRECISION_S:
+            raise ValueError(
+                f"precision_s must lie in [1, {_MAX_PRECISION_S}], got {self.precision_s}"
+            )
+        if self.epoch_s < _EARLIEST_S:
+            raise ValueError(f"timestamp {self.epoch_s} is before 1601-01-01T00:00:00Z")
+        if self.epoch_s + self.precision_s - 1 > _LATEST_S:
+            raise ValueError(f"timestamp {self.epoch_s} ends after 9999-12-31T23:59:59Z")
 
     @property
     def lo(self) -> int:
@@ -94,10 +106,6 @@ class TimePoint:
     @property
     def hi(self) -> int:
         return self.epoch_s + self.precision_s - 1
-
-    @classmethod
-    def from_iso(cls, text: str, precision_s: int = 1) -> "TimePoint":
-        return cls(parse_timestamp(text), precision_s)
 
     def iso(self) -> str:
         return format_timestamp(self.epoch_s)
@@ -264,13 +272,17 @@ def parse_snapshot(source: str | IO[str]) -> Snapshot:
         raise SnapshotFormatError(
             f"last_access_enabled must be 'true' or 'false', got {flag!r}"
         )
+    try:
+        capture_time = TimePoint(parse_timestamp(singles["capture_time"]))
+    except ValueError as exc:
+        raise SnapshotFormatError(f"#capture_time: {exc}")
     meta = SnapshotMeta(
         system_root=singles["system_root"],
         home_drive=singles["home_drive"],
         home_path=singles["home_path"],
         sids=tuple(sids),
         last_access_enabled=(flag == "true"),
-        capture_time=TimePoint.from_iso(singles["capture_time"]),
+        capture_time=capture_time,
         install_paths=install_paths,
     )
 
@@ -307,8 +319,6 @@ def _parse_row(row: list[str], line_no: int) -> ArtifactRecord:
             raise SnapshotFormatError(
                 f"line {line_no}: precision_s must be an integer, got {precision_text!r}"
             )
-    if precision < 1:
-        raise SnapshotFormatError(f"line {line_no}: precision_s must be >= 1")
 
     def point(cell: str) -> TimePoint | None:
         return None if cell == "" else TimePoint(parse_timestamp(cell), precision)

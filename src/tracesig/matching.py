@@ -69,7 +69,6 @@ def infer_event_interval(points: Sequence[TimePoint], window_s: int) -> tuple[in
 class ResolvedCore:
     trace: CoreTrace
     record: ArtifactRecord
-    binding: Binding
     timestamp: TimePoint
 
 
@@ -137,8 +136,8 @@ def _evaluate(sig: Signature, snap: Snapshot, sid: str | None, window: int) -> _
     resolved: list[list[ResolvedCore]] = []
     for trace, found in zip(sig.core, matches):
         with_field = [
-            ResolvedCore(trace, rec, binding, point)
-            for rec, binding in found
+            ResolvedCore(trace, rec, point)
+            for rec, _binding in found
             if (point := rec.timestamp(trace.field)) is not None
         ]
         if not with_field:

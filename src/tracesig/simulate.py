@@ -46,7 +46,6 @@ from .evidence import (
     ArtifactRecord,
     RecordKind,
     Snapshot,
-    SnapshotFormatError,
     SnapshotMeta,
     TimePoint,
     fold_path,
@@ -191,6 +190,7 @@ class ScriptStep:
 
 
 _ACTION_NAME = re.compile(r"[A-Za-z0-9._-]+")
+_BASELINE_LEAD_S = 86400  # planted traces start with timestamps this long before the first step
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,10 @@ class Scenario:
                 raise ScenarioError(f"script references undefined action {step.action!r}")
         if times[-1] + MAX_LATENCY_S > self.meta.capture_time.hi:
             raise ScenarioError("capture_time must fall after the last step plus latency")
+        try:
+            TimePoint(times[0] - _BASELINE_LEAD_S)
+        except ValueError as exc:
+            raise ScenarioError(f"script[0]: the baseline a day before it: {exc}")
         seen: dict[tuple[str, str, str], str] = {}
         kinds: dict[str, RecordKind] = {}
         for action, rules in self.model.items():
@@ -235,11 +239,9 @@ class Scenario:
 def _parse_time(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ScenarioError(f"{where}: time must be epoch seconds or ISO-8601 text")
-    if isinstance(value, int):
-        return value
-    try:
-        return parse_timestamp(value)
-    except SnapshotFormatError as exc:
+    try:  # TimePoint holds the range a timestamp may take
+        return TimePoint(value if isinstance(value, int) else parse_timestamp(value)).epoch_s
+    except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}")
 
 
@@ -380,14 +382,13 @@ def load_scenario(text: str) -> Scenario:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    snapshots: tuple[Snapshot, ...]
-    final: Snapshot
+    snapshots: tuple[Snapshot, ...]  # after each step; the last is the final state
     observations: Mapping[str, tuple[RunObservation, ...]]
     planted: Mapping[str, Mapping[str, TraceCategory]]
 
 
 def _baseline_state(sc: Scenario) -> dict[str, dict]:
-    baseline = TimePoint(min(s.time for s in sc.script) - 86400)
+    baseline = TimePoint(min(s.time for s in sc.script) - _BASELINE_LEAD_S)
     state: dict[str, dict] = {}
     for rules in sc.model.values():
         for rule in rules:
@@ -441,8 +442,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     snapshots: list[Snapshot] = []
     observations: dict[str, list[RunObservation]] = {action: [] for action in sc.model}
 
+    before = _snapshot(state, sc.meta)
     for step_index, step in enumerate(sc.script):
-        before = _snapshot(state, sc.meta)
         run = run_counter[step.action]
         first = (step.action, step.session_id) not in session_started
         session_started.add((step.action, step.session_id))
@@ -482,16 +483,15 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             RunObservation(
                 run_index=run,
                 session_id=step.session_id,
-                first_of_session=first,
                 launch_method=step.launch_method,
                 before=before,
                 after=after,
             )
         )
+        before = after
 
     return ScenarioResult(
         snapshots=tuple(snapshots),
-        final=snapshots[-1],
         observations={a: tuple(o) for a, o in observations.items() if o},
         planted=planted_categories(sc),
     )
@@ -647,7 +647,7 @@ def write_scenario_outputs(result: ScenarioResult, directory: str | Path) -> Non
     """Write final.csv, per-step snapshots, observations and planted.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "final.csv").write_text(save_snapshot(result.final), encoding="utf-8")
+    (directory / "final.csv").write_text(save_snapshot(result.snapshots[-1]), encoding="utf-8")
     steps = directory / "steps"
     steps.mkdir(exist_ok=True)
     for i, snap in enumerate(result.snapshots):

@@ -132,14 +132,9 @@ class PathTemplate:
 
 @dataclass(frozen=True)
 class Binding:
-    """Variable values captured by one template match.
-
-    ``sid`` holds the single SID bound for the attempt; ``captures`` lists
-    every variable occurrence in template order with its matched text.
-    """
+    """The SID one template match bound, or None when the template has no %SID%."""
 
     sid: str | None = None
-    captures: tuple[tuple[str, str], ...] = ()
 
 
 # --- generalization -------------------------------------------------------
@@ -235,18 +230,14 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
 _SID_SHAPE = r"S-\d+(?:-\d+)+"
 
 
-def _compile(
-    tpl: PathTemplate, meta: SnapshotMeta, fixed_sid: str | None
-) -> tuple[re.Pattern[str], list[tuple[str, int]]] | None:
+def _compile(tpl: PathTemplate, meta: SnapshotMeta, fixed_sid: str | None) -> re.Pattern[str] | None:
     """Build a regex for the template under this snapshot's metadata.
 
     Returns None when the template cannot be expanded here at all (an
-    install-path variable the snapshot does not define).  The second element
-    maps each capturing variable occurrence to its regex group index.
+    install-path variable the snapshot does not define).  An unbound %SID%
+    is captured in the group ``sid``.
     """
     parts: list[str] = []
-    slots: list[tuple[str, int]] = []
-    group = 0
     sid_seen = False
     for token in tpl.tokens:
         if isinstance(token, str):
@@ -270,21 +261,15 @@ def _compile(
             elif sid_seen:
                 parts.append(r"(?P=sid)")
             else:
-                group += 1
                 parts.append(rf"(?P<sid>{_SID_SHAPE})")
-                slots.append(("SID", group))
                 sid_seen = True
         elif name == "s":
-            group += 1
-            parts.append(r"([0-9A-Za-z-]+)")
-            slots.append(("s", group))
+            parts.append(r"[0-9A-Za-z-]+")
         elif name == "i":
-            group += 1
-            parts.append(r"([0-9]+)")
-            slots.append(("i", group))
+            parts.append(r"[0-9]+")
         else:  # unreachable once parse_template has accepted the text
             raise TemplateSyntaxError(f"unknown variable {name!r}")
-    return re.compile("".join(parts), re.IGNORECASE | re.ASCII), slots
+    return re.compile("".join(parts), re.IGNORECASE | re.ASCII)
 
 
 def instantiate(
@@ -298,10 +283,9 @@ def instantiate(
     Results never cross record kinds and come back sorted by folded path.
     """
     fixed_sid = fixed.sid if fixed is not None else None
-    compiled = _compile(tpl, snap.meta, fixed_sid)
-    if compiled is None:
+    pattern = _compile(tpl, snap.meta, fixed_sid)
+    if pattern is None:
         return []
-    pattern, slots = compiled
     folded_sids = {fold_path(s) for s in snap.meta.sids}
 
     out = []
@@ -311,7 +295,6 @@ def instantiate(
         match = pattern.fullmatch(rec.path)
         if match is None:
             continue
-        captures = tuple((name, match.group(idx)) for name, idx in slots)
         sid = fixed_sid
         if sid is None:
             bound = match.groupdict().get("sid")
@@ -319,6 +302,6 @@ def instantiate(
                 if fold_path(bound) not in folded_sids:
                     continue
                 sid = bound
-        out.append((rec, Binding(sid=sid, captures=captures)))
+        out.append((rec, Binding(sid=sid)))
     out.sort(key=lambda pair: fold_path(pair[0].path))
     return out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from tracesig import (
+from tracesig.evidence import (
     ArtifactRecord,
     RecordKind,
     Snapshot,

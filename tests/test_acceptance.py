@@ -13,39 +13,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_FILTERED_TRACES, frec, krec, pt, snap_of, t, xp_meta
-from tracesig import (
+from tracesig.capture import CaptureEvent, TraceNameSet, intersect_runs, unique_traces
+from tracesig.categorize import build_update_matrix
+from tracesig.cli import main
+from tracesig.data import fixture_text
+from tracesig.evidence import (
+    RecordKind,
+    Snapshot,
+    SnapshotMeta,
+    TimePoint,
+    fold_path,
+    format_timestamp,
+    parse_snapshot,
+)
+from tracesig.matching import Verdict, check_consistency, infer_event_interval, match_signature
+from tracesig.signatures import bundled_signature, derive_signature
+from tracesig.simulate import (
     Always,
     Background,
     FirstRunOfSession,
     Probability,
-    RecordKind,
     Scenario,
     ScriptStep,
-    Snapshot,
-    SnapshotMeta,
-    TimePoint,
-    TraceNameSet,
     UpdateRule,
-    Verdict,
-    build_update_matrix,
-    bundled_signature,
-    check_consistency,
-    derive_signature,
-    fold_path,
-    format_timestamp,
-    generalize_path,
-    infer_event_interval,
-    instantiate,
-    intersect_runs,
-    match_signature,
     oracle_compare,
-    parse_snapshot,
     run_scenario,
-    unique_traces,
 )
-from tracesig.capture import CaptureEvent, CaptureLog
-from tracesig.cli import main
-from tracesig.data import fixture_text
+from tracesig.templates import generalize_path, instantiate
 
 
 def load_fixture_snapshot(name):
@@ -314,11 +308,9 @@ EVENTS = st.lists(
 
 
 def capture_of(pairs):
-    return CaptureLog(
-        tuple(
-            CaptureEvent("t", "p.exe", 1, "Op", name.upper() if up else name, "OK", "d")
-            for name, up in pairs
-        )
+    return tuple(
+        CaptureEvent("t", "p.exe", 1, "Op", name.upper() if up else name, "OK", "d")
+        for name, up in pairs
     )
 
 

@@ -1,0 +1,63 @@
+"""The benchmark's modules still import, and its tracer still hooks the CLI.
+
+``perfbench/`` imports names from the package root and patches functions at
+the names their callers look them up by.  Renaming or dropping one of those
+breaks the benchmark, not the package, so it is checked here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import tracesig.categorize
+import tracesig.cli
+import tracesig.matching
+import tracesig.signatures
+from tracesig.categorize import UpdateMatrix
+from tracesig.data import fixture_text
+from tracesig.evidence import Snapshot
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+HOOKED = (
+    tracesig.cli,
+    tracesig.categorize,
+    tracesig.matching,
+    tracesig.signatures,
+    Snapshot,
+    UpdateMatrix,
+)
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_modules_import():
+    for name in ("gen", "workloads", "tracer"):
+        assert load_bench_module(name).__name__ == f"perfbench_{name}"
+
+
+def test_tracer_wraps_a_match_and_restores_the_originals(tmp_path, capsys):
+    snap = tmp_path / "snap.csv"
+    snap.write_text(fixture_text("ie8_2010-04-12.csv"), encoding="utf-8")
+    originals = [dict(vars(owner)) for owner in HOOKED]
+
+    tracer = load_bench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        with tracer.op():
+            rc = tracesig.cli.main(["match", "--bundled", "ie8_open", "--snapshot", str(snap)])
+    finally:
+        tracer.uninstall()
+
+    assert rc == 0
+    spans = tracer.summary()
+    for name in ("cli.main", "evidence.parse_snapshot", "matching.match_signature"):
+        assert spans[name]["calls"] == 1, name
+    assert spans["templates.instantiate"]["calls"] > 0
+    assert tracer.counts()["evidence.records_parsed"] == 17
+    for owner, before in zip(HOOKED, originals):
+        after = vars(owner)
+        assert all(after[attr] is value for attr, value in before.items()), owner

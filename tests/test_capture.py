@@ -1,6 +1,6 @@
 import pytest
 
-from tracesig import (
+from tracesig.capture import (
     CaptureFormatError,
     TraceNameSet,
     filter_by_process,
@@ -28,12 +28,12 @@ class TestParseCapture:
     def test_quoted_commas_stay_in_cell(self):
         text = '4:04:19 PM,iexplore.exe,2936,ReadFile,"C:\\a,b.txt",SUCCESS,"Offset: 0, Length: 12"\n'
         log = parse_capture(text)
-        assert log.events[0].path == "C:\\a,b.txt"
-        assert log.events[0].detail == "Offset: 0, Length: 12"
+        assert log[0].path == "C:\\a,b.txt"
+        assert log[0].detail == "Offset: 0, Length: 12"
 
     def test_extra_trailing_columns_ignored(self):
         log = parse_capture(ROW + ",extra,more\n")
-        assert log.events[0].detail == "Query: Name"
+        assert log[0].detail == "Query: Name"
 
     def test_short_row_rejected_with_line_number(self):
         with pytest.raises(CaptureFormatError, match="line 2"):

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from conftest import ADMIN, frec, krec, snap_of, xp_meta
-from tracesig import (
+from tracesig.capture import TraceNameSet
+from tracesig.categorize import (
     CategoryLabel,
     FieldPattern,
     RunInfo,
@@ -15,7 +16,6 @@ from tracesig import (
     read_observations,
     write_observations,
 )
-from tracesig.capture import TraceNameSet
 from tracesig.evidence import RecordKind, fold_path
 
 LNK = f"{ADMIN}\\Desktop\\App.lnk"
@@ -168,12 +168,12 @@ def two_run_obs(meta=None):
     )
     return [
         RunObservation(
-            0, 0, True, None,
+            0, 0, None,
             mk("2010-04-01T10:00:00Z", "2010-04-01T10:00:00Z"),
             mk("2010-04-01T11:00:00Z", "2010-04-01T11:00:00Z"),
         ),
         RunObservation(
-            1, 0, False, None,
+            1, 0, None,
             mk("2010-04-01T11:00:00Z", "2010-04-01T11:00:00Z"),
             mk("2010-04-01T12:00:00Z", "2010-04-01T11:00:00Z"),
         ),
@@ -183,8 +183,8 @@ def two_run_obs(meta=None):
 class TestBuildUpdateMatrix:
     def test_vectors_reflect_timestamp_changes(self):
         matrix = build_update_matrix(two_run_obs(), TraceNameSet.of(["C:\\alpha.dat", "C:\\beta.dat"]))
-        assert matrix.vector("C:\\alpha.dat", "modified") == (True, True)
-        assert matrix.vector("C:\\beta.dat", "modified") == (True, False)
+        assert matrix.vectors["c:\\alpha.dat"]["modified"] == (True, True)
+        assert matrix.vectors["c:\\beta.dat"]["modified"] == (True, False)
 
     def test_appearing_record_counts_as_update(self):
         meta = xp_meta()
@@ -194,26 +194,25 @@ class TestBuildUpdateMatrix:
             meta=meta,
         )
         matrix = build_update_matrix(
-            [RunObservation(0, 0, True, None, before, after)], TraceNameSet.of(["C:\\new.log"])
+            [RunObservation(0, 0, None, before, after)], TraceNameSet.of(["C:\\new.log"])
         )
-        assert matrix.vector("C:\\new.log", "modified") == (True,)
+        assert matrix.vectors["c:\\new.log"]["modified"] == (True,)
 
     def test_absent_traces_are_omitted(self):
         matrix = build_update_matrix(two_run_obs(), TraceNameSet.of(["C:\\alpha.dat", "C:\\ghost"]))
         assert matrix.traces() == ["c:\\alpha.dat"]
-        with pytest.raises(KeyError):
-            matrix.vector("C:\\ghost", "modified")
+        assert "c:\\ghost" not in matrix.vectors
 
     def test_minute_precision_hides_same_minute_updates(self):
         meta = xp_meta()
         mk = lambda iso: snap_of([krec("HKEY_LOCAL_MACHINE\\K", iso)], meta=meta)
-        obs = [RunObservation(0, 0, True, None, mk("2010-04-01T10:00:00Z"), mk("2010-04-01T10:00:00Z"))]
+        obs = [RunObservation(0, 0, None, mk("2010-04-01T10:00:00Z"), mk("2010-04-01T10:00:00Z"))]
         matrix = build_update_matrix(obs, TraceNameSet.of(["HKEY_LOCAL_MACHINE\\K"]))
-        assert matrix.vector("HKEY_LOCAL_MACHINE\\K", "modified") == (False,)
+        assert matrix.vectors["hkey_local_machine\\k"]["modified"] == (False,)
 
     def test_run_indexes_must_be_contiguous(self):
         obs = two_run_obs()
-        broken = [obs[0], RunObservation(2, 0, False, None, obs[1].before, obs[1].after)]
+        broken = [obs[0], RunObservation(2, 0, None, obs[1].before, obs[1].after)]
         with pytest.raises(ValueError, match="0..n-1"):
             build_update_matrix(broken, TraceNameSet.of(["C:\\alpha.dat"]))
 
@@ -223,11 +222,14 @@ class TestBuildUpdateMatrix:
         with pytest.raises(ValueError, match="metadata"):
             build_update_matrix([obs[0], other[1]], TraceNameSet.of(["C:\\alpha.dat"]))
 
-    def test_first_of_session_contradiction(self):
-        obs = two_run_obs()
-        broken = [obs[0], RunObservation(1, 0, True, None, obs[1].before, obs[1].after)]
-        with pytest.raises(ValueError, match="first_of_session"):
-            build_update_matrix(broken, TraceNameSet.of(["C:\\alpha.dat"]))
+    def test_first_of_session_follows_run_order(self):
+        run = two_run_obs()[0]
+        runs = [
+            RunObservation(i, session, None, run.before, run.after)
+            for i, session in enumerate([1, 0, 1, 0, 2])
+        ]
+        matrix = build_update_matrix(runs[::-1], TraceNameSet.of(["C:\\alpha.dat"]))
+        assert [r.first_of_session for r in matrix.runs] == [True, True, False, False, True]
 
     def test_empty_observation_list_rejected(self):
         with pytest.raises(ValueError):
@@ -240,7 +242,7 @@ class TestCategorizeMatrix:
         action = build_update_matrix(two_run_obs(), names)
         meta = xp_meta()
         ambient = RunObservation(
-            0, 0, True, None,
+            0, 0, None,
             snap_of([frec("C:\\beta.dat", m="2010-04-02T08:00:00Z")], meta=meta),
             snap_of([frec("C:\\beta.dat", m="2010-04-02T09:00:00Z")], meta=meta),
         )
@@ -265,7 +267,7 @@ class TestObservationStorage:
 
     def test_launch_method_survives(self, tmp_path):
         obs = two_run_obs()
-        obs[0] = RunObservation(0, 0, True, LNK, obs[0].before, obs[0].after)
+        obs[0] = RunObservation(0, 0, LNK, obs[0].before, obs[0].after)
         write_observations(tmp_path, obs)
         assert read_observations(tmp_path)[0].launch_method == LNK
 
@@ -274,6 +276,24 @@ class TestObservationStorage:
         (tmp_path / "sessions.csv").unlink()
         with pytest.raises(ValueError, match="sessions.csv"):
             read_observations(tmp_path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,0,", "sessions.csv row 2: run must be an integer, got 'x'"),
+            ("0,s1,", "sessions.csv row 2: session must be an integer, got 's1'"),
+            ("0,0", "sessions.csv row 2 has 2 columns, expected 3"),
+        ],
+    )
+    def test_bad_sessions_row_is_named(self, row, message, tmp_path):
+        write_observations(tmp_path, two_run_obs())
+        sessions = tmp_path / "sessions.csv"
+        lines = sessions.read_text(encoding="utf-8").splitlines()
+        lines[1] = row
+        sessions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_observations(tmp_path)
+        assert str(info.value) == message
 
     def test_missing_after_snapshot(self, tmp_path):
         write_observations(tmp_path, two_run_obs())

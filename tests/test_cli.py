@@ -241,6 +241,35 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "new, message",
+        [
+            (
+                "0001-01-01T00:00:00Z,1\n",
+                "error: line 9: timestamp -62135596800 is before 1601-01-01T00:00:00Z\n",
+            ),
+            (
+                "2009-11-03T09:12:44Z,99999999999999999999\n",
+                "error: line 9: precision_s must lie in [1, 86400], got 99999999999999999999\n",
+            ),
+        ],
+    )
+    def test_snapshot_timestamp_out_of_range(self, new, message, tmp_path, capsys):
+        text = fixture_text("ie8_2010-04-12.csv").replace("2009-11-03T09:12:44Z,1\n", new, 1)
+        snap = tmp_path / "snap.csv"
+        snap.write_text(text, encoding="utf-8")
+        assert main(["match", "--bundled", "ie8_open", "--snapshot", str(snap)]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_scenario_step_out_of_range(self, tmp_path, capsys):
+        data = json.loads(fixture_text("demo_scenario.json"))
+        data["script"][0]["time"] = -(10**13)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: script[0]: timestamp -10000000000000 is before 1601-01-01T00:00:00Z\n"
+
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capture_file, capsys):
         def boom(args):
             raise RuntimeError("boom")
@@ -289,6 +318,15 @@ class TestSimulateDeriveRoundTrip:
         out = capsys.readouterr().out
         assert rc == 0
         assert "verdict: Detected" in out
+
+    def test_derive_names_a_bad_sessions_row(self, sim_tree, capsys):
+        sessions = sim_tree / "obs" / "app.open" / "sessions.csv"
+        lines = sessions.read_text(encoding="utf-8").splitlines()
+        lines[1] = "x" + lines[1][1:]
+        sessions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["derive", "--obs", str(sessions.parent), "--action", "app.open"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sessions.csv row 2: run must be an integer, got 'x'\n"
 
     def test_inspect_emits_the_matrix(self, sim_tree, capsys):
         rc = main(["inspect", "--obs", str(sim_tree / "obs" / "app.open")])

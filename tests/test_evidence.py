@@ -3,7 +3,7 @@ import io
 import pytest
 
 from conftest import HKU, SID, frec, krec, pt, snap_of, t, xp_meta
-from tracesig import (
+from tracesig.evidence import (
     ArtifactRecord,
     RecordKind,
     Snapshot,
@@ -51,6 +51,23 @@ class TestTimePoint:
     def test_precision_must_be_positive(self):
         with pytest.raises(ValueError):
             TimePoint(0, 0)
+
+    @pytest.mark.parametrize(
+        "epoch_s, precision_s, fragment",
+        [
+            (-11644473601, 1, "before 1601-01-01"),
+            (253402300799, 2, "after 9999-12-31"),
+            (0, 86401, r"precision_s must lie in \[1, 86400\]"),
+        ],
+    )
+    def test_rejects_what_no_windows_timestamp_carries(self, epoch_s, precision_s, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            TimePoint(epoch_s, precision_s)
+
+    def test_accepts_the_edges_of_the_range(self):
+        assert TimePoint(parse_timestamp("1601-01-01T00:00:00Z")).lo == -11644473600
+        assert TimePoint(parse_timestamp("9999-12-31T23:59:59Z")).hi == 253402300799
+        assert TimePoint(0, 86400).hi == 86399
 
     def test_iso_prints_interval_start(self):
         assert pt("2010-04-12T14:30:00Z", 60).iso() == "2010-04-12T14:30:00Z"
@@ -193,6 +210,27 @@ class TestSnapshotIO:
         broken = SNAPSHOT_TEXT.replace(",,,60", ",,,0")
         with pytest.raises(SnapshotFormatError, match="precision"):
             parse_snapshot(broken)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "2010-04-12T14:30:37Z,,,1",
+                "0001-01-01T00:00:00Z,,,1",
+                "line 8: timestamp -62135596800 is before 1601-01-01T00:00:00Z",
+            ),
+            (",,,60", ",,,99999999999999999999", "line 9: precision_s must lie in [1, 86400]"),
+            (
+                "#capture_time=2010-04-14T16:45:00Z",
+                "#capture_time=0001-01-01T00:00:00Z",
+                "#capture_time: timestamp -62135596800 is before 1601-01-01T00:00:00Z",
+            ),
+        ],
+    )
+    def test_out_of_range_timestamp_names_its_place(self, old, new, message):
+        with pytest.raises(SnapshotFormatError) as info:
+            parse_snapshot(SNAPSHOT_TEXT.replace(old, new))
+        assert str(info.value).startswith(message)
 
     def test_last_access_enabled_must_be_literal(self):
         broken = SNAPSHOT_TEXT.replace("=true", "=yes")

@@ -6,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import ADMIN, SID, frec, krec, pt, snap_of, t, xp_meta
-from tracesig import (
-    ArtifactRecord,
-    CategoryLabel,
-    CoreTrace,
-    PathTemplate,
-    RecordKind,
-    Signature,
-    SupportingTrace,
-    TimePoint,
-    TraceCategory,
+from tracesig import matching
+from tracesig.categorize import CategoryLabel, TraceCategory
+from tracesig.evidence import ArtifactRecord, RecordKind, TimePoint
+from tracesig.matching import (
     Verdict,
+    _Evaluation,
+    _strength,
     check_consistency,
     infer_event_interval,
     match_signature,
 )
-from tracesig import matching
-from tracesig.matching import _Evaluation, _strength
+from tracesig.signatures import CoreTrace, Signature, SupportingTrace
+from tracesig.templates import PathTemplate
 
 SID2 = "S-1-5-21-1417001333-573735546-682003330-1004"
 

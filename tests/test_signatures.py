@@ -3,25 +3,22 @@ import json
 import pytest
 
 from conftest import ADMIN, frec, snap_of, xp_meta
-from tracesig import (
-    CategoryLabel,
+from tracesig.capture import TraceNameSet
+from tracesig.categorize import CategoryLabel, RunObservation, TraceCategory, build_update_matrix
+from tracesig.data import signature_text
+from tracesig.evidence import RecordKind
+from tracesig.signatures import (
     CoreTrace,
-    PathTemplate,
-    RecordKind,
-    RunObservation,
     Signature,
     SignatureFormatError,
     SupportingTrace,
-    TraceCategory,
     bundled_signature,
     bundled_signature_names,
-    build_update_matrix,
     derive_signature,
     load_signature,
     save_signature,
 )
-from tracesig.capture import TraceNameSet
-from tracesig.data import signature_text
+from tracesig.templates import PathTemplate
 
 MINIMAL = {
     "schema": 1,
@@ -216,8 +213,8 @@ class TestDeriveSignature:
                 "C:\\WINDOWS\\system32\\wbem.log": t1,
             },
         )
-        runs.append(RunObservation(0, 0, True, None, b0, a0))
-        runs.append(RunObservation(1, 1, True, None, b1, a1))
+        runs.append(RunObservation(0, 0, None, b0, a0))
+        runs.append(RunObservation(1, 1, None, b1, a1))
         return runs
 
     @staticmethod
@@ -229,7 +226,7 @@ class TestDeriveSignature:
         after = snap_of(
             [frec("C:\\WINDOWS\\system32\\wbem.log", m="2010-04-02T09:05:00Z")], meta=meta
         )
-        return [RunObservation(0, 0, True, None, before, after)]
+        return [RunObservation(0, 0, None, before, after)]
 
     def matrices(self):
         obs = self.observations()

@@ -5,18 +5,23 @@ from pathlib import Path
 import pytest
 
 from conftest import pt, t, xp_meta
-from tracesig import (
+from tracesig.capture import TraceNameSet
+from tracesig.categorize import CategoryLabel, build_update_matrix
+from tracesig.data import fixture_text
+from tracesig.evidence import RecordKind
+from tracesig.simulate import (
     Always,
     Background,
-    CategoryLabel,
     FirstRunOfSession,
     Probability,
-    RecordKind,
     Scenario,
     ScenarioError,
     ScriptStep,
     UpdateRule,
     UsageBased,
+    _draw,
+    _fnv1a64,
+    _mix64,
     draw_latency,
     draw_uniform,
     load_scenario,
@@ -24,8 +29,6 @@ from tracesig import (
     run_scenario,
     write_scenario_outputs,
 )
-from tracesig.data import fixture_text
-from tracesig.simulate import _draw, _fnv1a64, _mix64
 
 
 class TestDeterministicDraws:
@@ -157,7 +160,14 @@ class TestRunScenario:
         result = run_scenario(tiny_scenario())
         obs = result.observations["app.open"]
         assert [o.run_index for o in obs] == [0, 1, 2]
-        assert [o.first_of_session for o in obs] == [True, False, True]
+        runs = build_update_matrix(obs, TraceNameSet.of([])).runs
+        assert [r.first_of_session for r in runs] == [True, False, True]
+
+    def test_each_step_starts_from_the_previous_snapshot(self):
+        result = run_scenario(tiny_scenario())
+        obs = result.observations["app.open"]
+        assert [o.after for o in obs] == list(result.snapshots)
+        assert all(b.before is a.after for a, b in zip(obs, obs[1:]))
 
     def test_baseline_preseeds_every_trace(self):
         sc = tiny_scenario()
@@ -177,7 +187,7 @@ class TestRunScenario:
         }
         script = (ScriptStep(t("2010-05-01T09:00:00Z"), "app.open", 0),)
         result = run_scenario(tiny_scenario(model=model, script=script))
-        rec = result.final.get(RecordKind.FILE, "C:\\x")
+        rec = result.snapshots[-1].get(RecordKind.FILE, "C:\\x")
         assert rec.modified == pt("2010-05-01T09:00:07Z")
 
     def test_drawn_latency_stays_in_range(self):
@@ -316,6 +326,26 @@ class TestScenarioJson:
         data["script"][0]["time"] = "yesterday"
         with pytest.raises(ScenarioError, match="time"):
             load_scenario(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "section, index, value, message",
+        [
+            ("script", 0, -(10**13), "script[0]: timestamp -10000000000000 is before 1601"),
+            ("script", 3, "0001-01-01T00:00:00Z", "script[3]: timestamp -62135596800 is before 1601"),
+            ("meta", None, "0001-01-01T00:00:00Z", "meta.capture_time: timestamp -62135596800"),
+            ("meta", None, 10**12, "meta.capture_time: timestamp 1000000000000 ends after 9999"),
+            ("script", 0, "1601-01-01T12:00:00Z", "script[0]: the baseline a day before it"),
+        ],
+    )
+    def test_time_out_of_range_names_its_place(self, section, index, value, message):
+        data = self.base()
+        if section == "meta":
+            data["meta"]["capture_time"] = value
+        else:
+            data["script"][index]["time"] = value
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(json.dumps(data))
+        assert str(info.value).startswith(message)
 
     def test_unknown_step_key(self):
         data = self.base()

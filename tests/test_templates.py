@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import HKU, SID, frec, krec, snap_of, xp_meta
-from tracesig import (
+from tracesig.evidence import RecordKind
+from tracesig.templates import (
     Binding,
     PathTemplate,
-    RecordKind,
     TemplateSyntaxError,
     generalize_path,
     instantiate,
@@ -131,7 +131,7 @@ class TestInstantiate:
         tpl = PathTemplate("%SystemRoot%\\prefetch\\iexplore.exe-%s.pf", RecordKind.FILE)
         [(rec, binding)] = instantiate(tpl, snap)
         assert rec.path == "C:\\WINDOWS\\Prefetch\\IEXPLORE.EXE-27122324.PF"
-        assert binding.captures == (("s", "27122324"),)
+        assert binding.sid is None
 
     def test_sid_binds_per_declared_identity(self):
         meta = xp_meta(sids=(SID, SID2))

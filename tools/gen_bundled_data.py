@@ -20,31 +20,29 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from tracesig import (
+from tracesig.categorize import CategoryLabel, TraceCategory
+from tracesig.evidence import (
     ArtifactRecord,
-    CategoryLabel,
-    CoreTrace,
-    PathTemplate,
     RecordKind,
-    Signature,
     Snapshot,
     SnapshotMeta,
-    SupportingTrace,
     TimePoint,
-    TraceCategory,
-    Verdict,
     fold_path,
     format_timestamp,
-    generalize_path,
-    load_scenario,
-    load_signature,
-    match_signature,
     parse_snapshot,
     parse_timestamp,
-    run_scenario,
-    save_signature,
     save_snapshot,
 )
+from tracesig.matching import Verdict, match_signature
+from tracesig.signatures import (
+    CoreTrace,
+    Signature,
+    SupportingTrace,
+    load_signature,
+    save_signature,
+)
+from tracesig.simulate import load_scenario, run_scenario
+from tracesig.templates import PathTemplate, generalize_path
 
 DATA = SRC / "tracesig" / "data"
 
