@@ -36,6 +36,7 @@ from .evidence import (
     ArtifactRecord,
     RecordKind,
     Snapshot,
+    SnapshotFormatError,
     fold_path,
     parse_snapshot,
     save_snapshot,
@@ -368,10 +369,7 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
     sessions_file = directory / "sessions.csv"
     if not sessions_file.exists():
         raise ValueError(f"missing sessions.csv in {directory}")
-    try:
-        rows = list(csv.reader(sessions_file.read_text(encoding="utf-8").splitlines()))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"sessions.csv is not UTF-8 text: {exc}")
+    rows = list(csv.reader(_read_utf8(sessions_file).splitlines()))
     if not rows or rows[0] != _SESSIONS_HEADER:
         raise ValueError("sessions.csv must start with the header run,session,launch_method")
     session_of: dict[int, int] = {}
@@ -390,11 +388,27 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
             run_index=run,
             session_id=session_of[run],
             launch_method=launch_of[run],
-            before=parse_snapshot(pairs[run]["before"].read_text(encoding="utf-8")),
-            after=parse_snapshot(pairs[run]["after"].read_text(encoding="utf-8")),
+            before=_read_run(pairs[run]["before"]),
+            after=_read_run(pairs[run]["after"]),
         )
         for run in sorted(pairs)
     ]
+
+
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}")
+
+
+def _read_run(path: Path) -> Snapshot:
+    """Parse one run snapshot; an error names the file among the 2N of the directory."""
+    text = _read_utf8(path)
+    try:
+        return parse_snapshot(text)
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}")
 
 
 def _session_int(cell: str, column: str, row_no: int) -> int:

@@ -54,7 +54,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _read_text(path: str) -> str:
     # utf-8-sig tolerates the BOM that Windows tools put on CSV exports
-    return Path(path).read_text(encoding="utf-8-sig")
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}")
 
 
 def _load_signatures(args: argparse.Namespace) -> list[Signature]:
@@ -342,3 +345,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import string
-from calendar import timegm
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from enum import Enum
@@ -49,21 +49,32 @@ def fold_path(path: str) -> str:
     """Case-fold a Windows path for identity comparison.
 
     Only ASCII letters fold; everything else is left alone so that byte-exact
-    names survive the round trip.
+    names survive the round trip.  On ASCII text ``str.lower`` is that fold.
     """
-    return path.translate(_ASCII_FOLD)
+    return path.lower() if path.isascii() else path.translate(_ASCII_FOLD)
 
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_TS_TEXT = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+_EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
 
 
 def parse_timestamp(text: str) -> int:
-    """Parse ``YYYY-MM-DDThh:mm:ssZ`` (UTC, whole seconds) to epoch seconds."""
+    """Parse ``YYYY-MM-DDThh:mm:ssZ`` (UTC, whole seconds) to epoch seconds.
+
+    Exactly that form, with ASCII digits and every field zero-padded; the
+    ``datetime`` constructor rejects a date or time that does not exist
+    (month 13, February 30, hour 24, second 60).
+    """
+    match = _TS_TEXT.fullmatch(text)
+    if match is None:
+        raise SnapshotFormatError(f"unparseable timestamp {text!r}")
     try:
-        parsed = datetime.strptime(text, _TS_FORMAT)
+        parsed = datetime(*map(int, match.groups()))
     except ValueError as exc:
         raise SnapshotFormatError(f"unparseable timestamp {text!r}") from exc
-    return timegm(parsed.timetuple())
+    days = parsed.toordinal() - _EPOCH_ORDINAL
+    return days * 86400 + parsed.hour * 3600 + parsed.minute * 60 + parsed.second
 
 
 def format_timestamp(epoch_s: int) -> str:
@@ -173,18 +184,27 @@ class SnapshotMeta:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A full evidence set: metadata plus records keyed by (kind, folded path)."""
+    """A full evidence set: metadata plus records keyed by (kind, folded path).
+
+    ``by_path`` sorts one kind's records by folded path on first use and
+    keeps the result, so the sort is paid only by snapshots that are searched
+    or iterated.
+    """
 
     meta: SnapshotMeta
     records: Mapping[tuple[RecordKind, str], ArtifactRecord]
+    _by_path: dict[RecordKind, tuple[tuple[str, ...], tuple[ArtifactRecord, ...]]] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, meta: SnapshotMeta, records: Iterable[ArtifactRecord]) -> "Snapshot":
         table: dict[tuple[RecordKind, str], ArtifactRecord] = {}
         for rec in records:
-            if rec.key in table:
+            key = rec.key
+            if key in table:
                 raise SnapshotFormatError(f"duplicate record for path {rec.path!r}")
-            table[rec.key] = rec
+            table[key] = rec
         snap = cls(meta, table)
         snap.validate()
         return snap
@@ -192,16 +212,14 @@ class Snapshot:
     def validate(self) -> None:
         cap_hi = self.meta.capture_time.hi
         has_user_hive = False
-        for rec in self.records.values():
+        for (kind, folded), rec in self.records.items():
             for field in FIELDS:
                 point = rec.timestamp(field)
                 if point is not None and point.epoch_s > cap_hi:
                     raise SnapshotFormatError(
                         f"{rec.path!r} has a {field} time after the capture time"
                     )
-            if rec.kind is RecordKind.REGKEY and fold_path(rec.path).startswith(
-                "hkey_users\\"
-            ):
+            if kind is RecordKind.REGKEY and folded.startswith("hkey_users\\"):
                 has_user_hive = True
         if has_user_hive and not self.meta.sids:
             raise SnapshotFormatError(
@@ -211,9 +229,19 @@ class Snapshot:
     def get(self, kind: RecordKind, path: str) -> ArtifactRecord | None:
         return self.records.get((kind, fold_path(path)))
 
+    def by_path(self, kind: RecordKind) -> tuple[tuple[str, ...], tuple[ArtifactRecord, ...]]:
+        """One kind's folded paths in sorted order, and their records in step."""
+        index = self._by_path.get(kind)
+        if index is None:
+            folded = sorted(path for k, path in self.records if k is kind)
+            index = (tuple(folded), tuple(self.records[(kind, path)] for path in folded))
+            self._by_path[kind] = index
+        return index
+
     def __iter__(self) -> Iterator[ArtifactRecord]:
-        for key in sorted(self.records, key=lambda k: (k[0].value, k[1])):
-            yield self.records[key]
+        """Records by kind (in ``RecordKind`` order, which is value order), then folded path."""
+        for kind in RecordKind:
+            yield from self.by_path(kind)[1]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -231,9 +259,11 @@ def parse_snapshot(source: str | IO[str]) -> Snapshot:
     header row ``kind,path,modified,accessed,created,precision_s`` and one CSV
     row per record.  Metadata keys: ``system_root``, ``home_drive``,
     ``home_path``, repeatable ``sid``, optional ``install_path.<name>``,
-    ``last_access_enabled`` (true/false) and ``capture_time`` (ISO-8601 UTC).
-    Timestamp cells may be empty; ``precision_s`` defaults to 1.  Fields
-    containing commas are double-quoted with embedded quotes doubled.
+    ``last_access_enabled`` (true/false) and ``capture_time``.  Timestamps,
+    there and in the cells, are ``YYYY-MM-DDThh:mm:ssZ`` exactly (see
+    ``parse_timestamp``).  Timestamp cells may be empty; ``precision_s``
+    defaults to 1.  Fields containing commas are double-quoted with embedded
+    quotes doubled.
     """
     text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()

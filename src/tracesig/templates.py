@@ -21,6 +21,7 @@ percent sign cannot appear in a template.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
@@ -230,46 +231,53 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
 _SID_SHAPE = r"S-\d+(?:-\d+)+"
 
 
-def _compile(tpl: PathTemplate, meta: SnapshotMeta, fixed_sid: str | None) -> re.Pattern[str] | None:
+def _compile(
+    tpl: PathTemplate, meta: SnapshotMeta, fixed_sid: str | None
+) -> tuple[re.Pattern[str], str] | None:
     """Build a regex for the template under this snapshot's metadata.
 
-    Returns None when the template cannot be expanded here at all (an
-    install-path variable the snapshot does not define).  An unbound %SID%
-    is captured in the group ``sid``.
+    Returns the pattern and the folded text every match starts with: the
+    template's expansion up to its first unbound variable (%s, %i, or a %SID%
+    that ``fixed_sid`` does not pin).  Returns None when the template cannot
+    be expanded here at all (an install-path variable the snapshot does not
+    define).  An unbound %SID% is captured in the group ``sid``.
     """
     parts: list[str] = []
+    prefix: list[str] = []
+    unbound_seen = False
     sid_seen = False
     for token in tpl.tokens:
         if isinstance(token, str):
-            parts.append(re.escape(token))
-            continue
-        name = token.name
-        if name == "SystemRoot":
-            parts.append(re.escape(meta.system_root.rstrip("\\")))
-        elif name == "HomeDrive":
-            parts.append(re.escape(meta.home_drive.rstrip("\\")))
-        elif name == "HomePath":
-            parts.append(re.escape(meta.home_path.strip("\\")))
-        elif name.startswith("InstallPath."):
-            prefix = meta.install_paths.get(name[len("InstallPath."):])
-            if prefix is None:
+            text = token
+        elif token.name == "SystemRoot":
+            text = meta.system_root.rstrip("\\")
+        elif token.name == "HomeDrive":
+            text = meta.home_drive.rstrip("\\")
+        elif token.name == "HomePath":
+            text = meta.home_path.strip("\\")
+        elif token.name.startswith("InstallPath."):
+            install = meta.install_paths.get(token.name[len("InstallPath."):])
+            if install is None:
                 return None
-            parts.append(re.escape(prefix.rstrip("\\")))
-        elif name == "SID":
-            if fixed_sid is not None:
-                parts.append(re.escape(fixed_sid))
-            elif sid_seen:
-                parts.append(r"(?P=sid)")
-            else:
-                parts.append(rf"(?P<sid>{_SID_SHAPE})")
+            text = install.rstrip("\\")
+        elif token.name == "SID" and fixed_sid is not None:
+            text = fixed_sid
+        else:
+            if token.name == "SID":
+                parts.append(r"(?P=sid)" if sid_seen else rf"(?P<sid>{_SID_SHAPE})")
                 sid_seen = True
-        elif name == "s":
-            parts.append(r"[0-9A-Za-z-]+")
-        elif name == "i":
-            parts.append(r"[0-9]+")
-        else:  # unreachable once parse_template has accepted the text
-            raise TemplateSyntaxError(f"unknown variable {name!r}")
-    return re.compile("".join(parts), re.IGNORECASE | re.ASCII)
+            elif token.name == "s":
+                parts.append(r"[0-9A-Za-z-]+")
+            elif token.name == "i":
+                parts.append(r"[0-9]+")
+            else:  # unreachable once parse_template has accepted the text
+                raise TemplateSyntaxError(f"unknown variable {token.name!r}")
+            unbound_seen = True
+            continue
+        parts.append(re.escape(text))
+        if not unbound_seen:
+            prefix.append(text)
+    return re.compile("".join(parts), re.IGNORECASE | re.ASCII), fold_path("".join(prefix))
 
 
 def instantiate(
@@ -281,17 +289,25 @@ def instantiate(
     unbound %SID% may take any SID listed in the snapshot metadata but binds
     to a single value within one match; a pre-bound SID in ``fixed`` pins it.
     Results never cross record kinds and come back sorted by folded path.
+
+    Only records whose folded path starts with the template's expansion up to
+    its first unbound variable are tried.  They form one contiguous run of
+    ``Snapshot.by_path``, found with ``bisect``, so a call costs log N plus
+    the records under that prefix.
     """
     fixed_sid = fixed.sid if fixed is not None else None
-    pattern = _compile(tpl, snap.meta, fixed_sid)
-    if pattern is None:
+    compiled = _compile(tpl, snap.meta, fixed_sid)
+    if compiled is None:
         return []
+    pattern, prefix = compiled
     folded_sids = {fold_path(s) for s in snap.meta.sids}
+    paths, records = snap.by_path(tpl.kind)
 
     out = []
-    for rec in snap.records.values():
-        if rec.kind is not tpl.kind:
-            continue
+    for i in range(bisect_left(paths, prefix), len(paths)):
+        if not paths[i].startswith(prefix):
+            break
+        rec = records[i]
         match = pattern.fullmatch(rec.path)
         if match is None:
             continue
@@ -303,5 +319,4 @@ def instantiate(
                     continue
                 sid = bound
         out.append((rec, Binding(sid=sid)))
-    out.sort(key=lambda pair: fold_path(pair[0].path))
     return out

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from tracesig.categorize import (
     read_observations,
     write_observations,
 )
-from tracesig.evidence import RecordKind, fold_path
+from tracesig.evidence import RecordKind, SnapshotFormatError, fold_path
 
 LNK = f"{ADMIN}\\Desktop\\App.lnk"
 
@@ -294,6 +295,22 @@ class TestObservationStorage:
         with pytest.raises(ValueError) as info:
             read_observations(tmp_path)
         assert str(info.value) == message
+
+    def test_bad_run_file_is_named(self, tmp_path):
+        write_observations(tmp_path, two_run_obs())
+        run = tmp_path / "run001_before.csv"
+        text = run.read_text(encoding="utf-8")
+        run.write_text(text.replace("\nfile,", "\nfiel,", 1), encoding="utf-8")
+        with pytest.raises(SnapshotFormatError) as info:
+            read_observations(tmp_path)
+        assert str(info.value) == f"{run}: line 8: unknown record kind 'fiel'"
+
+    def test_non_utf8_run_file_is_named(self, tmp_path):
+        write_observations(tmp_path, two_run_obs())
+        run = tmp_path / "run000_after.csv"
+        run.write_bytes(run.read_bytes() + b"\xff")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(run))} is not UTF-8 text: "):
+            read_observations(tmp_path)
 
     def test_missing_after_snapshot(self, tmp_path):
         write_observations(tmp_path, two_run_obs())

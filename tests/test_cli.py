@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FROZEN_FILTERED_TRACES
+import tracesig
 from tracesig import cli
 from tracesig.cli import main
 from tracesig.data import fixture_text, signature_text
@@ -155,6 +160,130 @@ class TestMatch:
         bad.write_text("not a snapshot\n", encoding="utf-8")
         assert main(["match", "--bundled", "ie8_open", "--snapshot", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_snapshot_names_its_file(self, tmp_path, capsys):
+        snap = tmp_path / "snap.csv"
+        snap.write_bytes(fixture_text("ie8_2010-04-12.csv").encode("utf-8") + b"\xff")
+        assert main(["match", "--bundled", "ie8_open", "--snapshot", str(snap)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {snap} is not UTF-8 text: ")
+
+    def test_non_canonical_now_is_a_usage_error(self, ie8_snapshot, capsys):
+        rc = main(
+            ["match", "--bundled", "ie8_open", "--snapshot", ie8_snapshot,
+             "--now", "2010-4-12T1:2:3Z"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unparseable timestamp '2010-4-12T1:2:3Z'\n"
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not a snapshot\n", encoding="utf-8")
+        src = str(Path(tracesig.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tracesig.cli", "match", "--bundled", "ie8_open",
+             "--snapshot", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    # (exit code, sha256 of the text output, sha256 of --format structured)
+    # for each bundled signature against each bundled snapshot fixture, frozen
+    # when these outputs were last changed on purpose.
+    GOLDEN = {
+        ("ff36_open", "ff36_2010-04-14.csv"): (
+            0,
+            "194d2da38123e880d5ea2a3194e787c7a7921ccf3165a6574ca26d438f486872",
+            "078c83419704ee466f67e02f2592cf9a109dd75b0f1e243f033577ccf3085baa",
+        ),
+        ("ie8_open", "ff36_2010-04-14.csv"): (
+            1,
+            "cac4785cb39c042d8de67f1ea31b46d2089e01cd556153fe828d168681551a37",
+            "450ddb7fbf9fdacb1617d247e55bec7bc9d27cb9503f39ba3fb2296add5cace0",
+        ),
+        ("msn2009_open", "ff36_2010-04-14.csv"): (
+            1,
+            "aa79aba9edfa339bb265093a509d37335ae334efc880ad806cc043883e9d56ea",
+            "2e1ff5bf8f42c2ca12e2444454cfd71580f388d1727ea8b15f7d93d4af6c1137",
+        ),
+        ("ff36_open", "ie8_2010-04-12.csv"): (
+            1,
+            "98a4b210353d7ecda093194853168b0ac420f324e38f0deee56238bcfe999a06",
+            "0c6f91cf5ac5413c7265608c2e4b6fcaf7c2f5c97948480fe0734e26511d6bfa",
+        ),
+        ("ie8_open", "ie8_2010-04-12.csv"): (
+            0,
+            "a56dfb016ee888e38e1c59d7a33e23745ccc97d4444e858ca12872ede4885682",
+            "0a2543314e704fe88ff007d80c19569f4c86e7d8d4c065ec6d011ea3fd6574d5",
+        ),
+        ("msn2009_open", "ie8_2010-04-12.csv"): (
+            1,
+            "aa79aba9edfa339bb265093a509d37335ae334efc880ad806cc043883e9d56ea",
+            "2e1ff5bf8f42c2ca12e2444454cfd71580f388d1727ea8b15f7d93d4af6c1137",
+        ),
+        ("ff36_open", "ie8_2010-04-14.csv"): (
+            1,
+            "98a4b210353d7ecda093194853168b0ac420f324e38f0deee56238bcfe999a06",
+            "0c6f91cf5ac5413c7265608c2e4b6fcaf7c2f5c97948480fe0734e26511d6bfa",
+        ),
+        ("ie8_open", "ie8_2010-04-14.csv"): (
+            0,
+            "394b1fa1d83ef098a063749280f6e570da7cfbdad1b9534888974dc86cd6e571",
+            "4306ec9213eb5d39bdbccfaa730c6ff6ea5fbc30f6b95776d4651e9c433e4b44",
+        ),
+        ("msn2009_open", "ie8_2010-04-14.csv"): (
+            1,
+            "aa79aba9edfa339bb265093a509d37335ae334efc880ad806cc043883e9d56ea",
+            "2e1ff5bf8f42c2ca12e2444454cfd71580f388d1727ea8b15f7d93d4af6c1137",
+        ),
+        ("ff36_open", "msn2009_2010-04-14_1949.csv"): (
+            1,
+            "98a4b210353d7ecda093194853168b0ac420f324e38f0deee56238bcfe999a06",
+            "0c6f91cf5ac5413c7265608c2e4b6fcaf7c2f5c97948480fe0734e26511d6bfa",
+        ),
+        ("ie8_open", "msn2009_2010-04-14_1949.csv"): (
+            1,
+            "09d68326dff0367417ad43e4cdd6d6e54a07018df4d7fd43b55b0a27ff8ef8f2",
+            "465d62ca82843dfc7479666a3f01b24b6ce7e52a612def5b63b49d108d0941af",
+        ),
+        ("msn2009_open", "msn2009_2010-04-14_1949.csv"): (
+            0,
+            "8eb75e49c45ed19132f1a78ffa71e079fc4fbd5dbba488e8dda9579b6c172da9",
+            "7a87d01c64c20056df8b44f0d2a0731b863d9da44cc6d4c7a373231b96b71b65",
+        ),
+        ("ff36_open", "msn2009_2010-04-14_1958.csv"): (
+            1,
+            "98a4b210353d7ecda093194853168b0ac420f324e38f0deee56238bcfe999a06",
+            "0c6f91cf5ac5413c7265608c2e4b6fcaf7c2f5c97948480fe0734e26511d6bfa",
+        ),
+        ("ie8_open", "msn2009_2010-04-14_1958.csv"): (
+            1,
+            "09d68326dff0367417ad43e4cdd6d6e54a07018df4d7fd43b55b0a27ff8ef8f2",
+            "465d62ca82843dfc7479666a3f01b24b6ce7e52a612def5b63b49d108d0941af",
+        ),
+        ("msn2009_open", "msn2009_2010-04-14_1958.csv"): (
+            0,
+            "3d9771b94f13b01f21b2598a19d76bc88d397d18e5af4b972e70a4f3b8ce0ac2",
+            "743b35c7231bb2ed82d85afeaf20fb5556871aa790bf016232d5537d1a7c8d5c",
+        ),
+    }
+
+    @pytest.mark.parametrize("sig, fixture", sorted(GOLDEN))
+    def test_bundled_outputs_are_byte_stable(self, sig, fixture, tmp_path, capsys):
+        snap = tmp_path / fixture
+        snap.write_text(fixture_text(fixture), encoding="utf-8")
+        seen = []
+        for fmt in ("text", "structured"):
+            out = tmp_path / f"{fmt}.out"
+            rc = main(["match", "--bundled", sig, "--snapshot", str(snap), "--format", fmt,
+                       "-o", str(out)])
+            seen.append((rc, hashlib.sha256(out.read_bytes()).hexdigest()))
+        capsys.readouterr()
+        rc, text_digest, structured_digest = self.GOLDEN[(sig, fixture)]
+        assert seen == [(rc, text_digest), (rc, structured_digest)]
 
     def test_supporting_templates_counted_with_one_folding_rule(self, tmp_path, capsys):
         # Two IU templates that differ only in the case of a non-ASCII letter
@@ -327,6 +456,24 @@ class TestSimulateDeriveRoundTrip:
         rc = main(["derive", "--obs", str(sessions.parent), "--action", "app.open"])
         assert rc == 2
         assert capsys.readouterr().err == "error: sessions.csv row 2: run must be an integer, got 'x'\n"
+
+    def test_derive_names_a_bad_run_file(self, sim_tree, capsys):
+        run = sim_tree / "obs" / "app.open" / "run001_before.csv"
+        text = run.read_text(encoding="utf-8")
+        run.write_text(text.replace("\nfile,", "\nfiel,", 1), encoding="utf-8")
+        rc = main(["derive", "--obs", str(run.parent), "--action", "app.open"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run}: line ")
+        assert err.endswith(": unknown record kind 'fiel'\n")
+
+    def test_derive_names_a_non_utf8_run_file(self, sim_tree, capsys):
+        run = sim_tree / "obs" / "app.open" / "run000_after.csv"
+        with run.open("ab") as handle:
+            handle.write(b"\xff")
+        rc = main(["derive", "--obs", str(run.parent), "--action", "app.open"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {run} is not UTF-8 text: ")
 
     def test_inspect_emits_the_matrix(self, sim_tree, capsys):
         rc = main(["inspect", "--obs", str(sim_tree / "obs" / "app.open")])

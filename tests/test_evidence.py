@@ -1,6 +1,11 @@
 import io
+import string
+from calendar import timegm
+from datetime import datetime
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from conftest import HKU, SID, frec, krec, pt, snap_of, t, xp_meta
 from tracesig.evidence import (
@@ -34,11 +39,67 @@ class TestTimestamps:
             "12/04/2010 14:30",
             "2010-04-12T14:30:37Z ",
             "",
+            # forms strptime accepted: unpadded fields, a space-padded day,
+            # lower-case separators, non-ASCII digits, a trailing newline
+            "2010-4-12T1:2:3Z",
+            "2010-04- 2T14:30:37Z",
+            "2010-04-12t14:30:37z",
+            "\uff12\uff10\uff11\uff10-04-12T14:30:37Z",
+            "2010-04-12T14:30:37Z\n",
         ],
     )
     def test_rejects_non_canonical_forms(self, bad):
         with pytest.raises(SnapshotFormatError):
             parse_timestamp(bad)
+
+
+def strptime_timestamp(text: str) -> int | None:
+    """The strptime parser ``parse_timestamp`` replaced; None where it raised."""
+    try:
+        return timegm(datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").timetuple())
+    except ValueError:
+        return None
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(
+    hs.tuples(
+        hs.integers(0, 9999) | hs.sampled_from([0, 1, 1600, 1601, 1900, 1970, 2000, 2012, 9999]),
+        hs.integers(0, 13),
+        hs.integers(0, 32),
+        hs.integers(0, 25),
+        hs.integers(0, 61),
+        hs.integers(0, 62),
+    )
+)
+@example((2012, 2, 29, 0, 0, 0))
+@example((2011, 2, 29, 0, 0, 0))
+@example((2012, 2, 30, 0, 0, 0))
+@example((1900, 2, 29, 0, 0, 0))
+@example((2010, 4, 12, 24, 0, 0))
+@example((2010, 4, 12, 23, 59, 60))
+@example((2010, 4, 12, 23, 59, 61))
+@example((0, 1, 1, 0, 0, 0))
+@example((1600, 12, 31, 23, 59, 59))
+@example((9999, 12, 31, 23, 59, 59))
+def test_parse_timestamp_agrees_with_strptime(fields):
+    text = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*fields)
+    expected = strptime_timestamp(text)
+    if expected is None:
+        with pytest.raises(SnapshotFormatError):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text) == expected
+
+
+_ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(hs.text() | hs.text(hs.characters(max_codepoint=127)))
+@example("C:\\WINDOWS\\\u00c4\u0130\u212a.DAT")
+def test_fold_path_agrees_with_the_ascii_table(text):
+    assert fold_path(text) == text.translate(_ASCII_FOLD)
 
 
 class TestTimePoint:

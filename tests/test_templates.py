@@ -1,7 +1,11 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import HKU, SID, frec, krec, snap_of, xp_meta
-from tracesig.evidence import RecordKind
+from tracesig.evidence import RecordKind, fold_path
 from tracesig.templates import (
     Binding,
     PathTemplate,
@@ -208,3 +212,130 @@ class TestRoundTrip:
             snap = snap_of([krec(path, "2010-04-12T14:30:00Z")], meta=meta)
         hits = instantiate(tpl, snap)
         assert [r.path for r, _ in hits] == [path]
+
+
+# --- instantiate against the linear scan it replaced -------------------------
+
+
+def linear_pattern(tpl, meta, fixed_sid):
+    """The regex ``instantiate`` built before it searched by prefix."""
+    parts = []
+    sid_seen = False
+    for token in tpl.tokens:
+        if isinstance(token, str):
+            parts.append(re.escape(token))
+            continue
+        name = token.name
+        if name == "SystemRoot":
+            parts.append(re.escape(meta.system_root.rstrip("\\")))
+        elif name == "HomeDrive":
+            parts.append(re.escape(meta.home_drive.rstrip("\\")))
+        elif name == "HomePath":
+            parts.append(re.escape(meta.home_path.strip("\\")))
+        elif name.startswith("InstallPath."):
+            prefix = meta.install_paths.get(name[len("InstallPath."):])
+            if prefix is None:
+                return None
+            parts.append(re.escape(prefix.rstrip("\\")))
+        elif name == "SID":
+            if fixed_sid is not None:
+                parts.append(re.escape(fixed_sid))
+            elif sid_seen:
+                parts.append(r"(?P=sid)")
+            else:
+                parts.append(r"(?P<sid>S-\d+(?:-\d+)+)")
+                sid_seen = True
+        elif name == "s":
+            parts.append(r"[0-9A-Za-z-]+")
+        else:
+            parts.append(r"[0-9]+")
+    return re.compile("".join(parts), re.IGNORECASE | re.ASCII)
+
+
+def linear_instantiate(tpl, snap, fixed=None):
+    """Every record of the snapshot tried in turn, then sorted by folded path."""
+    fixed_sid = fixed.sid if fixed is not None else None
+    pattern = linear_pattern(tpl, snap.meta, fixed_sid)
+    if pattern is None:
+        return []
+    folded_sids = {fold_path(s) for s in snap.meta.sids}
+    out = []
+    for rec in snap.records.values():
+        if rec.kind is not tpl.kind:
+            continue
+        match = pattern.fullmatch(rec.path)
+        if match is None:
+            continue
+        sid = fixed_sid
+        if sid is None:
+            bound = match.groupdict().get("sid")
+            if bound is not None:
+                if fold_path(bound) not in folded_sids:
+                    continue
+                sid = bound
+        out.append((rec, Binding(sid=sid)))
+    out.sort(key=lambda pair: fold_path(pair[0].path))
+    return out
+
+
+# Template pieces, each with concrete spellings a record path may use: mixed
+# case, non-ASCII letters, strangers' SIDs and text a variable must refuse.
+CONCRETE = {
+    "%SystemRoot%": ["C:\\WINDOWS", "c:\\windows", "D:\\WINDOWS"],
+    "%HomeDrive%\\%HomePath%": [
+        "C:\\Documents and Settings\\Administrator",
+        "c:\\DOCUMENTS AND SETTINGS\\administrator",
+    ],
+    "%InstallPath.App%": ["C:\\Program Files\\App", "c:\\program files\\\u00c4pp"],
+    "%InstallPath.Gone%": ["C:\\Gone"],
+    "%SID%": [SID, SID.lower(), SID2, "S-1-5-18"],
+    "%s": ["1A2B3C", "x-9", "ff00", "Z", "\u00c4"],
+    "%i": ["12", "7", "0042", "x"],
+    "APP-%s.pf": ["APP-1A2B3C.pf", "app-1a2b3c.PF", "APP-.pf"],
+    "log-%i.log": ["log-12.log", "LOG-3.LOG"],
+    "C:": ["C:", "c:"],
+    "WINDOWS": ["WINDOWS", "windows"],
+    "Prefetch": ["Prefetch", "PREFETCH"],
+    "\u00c4pp": ["\u00c4pp", "\u00e4PP", "\u00c4PP"],
+    "\u00df": ["\u00df", "SS", "\u1e9e"],
+    "HKEY_USERS": ["HKEY_USERS", "hkey_users"],
+    "Software": ["Software", "SOFTWARE"],
+}
+
+METAS = [
+    xp_meta(sids=(SID, SID2), install_paths={"App": "C:\\Program Files\\App\\"}),
+    xp_meta(
+        system_root="c:\\windows\\",
+        sids=(SID2,),
+        install_paths={"App": "C:\\PROGRAM FILES\\\u00c4pp"},
+    ),
+]
+
+
+@hs.composite
+def instantiate_cases(draw):
+    shape = hs.lists(hs.sampled_from(sorted(CONCRETE)), min_size=1, max_size=4)
+    kinds = hs.sampled_from(RecordKind)
+    tpl_pieces, tpl_kind = draw(shape), draw(kinds)
+    shapes = [(tpl_pieces, tpl_kind)] * draw(hs.integers(0, 8))
+    shapes += draw(hs.lists(hs.tuples(shape, kinds), max_size=4))
+    records = {}
+    for pieces, kind in shapes:
+        path = "\\".join(draw(hs.sampled_from(CONCRETE[p])) for p in pieces)
+        if kind is RecordKind.FILE:
+            rec = frec(path, m="2010-04-12T14:30:37Z")
+        else:
+            rec = krec(path, "2010-04-12T14:30:00Z")
+        records.setdefault(rec.key, rec)
+    fixed = draw(hs.sampled_from(
+        [None, Binding(), Binding(SID), Binding(SID.lower()), Binding(SID2), Binding("S-1-5-18")]
+    ))
+    tpl = PathTemplate("\\".join(tpl_pieces), tpl_kind)
+    return tpl, snap_of(records.values(), meta=draw(hs.sampled_from(METAS))), fixed
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(instantiate_cases())
+def test_instantiate_agrees_with_the_linear_scan(case):
+    tpl, snap, fixed = case
+    assert instantiate(tpl, snap, fixed=fixed) == linear_instantiate(tpl, snap, fixed=fixed)
