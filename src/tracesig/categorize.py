@@ -3,17 +3,22 @@
 Given before/after snapshot pairs for several runs, ``build_update_matrix``
 reduces each candidate trace to boolean vectors saying whether each timestamp
 field changed on each run.  ``classify_field`` names the per-field pattern
-and ``classify_trace`` maps the combination onto a trace category:
+and ``category_of`` maps the combination onto a trace category, the one
+place the category lattice is written down:
 
     AU1  modified and accessed always update, created never (plain files)
     AU2  like AU1 but created updates irregularly (caches, cookies)
     AU3  only accessed always updates
     AU4  registry key whose write time always updates
     AU5  only modified always updates
-    FRO  updates on the first run of each session only
-    UB   shortcut updated when used to launch the action
-    IU   irregular updates; corroborating value only
-    IUI  first run of each session plus irregular repeats (cookie behavior)
+    FRO  first run of each session only; every other field never updates
+    UB   a .lnk whose accessed time updates when it launches the action
+    IU   every changing field is Irregular; corroborating value only
+    IUI  accessed-only IU that fired on every session's first run (cookies)
+
+A registry key goes by its write time alone.  A trace that never updates is
+Never; any other combination is off the lattice, which ``classify_trace``
+logs and treats as IU and the simulator refuses to plant.
 
 A trace also updated by unrelated background activity is confounded: still
 real evidence, but useless for pinning the action, so it is excluded from
@@ -53,6 +58,7 @@ __all__ = [
     "UpdateMatrix",
     "build_update_matrix",
     "categorize_matrix",
+    "category_of",
     "classify_field",
     "classify_trace",
     "read_observations",
@@ -233,6 +239,44 @@ def classify_field(
     return FieldPattern.IRREGULAR
 
 
+_A, _N = FieldPattern.ALWAYS, FieldPattern.NEVER
+_F, _I = FieldPattern.FIRST_RUN_ONLY, FieldPattern.IRREGULAR
+_REGISTRY_LATTICE = {
+    _A: CategoryLabel.AU4, _F: CategoryLabel.FRO, _I: CategoryLabel.IU, _N: CategoryLabel.NEVER
+}
+_FILE_LATTICE = {  # (modified, accessed, created)
+    (_A, _A, _N): CategoryLabel.AU1,
+    (_A, _A, _I): CategoryLabel.AU2,
+    (_N, _A, _N): CategoryLabel.AU3,
+    (_A, _N, _N): CategoryLabel.AU5,
+    (_N, _N, _N): CategoryLabel.NEVER,
+}
+
+
+def _trio(patterns: Mapping[str, FieldPattern]) -> tuple[FieldPattern, ...]:
+    return tuple(patterns.get(f, FieldPattern.NEVER) for f in FIELDS)
+
+
+def category_of(
+    kind: RecordKind, patterns: Mapping[str, FieldPattern], trace: str
+) -> CategoryLabel | None:
+    """The label of a pattern combination, or None off the lattice (see the
+    module docstring).  A missing field counts as Never."""
+    trio = _trio(patterns)
+    if kind is RecordKind.REGKEY:
+        return _REGISTRY_LATTICE.get(trio[0])
+    label = _FILE_LATTICE.get(trio)
+    if label is not None:
+        return label
+    if _F in trio and set(trio) <= {_F, _N}:
+        return CategoryLabel.FRO
+    if trio[1] is FieldPattern.USAGE_BASED and fold_path(trace).endswith(".lnk"):
+        return CategoryLabel.UB
+    if set(trio) <= {_I, _N}:
+        return CategoryLabel.IU
+    return None
+
+
 def classify_trace(
     trace: str,
     patterns: Mapping[str, FieldPattern],
@@ -242,71 +286,33 @@ def classify_trace(
     accessed_vector: Sequence[bool] | None = None,
     runs: Sequence[RunInfo] | None = None,
 ) -> TraceCategory:
-    """Map per-field patterns onto a trace category.
+    """Map per-field patterns onto a trace category through ``category_of``.
 
-    Combinations outside the known lattice degrade to IU with a logged
-    diagnostic; noisy real-world data must never abort an analysis.  The
-    accessed vector and run contexts, when provided, let the cookie-style
-    IUI refinement of IU fire.
+    Combinations outside the lattice degrade to IU with a logged diagnostic;
+    noisy real-world data must never abort an analysis.  The accessed vector
+    and run contexts, when provided, let the cookie-style IUI refinement of an
+    accessed-only IU trace fire.
     """
-    m = patterns.get("modified", FieldPattern.NEVER)
-    a = patterns.get("accessed", FieldPattern.NEVER)
-    c = patterns.get("created", FieldPattern.NEVER)
-
-    def cat(label: CategoryLabel) -> TraceCategory:
-        return TraceCategory(label, confounded=background_updates)
-
-    if kind is RecordKind.REGKEY:
-        if m is FieldPattern.ALWAYS:
-            return cat(CategoryLabel.AU4)
-        if m is FieldPattern.FIRST_RUN_ONLY:
-            return cat(CategoryLabel.FRO)
-        if m is FieldPattern.NEVER:
-            return cat(CategoryLabel.NEVER)
-        if m is FieldPattern.IRREGULAR:
-            return cat(CategoryLabel.IU)
+    label = category_of(kind, patterns, trace)
+    trio = _trio(patterns)
+    if label is None:
         logger.warning(
-            "registry trace %r has pattern %s outside the category lattice; treating as IU",
+            "trace %r has pattern combination outside the category lattice "
+            "(modified=%s accessed=%s created=%s); treating as IU",
             trace,
-            m.value,
+            *(p.value for p in trio),
         )
-        return cat(CategoryLabel.IU)
-
-    if m is FieldPattern.ALWAYS and a is FieldPattern.ALWAYS and c is FieldPattern.NEVER:
-        return cat(CategoryLabel.AU1)
-    if m is FieldPattern.ALWAYS and a is FieldPattern.ALWAYS and c is FieldPattern.IRREGULAR:
-        return cat(CategoryLabel.AU2)
-    if a is FieldPattern.ALWAYS and m is FieldPattern.NEVER and c is FieldPattern.NEVER:
-        return cat(CategoryLabel.AU3)
-    if m is FieldPattern.ALWAYS and a is FieldPattern.NEVER and c is FieldPattern.NEVER:
-        return cat(CategoryLabel.AU5)
-    trio = (m, a, c)
-    if any(p is FieldPattern.FIRST_RUN_ONLY for p in trio) and all(
-        p in (FieldPattern.FIRST_RUN_ONLY, FieldPattern.NEVER) for p in trio
+        label = CategoryLabel.IU
+    elif (
+        label is CategoryLabel.IU
+        and trio == (_N, _I, _N)
+        and accessed_vector is not None
+        and runs is not None
+        and any(r.first_of_session for r in runs)
+        and all(v for v, r in zip(accessed_vector, runs) if r.first_of_session)
     ):
-        return cat(CategoryLabel.FRO)
-    if fold_path(trace).endswith(".lnk") and a is FieldPattern.USAGE_BASED:
-        return cat(CategoryLabel.UB)
-    if a is FieldPattern.IRREGULAR and m is FieldPattern.NEVER and c is FieldPattern.NEVER:
-        if (
-            accessed_vector is not None
-            and runs is not None
-            and any(r.first_of_session for r in runs)
-            and all(v for v, r in zip(accessed_vector, runs) if r.first_of_session)
-        ):
-            return cat(CategoryLabel.IUI)
-        return cat(CategoryLabel.IU)
-    if all(p is FieldPattern.NEVER for p in trio):
-        return cat(CategoryLabel.NEVER)
-    logger.warning(
-        "trace %r has pattern combination outside the category lattice "
-        "(modified=%s accessed=%s created=%s); treating as IU",
-        trace,
-        m.value,
-        a.value,
-        c.value,
-    )
-    return cat(CategoryLabel.IU)
+        label = CategoryLabel.IUI
+    return TraceCategory(label, confounded=background_updates)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,9 @@ class Signature:
             if key in seen:
                 raise ValueError(f"duplicate core template {trace.template.text!r}")
             seen.add(key)
+        for trace in self.supporting:
+            if (trace.template.kind, fold_path(trace.template.text)) in seen:
+                raise ValueError(f"template {trace.template.text!r} is both core and supporting")
 
     @property
     def weak(self) -> bool:
@@ -253,6 +256,10 @@ def _core_field(patterns: Mapping[str, FieldPattern]) -> str:
     return "accessed"
 
 
+def _core_eligible(category: TraceCategory) -> bool:
+    return category.is_always and not category.confounded
+
+
 def _supporting_field(analysis: TraceAnalysis) -> str:
     if analysis.category.label is CategoryLabel.FRO:
         for f in FIELDS:
@@ -277,13 +284,27 @@ def derive_signature(
 
     Core keeps the traces whose selected timestamp updated on every run of the
     action and never during background activity; paths are generalized, and
-    several concrete traces may collapse onto one template.  First-run,
+    several concrete traces may collapse onto one template.  A template takes
+    the core only when every observed trace it covers is such a core trace
+    with the same core field; otherwise each core trace under it keeps its
+    literal path, so no core template reaches a trace that could not serve
+    in the core.  First-run,
     shortcut and irregular traces become supporting entries, as do
     always-updated traces that background activity also touched (flagged
     confounded).  An empty or single-entry core still produces a signature,
     just a weak one.
     """
     analyses = categorize_matrix(matrix_action, matrix_background)
+    templates: dict[str, PathTemplate] = {}
+    core_fields: dict[tuple[RecordKind, str], set[str | None]] = {}
+    for trace in sorted(analyses):
+        analysis = analyses[trace]
+        kind = matrix_action.kinds[trace]
+        template = generalize_path(matrix_action.display[trace], snap.meta, kind=kind)
+        templates[trace] = template
+        field = _core_field(analysis.patterns) if _core_eligible(analysis.category) else None
+        core_fields.setdefault((kind, fold_path(template.text)), set()).add(field)
+
     core: dict[tuple[RecordKind, str], CoreTrace] = {}
     supporting: dict[tuple[RecordKind, str], SupportingTrace] = {}
     for trace in sorted(analyses):
@@ -291,11 +312,14 @@ def derive_signature(
         category = analysis.category
         if category.label is CategoryLabel.NEVER:
             continue
-        kind = matrix_action.kinds[trace]
-        template = generalize_path(matrix_action.display[trace], snap.meta, kind=kind)
-        key = (kind, fold_path(template.text))
-        if category.is_always and not category.confounded:
-            core.setdefault(key, CoreTrace(template=template, field=_core_field(analysis.patterns)))
+        template = templates[trace]
+        key = (template.kind, fold_path(template.text))
+        if _core_eligible(category):
+            field = _core_field(analysis.patterns)
+            if core_fields[key] != {field}:  # the template would reach other traces
+                template = PathTemplate(matrix_action.display[trace], template.kind)
+                key = (template.kind, fold_path(template.text))
+            core.setdefault(key, CoreTrace(template=template, field=field))
         else:
             supporting.setdefault(
                 key,

@@ -23,6 +23,10 @@ Rule modes:
 
 An update stamps the rule's field with the step time plus a latency in
 [0, 45] seconds, drawn deterministically unless the rule fixes one.
+
+A trace's planted category is ``categorize.category_of`` of the patterns its
+rules plant, so a rule set off the lattice (say, usage-based on a non-.lnk
+trace) is a ScenarioError: no classifier could recover it.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ from typing import Mapping, Union
 
 from .categorize import (
     CategoryLabel,
+    FieldPattern,
     RunObservation,
     TraceCategory,
     UpdateMatrix,
     categorize_matrix,
+    category_of,
     write_observations,
 )
 from .evidence import (
@@ -500,43 +506,24 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
 # --- planted truth ----------------------------------------------------------
 
 
-def _planted_label(kind: RecordKind, modes: Mapping[str, UpdateMode], trace: str) -> CategoryLabel:
-    def tag(field: str) -> str:
-        mode = modes.get(field)
-        if mode is None:
-            return "none"
-        if isinstance(mode, (Always, Background)):
-            return "always"
-        if isinstance(mode, FirstRunOfSession):
-            return "fro"
-        if isinstance(mode, Probability):
-            return "irregular"
-        return "usage"
+_PLANTED_PATTERN = {
+    Always: FieldPattern.ALWAYS,
+    Background: FieldPattern.ALWAYS,
+    FirstRunOfSession: FieldPattern.FIRST_RUN_ONLY,
+    Probability: FieldPattern.IRREGULAR,
+    UsageBased: FieldPattern.USAGE_BASED,
+}
 
-    m, a, c = tag("modified"), tag("accessed"), tag("created")
-    if kind is RecordKind.REGKEY:
-        table = {"always": CategoryLabel.AU4, "fro": CategoryLabel.FRO, "irregular": CategoryLabel.IU}
-        label = table.get(m)
-        if label is None:
-            raise ScenarioError(f"no planted category for registry trace {trace!r} with mode {m}")
-        return label
-    if m == "always" and a == "always" and c == "none":
-        return CategoryLabel.AU1
-    if m == "always" and a == "always" and c == "irregular":
-        return CategoryLabel.AU2
-    if a == "always" and m == "none" and c == "none":
-        return CategoryLabel.AU3
-    if m == "always" and a == "none" and c == "none":
-        return CategoryLabel.AU5
-    if "fro" in (m, a, c) and all(t in ("fro", "none") for t in (m, a, c)):
-        return CategoryLabel.FRO
-    if a == "usage" and m in ("none",) and c in ("none",):
-        return CategoryLabel.UB
-    if all(t in ("irregular", "none") for t in (m, a, c)) and (m, a, c) != ("none",) * 3:
-        return CategoryLabel.IU
-    raise ScenarioError(
-        f"no planted category for trace {trace!r} with modes modified={m} accessed={a} created={c}"
-    )
+
+def _planted_label(kind: RecordKind, modes: Mapping[str, UpdateMode], trace: str) -> CategoryLabel:
+    patterns = {field: _PLANTED_PATTERN[type(mode)] for field, mode in modes.items()}
+    label = category_of(kind, patterns, trace)
+    if label is None:
+        raise ScenarioError(
+            f"no planted category for trace {trace!r} with modes "
+            + " ".join(f"{f}={patterns.get(f, FieldPattern.NEVER).value}" for f in FIELDS)
+        )
+    return label
 
 
 def planted_categories(sc: Scenario) -> dict[str, dict[str, TraceCategory]]:

@@ -141,10 +141,12 @@ class Binding:
 # --- generalization -------------------------------------------------------
 
 # A replaceable token in the last path segment: six or more hex-or-dash
-# characters delimited by - { } . or the segment edges.  Long enough to spare
-# ordinary words while catching hashes and GUIDs.
+# characters delimited by - { } . or the segment edges, with a digit in it or
+# the length of a common hash or ID (8, 16, 32 or 40).  Spares ordinary words
+# spelled in hex letters ("decade", "accede") while catching hashes and GUIDs.
 _HEX_RUN = re.compile(r"(?:(?<=[-{}.])|^)([0-9A-Fa-f](?:[0-9A-Fa-f-]*[0-9A-Fa-f])?)(?=[-{}.]|$)")
 _MIN_HEX_RUN = 6
+_HASH_LENGTHS = frozenset({8, 16, 32, 40})
 
 _BRACED_GUID = re.compile(
     r"\{[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}\}"
@@ -155,33 +157,38 @@ _BRACED_GUID = re.compile(
 _LOG_COUNTER = re.compile(r"(?<=-)\d+(?=\.[^.]*log[^.]*$)", re.IGNORECASE)
 
 
-def _home_prefix(meta: SnapshotMeta) -> str | None:
-    drive = meta.home_drive.rstrip("\\")
-    rel = meta.home_path.strip("\\")
-    if not drive or not rel:
-        return None
-    return f"{drive}\\{rel}"
+def _metadata_text(meta: SnapshotMeta) -> dict[str, str]:
+    """The text each metadata variable stands for in this snapshot.
+
+    Keyed by variable name; an install path the snapshot does not publish has
+    no entry.  Both directions read it: ``_compile`` expands a template with
+    it and ``generalize_path`` replaces a path prefix equal to it.
+    """
+    text = {
+        "SystemRoot": meta.system_root.rstrip("\\"),
+        "HomeDrive": meta.home_drive.rstrip("\\"),
+        "HomePath": meta.home_path.strip("\\"),
+    }
+    for name, prefix in meta.install_paths.items():
+        text[f"InstallPath.{name}"] = prefix.rstrip("\\")
+    return text
 
 
 def _prefix_candidates(meta: SnapshotMeta) -> list[tuple[str, str]]:
-    candidates: list[tuple[str, str]] = []
-    home = _home_prefix(meta)
-    if home:
-        candidates.append((home, "%HomeDrive%\\%HomePath%"))
-    root = meta.system_root.rstrip("\\")
-    if root:
-        candidates.append((root, "%SystemRoot%"))
-    for name, prefix in meta.install_paths.items():
-        prefix = prefix.rstrip("\\")
-        if prefix:
-            candidates.append((prefix, f"%InstallPath.{name}%"))
+    text = _metadata_text(meta)
+    drive, rel = text.pop("HomeDrive"), text.pop("HomePath")
+    candidates = [(f"{drive}\\{rel}", "%HomeDrive%\\%HomePath%")] if drive and rel else []
+    candidates += [(prefix, f"%{name}%") for name, prefix in text.items() if prefix]
     candidates.sort(key=lambda c: len(c[0]), reverse=True)
     return candidates
 
 
 def _sub_hex_runs(segment: str) -> str:
     def repl(match: re.Match[str]) -> str:
-        return "%s" if len(match.group(1)) >= _MIN_HEX_RUN else match.group(0)
+        run = match.group(1)
+        if len(run) < _MIN_HEX_RUN:
+            return run
+        return "%s" if len(run) in _HASH_LENGTHS or any(ch.isdigit() for ch in run) else run
 
     return _HEX_RUN.sub(repl, segment)
 
@@ -193,7 +200,8 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
     and any published install paths becomes its variable; whole segments equal
     to a known user SID become %SID%; brace-wrapped GUIDs anywhere become
     {%s}; in the final segment, rotation counters in log-style names become
-    %i and hex runs of six or more characters become %s.  Paths with nothing
+    %i and hex runs of six or more characters that hold a digit or have a
+    hash length (8, 16, 32 or 40) become %s.  Paths with nothing
     machine-specific come back as all-literal templates.
     """
     if kind is None:
@@ -246,20 +254,14 @@ def _compile(
     prefix: list[str] = []
     unbound_seen = False
     sid_seen = False
+    expansions = _metadata_text(meta)
     for token in tpl.tokens:
         if isinstance(token, str):
             text = token
-        elif token.name == "SystemRoot":
-            text = meta.system_root.rstrip("\\")
-        elif token.name == "HomeDrive":
-            text = meta.home_drive.rstrip("\\")
-        elif token.name == "HomePath":
-            text = meta.home_path.strip("\\")
+        elif token.name in expansions:
+            text = expansions[token.name]
         elif token.name.startswith("InstallPath."):
-            install = meta.install_paths.get(token.name[len("InstallPath."):])
-            if install is None:
-                return None
-            text = install.rstrip("\\")
+            return None
         elif token.name == "SID" and fixed_sid is not None:
             text = fixed_sid
         else:

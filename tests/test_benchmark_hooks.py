@@ -2,7 +2,9 @@
 
 ``perfbench/`` imports names from the package root and patches functions at
 the names their callers look them up by.  Renaming or dropping one of those
-breaks the benchmark, not the package, so it is checked here.
+breaks the benchmark, not the package, so it is checked here.  One small
+``derive-pipeline`` op also runs end to end, to keep its stderr free of
+per-trace warnings.
 """
 
 import importlib.util
@@ -61,3 +63,15 @@ def test_tracer_wraps_a_match_and_restores_the_originals(tmp_path, capsys):
     for owner, before in zip(HOOKED, originals):
         after = vars(owner)
         assert all(after[attr] is value for attr, value in before.items()), owner
+
+
+def test_derive_pipeline_logs_no_lattice_warnings(tmp_path, capsys):
+    gen = load_bench_module("gen")
+    workloads = load_bench_module("workloads")
+    manifest = gen.generate("derive-pipeline", 3, tmp_path, 0.02)
+    workload = workloads.make("derive-pipeline", tmp_path, manifest)
+    capsys.readouterr()
+    for call in workload.calls:
+        assert tracesig.cli.main(call) == 0, call
+    err = capsys.readouterr().err
+    assert not [line for line in err.splitlines() if "WARNING" in line], err[:500]

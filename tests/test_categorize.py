@@ -1,4 +1,5 @@
 import itertools
+import logging
 import re
 
 import pytest
@@ -10,14 +11,25 @@ from tracesig.categorize import (
     FieldPattern,
     RunInfo,
     RunObservation,
+    TraceCategory,
     build_update_matrix,
     categorize_matrix,
+    category_of,
     classify_field,
     classify_trace,
     read_observations,
     write_observations,
 )
 from tracesig.evidence import RecordKind, SnapshotFormatError, fold_path
+from tracesig.simulate import (
+    Always,
+    Background,
+    FirstRunOfSession,
+    Probability,
+    ScenarioError,
+    UsageBased,
+    _planted_label,
+)
 
 LNK = f"{ADMIN}\\Desktop\\App.lnk"
 
@@ -159,6 +171,181 @@ class TestClassifyTrace:
             got = classify_trace("C:\\odd", patterns, RecordKind.FILE, False)
         assert got.label is CategoryLabel.IU
         assert any("odd" in r.message for r in caplog.records)
+
+
+# --- the two if-chains the lattice table replaced -----------------------------
+
+_oracle_log = logging.getLogger("tests.lattice_oracle")
+
+
+def chain_classify_trace(trace, patterns, kind, background_updates, *, accessed_vector=None, runs=None):
+    """``classify_trace`` as an if-chain, before the lattice became a table,
+    kept as its oracle."""
+    m = patterns.get("modified", FieldPattern.NEVER)
+    a = patterns.get("accessed", FieldPattern.NEVER)
+    c = patterns.get("created", FieldPattern.NEVER)
+
+    def cat(label):
+        return TraceCategory(label, confounded=background_updates)
+
+    if kind is RecordKind.REGKEY:
+        if m is FieldPattern.ALWAYS:
+            return cat(CategoryLabel.AU4)
+        if m is FieldPattern.FIRST_RUN_ONLY:
+            return cat(CategoryLabel.FRO)
+        if m is FieldPattern.NEVER:
+            return cat(CategoryLabel.NEVER)
+        if m is FieldPattern.IRREGULAR:
+            return cat(CategoryLabel.IU)
+        _oracle_log.warning("registry trace %r off the lattice", trace)
+        return cat(CategoryLabel.IU)
+
+    if m is FieldPattern.ALWAYS and a is FieldPattern.ALWAYS and c is FieldPattern.NEVER:
+        return cat(CategoryLabel.AU1)
+    if m is FieldPattern.ALWAYS and a is FieldPattern.ALWAYS and c is FieldPattern.IRREGULAR:
+        return cat(CategoryLabel.AU2)
+    if a is FieldPattern.ALWAYS and m is FieldPattern.NEVER and c is FieldPattern.NEVER:
+        return cat(CategoryLabel.AU3)
+    if m is FieldPattern.ALWAYS and a is FieldPattern.NEVER and c is FieldPattern.NEVER:
+        return cat(CategoryLabel.AU5)
+    trio = (m, a, c)
+    if any(p is FieldPattern.FIRST_RUN_ONLY for p in trio) and all(
+        p in (FieldPattern.FIRST_RUN_ONLY, FieldPattern.NEVER) for p in trio
+    ):
+        return cat(CategoryLabel.FRO)
+    if fold_path(trace).endswith(".lnk") and a is FieldPattern.USAGE_BASED:
+        return cat(CategoryLabel.UB)
+    if a is FieldPattern.IRREGULAR and m is FieldPattern.NEVER and c is FieldPattern.NEVER:
+        if (
+            accessed_vector is not None
+            and runs is not None
+            and any(r.first_of_session for r in runs)
+            and all(v for v, r in zip(accessed_vector, runs) if r.first_of_session)
+        ):
+            return cat(CategoryLabel.IUI)
+        return cat(CategoryLabel.IU)
+    if all(p is FieldPattern.NEVER for p in trio):
+        return cat(CategoryLabel.NEVER)
+    _oracle_log.warning("trace %r off the lattice", trace)
+    return cat(CategoryLabel.IU)
+
+
+def chain_planted_label(kind, modes, trace):
+    """The simulator's planted label as an if-chain over mode tags, before it
+    read the lattice table, kept as its oracle."""
+
+    def tag(field):
+        mode = modes.get(field)
+        if mode is None:
+            return "none"
+        if isinstance(mode, (Always, Background)):
+            return "always"
+        if isinstance(mode, FirstRunOfSession):
+            return "fro"
+        if isinstance(mode, Probability):
+            return "irregular"
+        return "usage"
+
+    m, a, c = tag("modified"), tag("accessed"), tag("created")
+    if kind is RecordKind.REGKEY:
+        table = {"always": CategoryLabel.AU4, "fro": CategoryLabel.FRO, "irregular": CategoryLabel.IU}
+        label = table.get(m)
+        if label is None:
+            raise ScenarioError(f"no planted category for registry trace {trace!r} with mode {m}")
+        return label
+    if m == "always" and a == "always" and c == "none":
+        return CategoryLabel.AU1
+    if m == "always" and a == "always" and c == "irregular":
+        return CategoryLabel.AU2
+    if a == "always" and m == "none" and c == "none":
+        return CategoryLabel.AU3
+    if m == "always" and a == "none" and c == "none":
+        return CategoryLabel.AU5
+    if "fro" in (m, a, c) and all(t in ("fro", "none") for t in (m, a, c)):
+        return CategoryLabel.FRO
+    if a == "usage" and m in ("none",) and c in ("none",):
+        return CategoryLabel.UB
+    if all(t in ("irregular", "none") for t in (m, a, c)) and (m, a, c) != ("none",) * 3:
+        return CategoryLabel.IU
+    raise ScenarioError(f"no planted category for trace {trace!r}")
+
+
+FIELD_NAMES = ("modified", "accessed", "created")
+PATHS = (LNK, "C:\\some\\trace.dat")
+REG_PATH = "HKEY_USERS\\X\\Key"
+
+
+def lattice_inputs():
+    """All 125 file triples on a shortcut and on a plain file, and the five
+    registry patterns, as (trace, kind, patterns)."""
+    for path in PATHS:
+        for trio in itertools.product(FieldPattern, repeat=3):
+            yield path, RecordKind.FILE, dict(zip(FIELD_NAMES, trio))
+    for pattern in FieldPattern:
+        yield REG_PATH, RecordKind.REGKEY, {"modified": pattern}
+
+
+class TestLatticeAgainstTheIfChains:
+    IUI_RUNS = RUNS[:4]
+    IUI_VECTOR = (True, False, True, True)
+
+    def test_classifier_labels_match_the_chain(self):
+        for trace, kind, patterns in lattice_inputs():
+            for extra in ({}, {"accessed_vector": self.IUI_VECTOR, "runs": self.IUI_RUNS}):
+                for confounded in (False, True):
+                    got = classify_trace(trace, patterns, kind, confounded, **extra)
+                    want = chain_classify_trace(trace, patterns, kind, confounded, **extra)
+                    assert got == want, (trace, patterns, extra)
+
+    def test_warning_fires_exactly_off_the_lattice(self, caplog):
+        off = []
+        for trace, kind, patterns in lattice_inputs():
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="tracesig"):
+                classify_trace(trace, patterns, kind, False)
+            warned = any(r.levelno == logging.WARNING for r in caplog.records)
+            assert warned == (category_of(kind, patterns, trace) is None), (trace, patterns)
+            if warned:
+                assert "outside the category lattice" in caplog.records[0].getMessage()
+                off.append((kind, tuple(patterns.values())))
+        # every Irregular/Never file triple is on the lattice now
+        irregular_or_never = {FieldPattern.IRREGULAR, FieldPattern.NEVER}
+        assert not any(set(trio) <= irregular_or_never for _, trio in off)
+        assert (RecordKind.REGKEY, (FieldPattern.USAGE_BASED,)) in off
+
+    def test_planted_labels_match_the_chain(self):
+        modes = (
+            None,
+            Always(),
+            Background(),
+            FirstRunOfSession(),
+            Probability(0.5),
+            UsageBased("C:\\launcher.lnk"),
+        )
+        cases = [
+            (path, RecordKind.FILE, dict(zip(FIELD_NAMES, trio)))
+            for path in PATHS
+            for trio in itertools.product(modes, repeat=3)
+        ]
+        cases += [(REG_PATH, RecordKind.REGKEY, {"modified": mode}) for mode in modes]
+        for trace, kind, field_modes in cases:
+            field_modes = {f: mode for f, mode in field_modes.items() if mode is not None}
+            usage_accessed = isinstance(field_modes.get("accessed"), UsageBased)
+            try:
+                want = chain_planted_label(kind, field_modes, trace)
+            except ScenarioError:
+                want = None
+            if usage_accessed and kind is RecordKind.FILE:
+                # UB now follows the classifier: a shortcut, whatever else
+                # its other fields do, and nothing else
+                if trace == LNK:
+                    assert _planted_label(kind, field_modes, trace) is CategoryLabel.UB
+                else:
+                    with pytest.raises(ScenarioError, match="no planted category"):
+                        _planted_label(kind, field_modes, trace)
+                continue
+            if want is not None:
+                assert _planted_label(kind, field_modes, trace) is want, (trace, field_modes)
 
 
 def two_run_obs(meta=None):

@@ -334,6 +334,14 @@ class TestExitCodes:
         assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
         assert capsys.readouterr().err.startswith("error: supporting[0]: unknown category []")
 
+    def test_signature_template_in_core_and_supporting(self, ie8_snapshot, tmp_path, capsys):
+        data = json.loads(signature_text("ie8_open"))
+        data["supporting"].append({**data["core"][0], "category": "AU1", "confounded": True})
+        sig_file = tmp_path / "bad.sig"
+        sig_file.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
+        assert "is both core and supporting" in capsys.readouterr().err
+
     def test_scenario_kind_of_wrong_json_type(self, tmp_path, capsys):
         data = json.loads(fixture_text("demo_scenario.json"))
         data["model"]["app.open"][0]["kind"] = []

@@ -1,12 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import ADMIN, frec, snap_of, xp_meta
 from tracesig.capture import TraceNameSet
-from tracesig.categorize import CategoryLabel, RunObservation, TraceCategory, build_update_matrix
+from tracesig.categorize import (
+    CategoryLabel,
+    RunObservation,
+    TraceCategory,
+    build_update_matrix,
+    categorize_matrix,
+)
 from tracesig.data import signature_text
-from tracesig.evidence import RecordKind
+from tracesig.evidence import RecordKind, fold_path
 from tracesig.signatures import (
     CoreTrace,
     Signature,
@@ -18,7 +26,7 @@ from tracesig.signatures import (
     load_signature,
     save_signature,
 )
-from tracesig.templates import PathTemplate
+from tracesig.templates import PathTemplate, instantiate
 
 MINIMAL = {
     "schema": 1,
@@ -56,6 +64,18 @@ class TestSignatureModel:
         tpl = PathTemplate("C:\\a", RecordKind.FILE)
         with pytest.raises(ValueError, match="window"):
             Signature("x", "p", (CoreTrace(tpl, "modified"),), window_s=0)
+
+    def test_template_in_core_and_supporting_rejected(self):
+        core = CoreTrace(PathTemplate("C:\\app\\cache-%s.dat", RecordKind.FILE), "modified")
+        support = SupportingTrace(
+            PathTemplate("C:\\APP\\cache-%s.dat", RecordKind.FILE),
+            "modified",
+            TraceCategory(CategoryLabel.AU1, confounded=True),
+        )
+        with pytest.raises(ValueError, match="both core and supporting"):
+            Signature("x", "p", (core,), (support,))
+        other_kind = PathTemplate("C:\\app\\cache-%s.dat", RecordKind.REGKEY)
+        Signature("x", "p", (core,), (SupportingTrace(other_kind, "modified", support.category),))
 
     def test_supporting_never_category_rejected(self):
         tpl = PathTemplate("C:\\a", RecordKind.FILE)
@@ -141,6 +161,12 @@ class TestLoadSignature:
             ]
         )
         with pytest.raises(SignatureFormatError, match="confounded"):
+            load_signature(bad)
+
+    def test_template_in_core_and_supporting(self):
+        entry = {"kind": "file", "template": "C:\\app\\cache-%s.dat", "field": "modified"}
+        bad = sig_json(core=[entry], supporting=[{**entry, "category": "AU1", "confounded": True}])
+        with pytest.raises(SignatureFormatError, match="both core and supporting"):
             load_signature(bad)
 
     def test_unknown_field_name(self):
@@ -279,3 +305,115 @@ class TestDeriveSignature:
         text = save_signature(sig)
         assert save_signature(load_signature(text)) == text
         assert load_signature(text).platform == "xp"
+
+
+class TestTemplateCollision:
+    """Two always-updated files share a generalized name; background touches one."""
+
+    CLEAN = "C:\\app\\cache-a1b2c3d4.dat"
+    NOISY = "C:\\app\\cache-ffee0099.dat"
+    TIMES = ["2010-04-01T08:00:00Z", "2010-04-01T10:00:00Z", "2010-04-02T10:00:00Z"]
+
+    def derive(self, updates, background=True):
+        """``updates`` maps each path to the fields ("m", "a") every run changes."""
+
+        def snap(run):
+            def at(path, field):
+                return self.TIMES[run] if field in updates[path] else self.TIMES[0]
+
+            return snap_of([frec(p, m=at(p, "m"), a=at(p, "a")) for p in updates])
+
+        obs = [RunObservation(i, i, None, snap(i), snap(i + 1)) for i in range(2)]
+        action = build_update_matrix(obs, TraceNameSet.of(list(updates)))
+        bg = None
+        if background:
+            bg_obs = [
+                RunObservation(
+                    0, 0, None,
+                    snap_of([frec(self.NOISY, m="2010-04-03T09:00:00Z")]),
+                    snap_of([frec(self.NOISY, m="2010-04-03T09:05:00Z")]),
+                )
+            ]
+            bg = build_update_matrix(bg_obs, TraceNameSet.of([self.NOISY]))
+        return derive_signature("app.open", action, bg, obs[0].before)
+
+    def test_confounded_sibling_keeps_the_clean_trace_literal(self):
+        sig = self.derive({self.CLEAN: "ma", self.NOISY: "ma"})
+        assert [(t.template.text, t.field) for t in sig.core] == [(self.CLEAN, "modified")]
+        [support] = sig.supporting
+        assert support.template.text == "C:\\app\\cache-%s.dat"
+        assert support.category == TraceCategory(CategoryLabel.AU1, confounded=True)
+        assert load_signature(save_signature(sig)) == sig
+
+    def test_clean_siblings_share_one_template(self):
+        sig = self.derive({self.CLEAN: "ma", self.NOISY: "m"}, background=False)
+        assert [(t.template.text, t.field) for t in sig.core] == [("C:\\app\\cache-%s.dat", "modified")]
+        assert sig.supporting == ()
+
+    def test_siblings_with_different_core_fields_stay_literal(self):
+        sig = self.derive({self.CLEAN: "ma", self.NOISY: "a"}, background=False)
+        assert sorted((t.template.text, t.field) for t in sig.core) == [
+            (self.CLEAN, "modified"),
+            (self.NOISY, "accessed"),
+        ]
+
+    def test_a_never_updated_sibling_keeps_the_template_out_of_the_core(self):
+        sig = self.derive({self.CLEAN: "ma", self.NOISY: ""}, background=False)
+        assert [t.template.text for t in sig.core] == [self.CLEAN]
+        assert sig.supporting == ()
+
+
+# Sibling names that generalize onto shared templates, and what the runs do to
+# each: update modified and/or accessed on every run, update modified only
+# from the second run on (irregular), or never update.
+SIBLINGS = [
+    f"C:\\app\\{stem}-{token}.{ext}"
+    for stem in ("cache", "index")
+    for token in ("a1b2c3d4", "ffee0099", "0badf00d")
+    for ext in ("dat", "bin")
+]
+BEHAVIOURS = ("ma", "m", "a", "", "late")
+RUN_TIMES = ["2010-04-01T08:00:00Z", "2010-04-01T10:00:00Z", "2010-04-01T12:00:00Z", "2010-04-02T10:00:00Z"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    world=hs.dictionaries(
+        hs.sampled_from(SIBLINGS),
+        hs.tuples(hs.sampled_from(BEHAVIOURS), hs.booleans()),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_core_templates_resolve_only_to_clean_always_traces(world):
+    """On every observed snapshot, a derived core template resolves only to
+    traces classified as always updated and unconfounded."""
+
+    def snap(run):
+        def at(path, field):
+            behaviour = world[path][0]
+            fires = field in behaviour or (behaviour == "late" and field == "m" and run >= 2)
+            return RUN_TIMES[run] if fires and run else RUN_TIMES[0]
+
+        return snap_of([frec(p, m=at(p, "m"), a=at(p, "a")) for p in world])
+
+    snaps = [snap(run) for run in range(4)]
+    obs = [RunObservation(i, i, None, snaps[i], snaps[i + 1]) for i in range(3)]
+    names = TraceNameSet.of(list(world))
+    action = build_update_matrix(obs, names)
+    noisy = [p for p, (_, confounded) in world.items() if confounded]
+    bg_before = snap_of([frec(p, m="2010-04-03T09:00:00Z") for p in noisy])
+    bg_after = snap_of([frec(p, m="2010-04-03T09:05:00Z") for p in noisy])
+    background = build_update_matrix([RunObservation(0, 0, None, bg_before, bg_after)], names)
+
+    sig = derive_signature("app.open", action, background, snaps[0])
+    analyses = categorize_matrix(action, background)
+    clean = {
+        trace
+        for trace, analysis in analyses.items()
+        if analysis.category.is_always and not analysis.category.confounded
+    }
+    for core in sig.core:
+        for observed in snaps:
+            for record, _ in instantiate(core.template, observed):
+                assert fold_path(record.path) in clean, (core.template.text, record.path)

@@ -247,6 +247,21 @@ class TestPlantedTruth:
         assert planted["C:\\ambient.log"].confounded
         assert not planted["C:\\au1"].confounded
 
+    def test_usage_based_plants_ub_only_on_a_shortcut(self):
+        step = (ScriptStep(t("2010-05-01T09:00:00Z"), "a.one", 0),)
+        lnk = "C:\\app.lnk"
+        model = {
+            "a.one": (
+                UpdateRule(lnk, RecordKind.FILE, "accessed", UsageBased(lnk)),
+                UpdateRule(lnk, RecordKind.FILE, "modified", Always()),
+            )
+        }
+        planted = planted_categories(tiny_scenario(model=model, script=step))
+        assert planted["a.one"][lnk].label is CategoryLabel.UB
+        model = {"a.one": (UpdateRule("C:\\app.exe", RecordKind.FILE, "accessed", UsageBased(lnk)),)}
+        with pytest.raises(ScenarioError, match="no planted category.*accessed=UsageBased"):
+            run_scenario(tiny_scenario(model=model, script=step))
+
     def test_shared_trace_confounds_both_actions(self):
         rule = lambda: UpdateRule("C:\\shared", RecordKind.FILE, "modified", Always())
         model = {"a.one": (rule(),), "a.two": (rule(),)}

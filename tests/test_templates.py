@@ -112,7 +112,29 @@ class TestGeneralize:
         # five hex-or-dash characters sit under the six-char floor
         assert gen("C:\\x\\AB-CD.pf") == "C:\\x\\AB-CD.pf"
         assert gen("C:\\x\\ABCDE.dat") == "C:\\x\\ABCDE.dat"
-        assert gen("C:\\x\\ABCDEF.dat") == "C:\\x\\%s.dat"
+        assert gen("C:\\x\\ABCDE1.dat") == "C:\\x\\%s.dat"
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            ("C:\\WINDOWS\\decade.txt", "%SystemRoot%\\decade.txt"),
+            ("C:\\x\\accede.ini", "C:\\x\\accede.ini"),
+            ("C:\\x\\ABCDEF.dat", "C:\\x\\ABCDEF.dat"),
+            ("C:\\x\\backed-faded.log", "C:\\x\\backed-faded.log"),
+            ("C:\\x\\cache-decade01.dat", "C:\\x\\cache-%s.dat"),
+        ],
+    )
+    def test_hex_run_needs_a_digit(self, path, expected):
+        assert gen(path) == expected
+
+    @pytest.mark.parametrize("run", ["deadbeef", "cafebabedeadbeef", "abcdef" * 5 + "ab", "fade" * 10])
+    def test_hash_length_hex_run_needs_no_digit(self, run):
+        assert gen(f"C:\\x\\{run}.bin") == "C:\\x\\%s.bin"
+
+    def test_empty_metadata_prefix_is_skipped(self):
+        meta = xp_meta(system_root="\\", home_drive="", install_paths={"App": ""})
+        assert gen("\\x\\y.txt", meta) == "\\x\\y.txt"
+        assert gen(f"C:{xp_meta().home_path}\\y.txt", meta) == f"C:{xp_meta().home_path}\\y.txt"
 
     def test_hex_needs_clean_boundaries(self):
         # letters butt up against the run, so nothing is replaced
