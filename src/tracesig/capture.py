@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import reduce
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .evidence import fold_path
 
@@ -71,7 +71,7 @@ class TraceNameSet:
         return fold_path(name) in self.names
 
 
-def parse_capture(source: str | IO[str]) -> tuple[CaptureEvent, ...]:
+def parse_capture(text: str) -> tuple[CaptureEvent, ...]:
     """Parse capture CSV text into its events, in log order.
 
     An optional first header row is recognized by the literal cell
@@ -79,7 +79,6 @@ def parse_capture(source: str | IO[str]) -> tuple[CaptureEvent, ...]:
     columns; extra trailing columns are ignored.  Quoted cells may contain
     commas, with embedded quotes doubled.
     """
-    text = source.read() if hasattr(source, "read") else source
     rows = csv.reader(text.splitlines(), strict=True)
     events = []
     try:

@@ -3,22 +3,24 @@
 Given before/after snapshot pairs for several runs, ``build_update_matrix``
 reduces each candidate trace to boolean vectors saying whether each timestamp
 field changed on each run.  ``classify_field`` names the per-field pattern
-and ``category_of`` maps the combination onto a trace category, the one
-place the category lattice is written down:
+and ``category_of`` maps the combination onto a trace category and the
+timestamp field that carries it, the one place the category lattice is
+written down:
 
-    AU1  modified and accessed always update, created never (plain files)
-    AU2  like AU1 but created updates irregularly (caches, cookies)
-    AU3  only accessed always updates
-    AU4  registry key whose write time always updates
-    AU5  only modified always updates
-    FRO  first run of each session only; every other field never updates
-    UB   a .lnk whose accessed time updates when it launches the action
-    IU   every changing field is Irregular; corroborating value only
-    IUI  accessed-only IU that fired on every session's first run (cookies)
+    label  field           update behaviour
+    AU1    modified        modified and accessed always, created never (files)
+    AU2    modified        like AU1, created irregularly (caches, cookies)
+    AU3    accessed        only accessed always updates
+    AU4    modified        a registry key whose write time always updates
+    AU5    modified        only modified always updates
+    FRO    first-run field first run of each session only; the rest never
+    UB     accessed        a .lnk whose accessed time shows it launched the action
+    IU     first changing  every changing field is Irregular; corroboration only
+    IUI    accessed        accessed-only IU that fired on every session's first run
 
 A registry key goes by its write time alone.  A trace that never updates is
 Never; any other combination is off the lattice, which ``classify_trace``
-logs and treats as IU and the simulator refuses to plant.
+treats as IU on its first changing field and the simulator refuses to plant.
 
 A trace also updated by unrelated background activity is confounded: still
 real evidence, but useless for pinning the action, so it is excluded from
@@ -44,6 +46,7 @@ from .evidence import (
     SnapshotFormatError,
     fold_path,
     parse_snapshot,
+    read_utf8,
     save_snapshot,
 )
 from .capture import TraceNameSet
@@ -207,18 +210,13 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     return UpdateMatrix(runs=tuple(runs), vectors=vectors, kinds=kinds, display=display)
 
 
-def classify_field(
-    vector: Sequence[bool],
-    runs: Sequence[RunInfo],
-    trace_path: str | None = None,
-) -> FieldPattern:
+def classify_field(vector: Sequence[bool], runs: Sequence[RunInfo], trace_path: str) -> FieldPattern:
     """Name the update pattern of one field across runs.
 
     Always and Never are the exact cases.  FirstRunOnly means the field
     updated on exactly the first run of every session.  UsageBased means every
     update happened on a run launched through this very path (shortcut
-    behavior), which requires the trace path to check.  Anything else is
-    Irregular.
+    behavior).  Anything else is Irregular.
     """
     if len(vector) != len(runs):
         raise ValueError("vector length must equal the number of runs")
@@ -228,28 +226,27 @@ def classify_field(
         return FieldPattern.NEVER
     if all(v == r.first_of_session for v, r in zip(vector, runs)):
         return FieldPattern.FIRST_RUN_ONLY
-    if trace_path is not None:
-        folded = fold_path(trace_path)
-        if all(
-            r.launch_method is not None and fold_path(r.launch_method) == folded
-            for v, r in zip(vector, runs)
-            if v
-        ):
-            return FieldPattern.USAGE_BASED
+    folded = fold_path(trace_path)
+    if all(
+        r.launch_method is not None and fold_path(r.launch_method) == folded
+        for v, r in zip(vector, runs)
+        if v
+    ):
+        return FieldPattern.USAGE_BASED
     return FieldPattern.IRREGULAR
 
 
 _A, _N = FieldPattern.ALWAYS, FieldPattern.NEVER
 _F, _I = FieldPattern.FIRST_RUN_ONLY, FieldPattern.IRREGULAR
-_REGISTRY_LATTICE = {
+_REGISTRY_LATTICE = {  # modified, the only field a key has
     _A: CategoryLabel.AU4, _F: CategoryLabel.FRO, _I: CategoryLabel.IU, _N: CategoryLabel.NEVER
 }
-_FILE_LATTICE = {  # (modified, accessed, created)
-    (_A, _A, _N): CategoryLabel.AU1,
-    (_A, _A, _I): CategoryLabel.AU2,
-    (_N, _A, _N): CategoryLabel.AU3,
-    (_A, _N, _N): CategoryLabel.AU5,
-    (_N, _N, _N): CategoryLabel.NEVER,
+_FILE_LATTICE = {  # (modified, accessed, created): (label, field)
+    (_A, _A, _N): (CategoryLabel.AU1, "modified"),
+    (_A, _A, _I): (CategoryLabel.AU2, "modified"),
+    (_N, _A, _N): (CategoryLabel.AU3, "accessed"),
+    (_A, _N, _N): (CategoryLabel.AU5, "modified"),
+    (_N, _N, _N): (CategoryLabel.NEVER, "modified"),
 }
 
 
@@ -257,91 +254,104 @@ def _trio(patterns: Mapping[str, FieldPattern]) -> tuple[FieldPattern, ...]:
     return tuple(patterns.get(f, FieldPattern.NEVER) for f in FIELDS)
 
 
+def _first_changing(trio: tuple[FieldPattern, ...]) -> str:
+    return next(f for f, p in zip(FIELDS, trio) if p is not _N)
+
+
 def category_of(
     kind: RecordKind, patterns: Mapping[str, FieldPattern], trace: str
-) -> CategoryLabel | None:
-    """The label of a pattern combination, or None off the lattice (see the
-    module docstring).  A missing field counts as Never."""
+) -> tuple[CategoryLabel, str] | None:
+    """The label of a pattern combination and the field it is keyed on, or
+    None off the lattice (see the module docstring).  A missing field counts
+    as Never."""
     trio = _trio(patterns)
     if kind is RecordKind.REGKEY:
-        return _REGISTRY_LATTICE.get(trio[0])
-    label = _FILE_LATTICE.get(trio)
-    if label is not None:
-        return label
+        label = _REGISTRY_LATTICE.get(trio[0])
+        return None if label is None else (label, "modified")
+    entry = _FILE_LATTICE.get(trio)
+    if entry is not None:
+        return entry
     if _F in trio and set(trio) <= {_F, _N}:
-        return CategoryLabel.FRO
+        return CategoryLabel.FRO, _first_changing(trio)
     if trio[1] is FieldPattern.USAGE_BASED and fold_path(trace).endswith(".lnk"):
-        return CategoryLabel.UB
+        return CategoryLabel.UB, "accessed"
     if set(trio) <= {_I, _N}:
-        return CategoryLabel.IU
+        return CategoryLabel.IU, _first_changing(trio)
     return None
+
+
+@dataclass(frozen=True)
+class TraceAnalysis:
+    """A trace's category and the timestamp field that carries it."""
+
+    category: TraceCategory
+    field: str
 
 
 def classify_trace(
     trace: str,
-    patterns: Mapping[str, FieldPattern],
     kind: RecordKind,
+    vectors: Mapping[str, Sequence[bool]],
+    runs: Sequence[RunInfo],
     background_updates: bool,
-    *,
-    accessed_vector: Sequence[bool] | None = None,
-    runs: Sequence[RunInfo] | None = None,
-) -> TraceCategory:
-    """Map per-field patterns onto a trace category through ``category_of``.
+) -> tuple[TraceAnalysis, bool]:
+    """Classify one trace from its update vectors; also say whether its
+    pattern combination is on the lattice.
 
-    Combinations outside the lattice degrade to IU with a logged diagnostic;
-    noisy real-world data must never abort an analysis.  The accessed vector
-    and run contexts, when provided, let the cookie-style IUI refinement of an
-    accessed-only IU trace fire.
+    Each field's pattern comes from ``classify_field`` and the combination
+    goes through ``category_of``.  A combination off the lattice degrades to
+    IU on its first changing field, logged at DEBUG; noisy real-world data
+    must never abort an analysis.  An accessed-only IU trace whose accessed
+    time updated on every session's first run is refined to IUI.
     """
-    label = category_of(kind, patterns, trace)
+    patterns = {f: classify_field(vec, runs, trace) for f, vec in vectors.items()}
     trio = _trio(patterns)
-    if label is None:
-        logger.warning(
+    found = category_of(kind, patterns, trace)
+    if found is None:
+        logger.debug(
             "trace %r has pattern combination outside the category lattice "
             "(modified=%s accessed=%s created=%s); treating as IU",
             trace,
             *(p.value for p in trio),
         )
-        label = CategoryLabel.IU
-    elif (
+    label, field = found or (CategoryLabel.IU, _first_changing(trio))
+    if (
         label is CategoryLabel.IU
         and trio == (_N, _I, _N)
-        and accessed_vector is not None
-        and runs is not None
         and any(r.first_of_session for r in runs)
-        and all(v for v, r in zip(accessed_vector, runs) if r.first_of_session)
+        and all(v for v, r in zip(vectors["accessed"], runs) if r.first_of_session)
     ):
         label = CategoryLabel.IUI
-    return TraceCategory(label, confounded=background_updates)
-
-
-@dataclass(frozen=True)
-class TraceAnalysis:
-    category: TraceCategory
-    patterns: Mapping[str, FieldPattern]
+    analysis = TraceAnalysis(TraceCategory(label, confounded=background_updates), field)
+    return analysis, found is not None
 
 
 def categorize_matrix(
     action: UpdateMatrix, background: UpdateMatrix | None = None
 ) -> dict[str, TraceAnalysis]:
-    """Classify every trace in an action matrix, marking confounded ones."""
+    """Classify every trace in an action matrix, marking confounded ones.
+
+    Off-lattice traces get one summary warning; ``classify_trace`` logs each
+    at DEBUG.
+    """
     out: dict[str, TraceAnalysis] = {}
+    off_lattice = 0
     for trace in action.traces():
-        vectors = action.vectors[trace]
-        display = action.display[trace]
-        patterns = {
-            f: classify_field(vec, action.runs, trace_path=display) for f, vec in vectors.items()
-        }
         background_updates = background.any_update(trace) if background is not None else False
-        category = classify_trace(
-            trace,
-            patterns,
+        out[trace], on_lattice = classify_trace(
+            action.display[trace],
             action.kinds[trace],
+            action.vectors[trace],
+            action.runs,
             background_updates,
-            accessed_vector=vectors.get("accessed"),
-            runs=action.runs,
         )
-        out[trace] = TraceAnalysis(category=category, patterns=patterns)
+        off_lattice += not on_lattice
+    if off_lattice:
+        logger.warning(
+            "%d trace(s) have pattern combinations outside the category lattice; "
+            "treating them as IU",
+            off_lattice,
+        )
     return out
 
 
@@ -375,7 +385,7 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
     sessions_file = directory / "sessions.csv"
     if not sessions_file.exists():
         raise ValueError(f"missing sessions.csv in {directory}")
-    rows = list(csv.reader(_read_utf8(sessions_file).splitlines()))
+    rows = list(csv.reader(read_utf8(sessions_file).splitlines()))
     if not rows or rows[0] != _SESSIONS_HEADER:
         raise ValueError("sessions.csv must start with the header run,session,launch_method")
     session_of: dict[int, int] = {}
@@ -401,16 +411,9 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
     ]
 
 
-def _read_utf8(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path} is not UTF-8 text: {exc}")
-
-
 def _read_run(path: Path) -> Snapshot:
     """Parse one run snapshot; an error names the file among the 2N of the directory."""
-    text = _read_utf8(path)
+    text = read_utf8(path)
     try:
         return parse_snapshot(text)
     except SnapshotFormatError as exc:

@@ -30,7 +30,7 @@ from . import __version__
 from .capture import filter_by_process, intersect_runs, parse_capture, unique_traces
 from .capture import TraceNameSet
 from .categorize import RunObservation, build_update_matrix, read_observations
-from .evidence import format_timestamp, parse_snapshot, parse_timestamp
+from .evidence import format_timestamp, parse_snapshot, parse_timestamp, read_utf8
 from .matching import DetectionResult, Verdict, match_signature
 from .signatures import (
     Signature,
@@ -52,25 +52,17 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _read_text(path: str) -> str:
-    # utf-8-sig tolerates the BOM that Windows tools put on CSV exports
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path} is not UTF-8 text: {exc}")
-
-
 def _load_signatures(args: argparse.Namespace) -> list[Signature]:
     sigs = [bundled_signature(name) for name in args.bundled]
     for path in args.signature:
-        sigs.append(load_signature(_read_text(path)))
+        sigs.append(load_signature(read_utf8(path)))
     return sigs
 
 
 def _trace_names(args: argparse.Namespace, observations: list[RunObservation]) -> TraceNameSet:
     """The names in the ``--traces`` file, else every name the observations hold."""
     if args.traces:
-        lines = _read_text(args.traces).splitlines()
+        lines = read_utf8(args.traces).splitlines()
         return TraceNameSet.of(line.strip() for line in lines if line.strip())
     return TraceNameSet.of(
         rec.path for obs in observations for snap in (obs.before, obs.after) for rec in snap
@@ -84,7 +76,7 @@ def cmd_traces(args: argparse.Namespace) -> int:
     processes = [p.strip() for p in args.process.split(",") if p.strip()] if args.process else []
     runs = []
     for path in args.capture:
-        log = parse_capture(_read_text(path))
+        log = parse_capture(read_utf8(path))
         if processes:
             log = filter_by_process(log, processes)
         runs.append(unique_traces(log))
@@ -213,7 +205,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         return 2
     now = parse_timestamp(args.now) if args.now else None
     sigs = _load_signatures(args)
-    snap = parse_snapshot(_read_text(args.snapshot))
+    snap = parse_snapshot(read_utf8(args.snapshot))
     for sig in sigs:
         if sig.weak:
             logger.warning(
@@ -235,7 +227,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(_read_text(args.scenario))
+    scenario = load_scenario(read_utf8(args.scenario))
     result = run_scenario(scenario)
     write_scenario_outputs(result, args.output)
     print(

@@ -20,7 +20,8 @@ import string
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import IO, Iterable, Iterator, Mapping
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "FIELDS",
@@ -34,6 +35,7 @@ __all__ = [
     "format_timestamp",
     "parse_snapshot",
     "parse_timestamp",
+    "read_utf8",
     "save_snapshot",
 ]
 
@@ -43,6 +45,16 @@ class SnapshotFormatError(ValueError):
 
 
 _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of an input file.  A leading UTF-8 byte-order mark, which
+    Windows tools put on CSV exports, is dropped; a file that is not UTF-8 is
+    a ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}")
 
 
 def fold_path(path: str) -> str:
@@ -252,7 +264,7 @@ _HEADER_ROW = "kind,path,modified,accessed,created,precision_s"
 _REQUIRED_META = ("system_root", "home_drive", "home_path", "last_access_enabled", "capture_time")
 
 
-def parse_snapshot(source: str | IO[str]) -> Snapshot:
+def parse_snapshot(text: str) -> Snapshot:
     """Parse snapshot CSV text.
 
     The format is a ``#key=value`` metadata block followed by the literal
@@ -265,7 +277,6 @@ def parse_snapshot(source: str | IO[str]) -> Snapshot:
     defaults to 1.  Fields containing commas are double-quoted with embedded
     quotes doubled.
     """
-    text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
 
     idx = 0

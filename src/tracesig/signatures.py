@@ -21,16 +21,9 @@ import json
 import logging
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .categorize import (
-    CategoryLabel,
-    FieldPattern,
-    TraceAnalysis,
-    TraceCategory,
-    UpdateMatrix,
-    categorize_matrix,
-)
+from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
 from .evidence import FIELDS, RecordKind, Snapshot, fold_path
 from .templates import PathTemplate, TemplateSyntaxError, generalize_path
 
@@ -249,30 +242,6 @@ def save_signature(sig: Signature) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _core_field(patterns: Mapping[str, FieldPattern]) -> str:
-    """Modified when it always updates, otherwise the always-updated accessed."""
-    if patterns.get("modified") is FieldPattern.ALWAYS:
-        return "modified"
-    return "accessed"
-
-
-def _core_eligible(category: TraceCategory) -> bool:
-    return category.is_always and not category.confounded
-
-
-def _supporting_field(analysis: TraceAnalysis) -> str:
-    if analysis.category.label is CategoryLabel.FRO:
-        for f in FIELDS:
-            if analysis.patterns.get(f) is FieldPattern.FIRST_RUN_ONLY:
-                return f
-    if analysis.category.is_always:
-        return _core_field(analysis.patterns)
-    for f in FIELDS:
-        if analysis.patterns.get(f, FieldPattern.NEVER) is not FieldPattern.NEVER:
-            return f
-    return "modified"
-
-
 def derive_signature(
     action: str,
     matrix_action: UpdateMatrix,
@@ -297,37 +266,31 @@ def derive_signature(
     analyses = categorize_matrix(matrix_action, matrix_background)
     templates: dict[str, PathTemplate] = {}
     core_fields: dict[tuple[RecordKind, str], set[str | None]] = {}
-    for trace in sorted(analyses):
-        analysis = analyses[trace]
+    for trace, analysis in sorted(analyses.items()):
         kind = matrix_action.kinds[trace]
         template = generalize_path(matrix_action.display[trace], snap.meta, kind=kind)
         templates[trace] = template
-        field = _core_field(analysis.patterns) if _core_eligible(analysis.category) else None
-        core_fields.setdefault((kind, fold_path(template.text)), set()).add(field)
+        in_core = analysis.category.is_always and not analysis.category.confounded
+        core_fields.setdefault((kind, fold_path(template.text)), set()).add(
+            analysis.field if in_core else None
+        )
 
     core: dict[tuple[RecordKind, str], CoreTrace] = {}
     supporting: dict[tuple[RecordKind, str], SupportingTrace] = {}
-    for trace in sorted(analyses):
-        analysis = analyses[trace]
-        category = analysis.category
+    for trace, analysis in sorted(analyses.items()):
+        category, field = analysis.category, analysis.field
         if category.label is CategoryLabel.NEVER:
             continue
         template = templates[trace]
         key = (template.kind, fold_path(template.text))
-        if _core_eligible(category):
-            field = _core_field(analysis.patterns)
+        if category.is_always and not category.confounded:
             if core_fields[key] != {field}:  # the template would reach other traces
                 template = PathTemplate(matrix_action.display[trace], template.kind)
                 key = (template.kind, fold_path(template.text))
             core.setdefault(key, CoreTrace(template=template, field=field))
         else:
             supporting.setdefault(
-                key,
-                SupportingTrace(
-                    template=template,
-                    field=_supporting_field(analysis),
-                    category=category,
-                ),
+                key, SupportingTrace(template=template, field=field, category=category)
             )
     sig = Signature(
         action=action,

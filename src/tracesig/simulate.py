@@ -517,13 +517,13 @@ _PLANTED_PATTERN = {
 
 def _planted_label(kind: RecordKind, modes: Mapping[str, UpdateMode], trace: str) -> CategoryLabel:
     patterns = {field: _PLANTED_PATTERN[type(mode)] for field, mode in modes.items()}
-    label = category_of(kind, patterns, trace)
-    if label is None:
+    found = category_of(kind, patterns, trace)
+    if found is None:
         raise ScenarioError(
             f"no planted category for trace {trace!r} with modes "
             + " ".join(f"{f}={patterns.get(f, FieldPattern.NEVER).value}" for f in FIELDS)
         )
-    return label
+    return found[0]
 
 
 def planted_categories(sc: Scenario) -> dict[str, dict[str, TraceCategory]]:
@@ -603,8 +603,10 @@ def oracle_compare(
     """Compare planted categories against what classification recovered.
 
     A planted-irregular trace whose sampled vector came out all-true or
-    all-false cannot be told apart from Always or Never by any classifier;
-    such rows are flagged sampling artifacts rather than real disagreements.
+    all-false cannot be told apart from Always or Never by any classifier,
+    and one whose accessed draws happened to cover every session's first run
+    reads as IUI, which no rule plants; such rows are flagged sampling
+    artifacts rather than real disagreements.
     """
     analyses = categorize_matrix(matrix, matrix_background)
     entries = []
@@ -617,7 +619,9 @@ def oracle_compare(
         artifact = False
         if not agrees and planted_cat.label is CategoryLabel.IU:
             vectors = matrix.vectors.get(folded, {}).values()
-            artifact = bool(vectors) and all(all(v) or not any(v) for v in vectors)
+            artifact = classified == TraceCategory(CategoryLabel.IUI, planted_cat.confounded) or (
+                bool(vectors) and all(all(v) or not any(v) for v in vectors)
+            )
         entries.append(OracleEntry(trace, planted_cat, classified, agrees, artifact))
     core_expected = sum(1 for cat in planted.values() if cat.is_always and not cat.confounded)
     return OracleReport(

@@ -140,11 +140,17 @@ class Binding:
 
 # --- generalization -------------------------------------------------------
 
-# A replaceable token in the last path segment: six or more hex-or-dash
-# characters delimited by - { } . or the segment edges, with a digit in it or
-# the length of a common hash or ID (8, 16, 32 or 40).  Spares ordinary words
-# spelled in hex letters ("decade", "accede") while catching hashes and GUIDs.
-_HEX_RUN = re.compile(r"(?:(?<=[-{}.])|^)([0-9A-Fa-f](?:[0-9A-Fa-f-]*[0-9A-Fa-f])?)(?=[-{}.]|$)")
+# A replaceable token in the last path segment: an unbraced 8-4-4-4-12 GUID,
+# or else one dash-separated piece of six or more hex characters, delimited by
+# - { } . or the segment edges, with a digit in it or the length of a common
+# hash or ID (8, 16, 32 or 40).  Spares ordinary words spelled in hex letters
+# ("decade", "accede", the "cafe" of "cafe-1a2b3c") while catching hashes and
+# GUIDs.
+_HEX_RUN = re.compile(
+    r"(?:(?<=[-{}.])|^)"
+    r"([0-9A-Fa-f]{8}(?:-[0-9A-Fa-f]{4}){3}-[0-9A-Fa-f]{12}|[0-9A-Fa-f]+)"
+    r"(?=[-{}.]|$)"
+)
 _MIN_HEX_RUN = 6
 _HASH_LENGTHS = frozenset({8, 16, 32, 40})
 
@@ -200,9 +206,10 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
     and any published install paths becomes its variable; whole segments equal
     to a known user SID become %SID%; brace-wrapped GUIDs anywhere become
     {%s}; in the final segment, rotation counters in log-style names become
-    %i and hex runs of six or more characters that hold a digit or have a
-    hash length (8, 16, 32 or 40) become %s.  Paths with nothing
-    machine-specific come back as all-literal templates.
+    %i, and each unbraced GUID or dash-separated hex piece of six or more
+    characters that holds a digit or has a hash length (8, 16, 32 or 40)
+    becomes %s.  Paths with nothing machine-specific come back as
+    all-literal templates.
     """
     if kind is None:
         kind = RecordKind.REGKEY if fold_path(path).startswith("hkey_") else RecordKind.FILE

@@ -11,7 +11,9 @@ from tracesig.categorize import (
     FieldPattern,
     RunInfo,
     RunObservation,
+    TraceAnalysis,
     TraceCategory,
+    UpdateMatrix,
     build_update_matrix,
     categorize_matrix,
     category_of,
@@ -20,7 +22,7 @@ from tracesig.categorize import (
     read_observations,
     write_observations,
 )
-from tracesig.evidence import RecordKind, SnapshotFormatError, fold_path
+from tracesig.evidence import FIELDS, RecordKind, SnapshotFormatError, fold_path
 from tracesig.simulate import (
     Always,
     Background,
@@ -33,15 +35,46 @@ from tracesig.simulate import (
 
 LNK = f"{ADMIN}\\Desktop\\App.lnk"
 
-# sessions 0,0,1,1,2,2 with the shortcut used on runs 0 and 3
-RUNS = (
-    RunInfo(0, True, LNK),
-    RunInfo(0, False, None),
-    RunInfo(1, True, None),
-    RunInfo(1, False, LNK.lower()),
-    RunInfo(2, True, None),
-    RunInfo(2, False, None),
-)
+
+def runs_via(path):
+    """Sessions 0,0,1,1,2,2 with ``path`` used to launch runs 0 and 3."""
+    return (
+        RunInfo(0, True, path),
+        RunInfo(0, False, None),
+        RunInfo(1, True, None),
+        RunInfo(1, False, path.lower()),
+        RunInfo(2, True, None),
+        RunInfo(2, False, None),
+    )
+
+
+RUNS = runs_via(LNK)
+
+# a vector with each pattern over ``runs_via(trace)``, for the trace itself
+T, F = True, False
+VECTOR_OF = {
+    FieldPattern.ALWAYS: (T, T, T, T, T, T),
+    FieldPattern.NEVER: (F, F, F, F, F, F),
+    FieldPattern.FIRST_RUN_ONLY: (T, F, T, F, T, F),
+    FieldPattern.USAGE_BASED: (T, F, F, T, F, F),
+    FieldPattern.IRREGULAR: (T, T, F, F, F, F),
+}
+IUI_VECTOR = (T, T, T, F, T, F)  # Irregular, yet it hits every session's first run
+
+
+def vectors_for(patterns, iui=False):
+    return {
+        f: IUI_VECTOR if iui and p is FieldPattern.IRREGULAR else VECTOR_OF[p]
+        for f, p in patterns.items()
+    }
+
+
+def classify(trace, kind, patterns, confounded=False, iui=False):
+    """``classify_trace`` on vectors showing ``patterns``; the analysis alone."""
+    analysis, _ = classify_trace(
+        trace, kind, vectors_for(patterns, iui), runs_via(trace), confounded
+    )
+    return analysis
 
 
 def reference_pattern(vector, runs, trace_path):
@@ -52,13 +85,12 @@ def reference_pattern(vector, runs, trace_path):
         return FieldPattern.NEVER
     if list(vector) == [r.first_of_session for r in runs]:
         return FieldPattern.FIRST_RUN_ONLY
-    if trace_path is not None:
-        launched_here = [
-            r.launch_method is not None and fold_path(r.launch_method) == fold_path(trace_path)
-            for r in runs
-        ]
-        if all(launched_here[i] for i, v in enumerate(vector) if v):
-            return FieldPattern.USAGE_BASED
+    launched_here = [
+        r.launch_method is not None and fold_path(r.launch_method) == fold_path(trace_path)
+        for r in runs
+    ]
+    if all(launched_here[i] for i, v in enumerate(vector) if v):
+        return FieldPattern.USAGE_BASED
     return FieldPattern.IRREGULAR
 
 
@@ -67,10 +99,13 @@ class TestClassifyField:
         for n in (1, 2, 6):
             runs = RUNS[:n]
             for vector in itertools.product([False, True], repeat=n):
-                for path in (LNK, "C:\\other.txt", None):
-                    assert classify_field(vector, runs, trace_path=path) == reference_pattern(
+                for path in (LNK, "C:\\other.txt"):
+                    assert classify_field(vector, runs, path) == reference_pattern(
                         vector, runs, path
                     ), (vector, path)
+        for pattern, vector in VECTOR_OF.items():
+            assert classify_field(vector, RUNS, LNK) is pattern
+        assert classify_field(IUI_VECTOR, RUNS, LNK) is FieldPattern.IRREGULAR
 
     def test_first_run_only_across_uneven_sessions(self):
         runs = [RunInfo(s, first, None) for s, first in
@@ -78,16 +113,16 @@ class TestClassifyField:
                  (1, True), (1, False), (1, False),
                  (2, True), (2, False), (2, False), (2, False)]]
         vector = [r.first_of_session for r in runs]
-        assert classify_field(vector, runs) is FieldPattern.FIRST_RUN_ONLY
+        assert classify_field(vector, runs, "C:\\x.dat") is FieldPattern.FIRST_RUN_ONLY
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            classify_field((True,), RUNS)
+            classify_field((True,), RUNS, LNK)
 
     def test_usage_based_needs_the_path(self):
-        vector = (True, False, False, True, False, False)
-        assert classify_field(vector, RUNS) is FieldPattern.IRREGULAR
-        assert classify_field(vector, RUNS, trace_path=LNK) is FieldPattern.USAGE_BASED
+        vector = VECTOR_OF[FieldPattern.USAGE_BASED]
+        assert classify_field(vector, RUNS, "C:\\other.lnk") is FieldPattern.IRREGULAR
+        assert classify_field(vector, RUNS, LNK) is FieldPattern.USAGE_BASED
 
 
 class TestClassifyTrace:
@@ -99,22 +134,21 @@ class TestClassifyTrace:
             FieldPattern.IRREGULAR,
         )
         return [
-            ({"modified": A, "accessed": A, "created": N}, CategoryLabel.AU1),
-            ({"modified": A, "accessed": A, "created": I}, CategoryLabel.AU2),
-            ({"modified": N, "accessed": A, "created": N}, CategoryLabel.AU3),
-            ({"modified": A, "accessed": N, "created": N}, CategoryLabel.AU5),
-            ({"modified": F, "accessed": F, "created": N}, CategoryLabel.FRO),
-            ({"modified": N, "accessed": F, "created": N}, CategoryLabel.FRO),
-            ({"modified": N, "accessed": I, "created": N}, CategoryLabel.IU),
-            ({"modified": I, "accessed": I, "created": N}, CategoryLabel.IU),
-            ({"modified": N, "accessed": N, "created": N}, CategoryLabel.NEVER),
+            ({"modified": A, "accessed": A, "created": N}, CategoryLabel.AU1, "modified"),
+            ({"modified": A, "accessed": A, "created": I}, CategoryLabel.AU2, "modified"),
+            ({"modified": N, "accessed": A, "created": N}, CategoryLabel.AU3, "accessed"),
+            ({"modified": A, "accessed": N, "created": N}, CategoryLabel.AU5, "modified"),
+            ({"modified": F, "accessed": F, "created": N}, CategoryLabel.FRO, "modified"),
+            ({"modified": N, "accessed": F, "created": N}, CategoryLabel.FRO, "accessed"),
+            ({"modified": N, "accessed": I, "created": N}, CategoryLabel.IU, "accessed"),
+            ({"modified": I, "accessed": I, "created": N}, CategoryLabel.IU, "modified"),
+            ({"modified": N, "accessed": N, "created": N}, CategoryLabel.NEVER, "modified"),
         ]
 
     def test_file_category_table(self):
-        for patterns, expected in self.file_cases():
-            got = classify_trace("C:\\some\\trace.dat", patterns, RecordKind.FILE, False)
-            assert got.label is expected, patterns
-            assert not got.confounded
+        for patterns, label, field in self.file_cases():
+            got = classify("C:\\some\\trace.dat", RecordKind.FILE, patterns)
+            assert got == TraceAnalysis(TraceCategory(label), field), patterns
 
     def test_registry_category_table(self):
         table = [
@@ -124,53 +158,52 @@ class TestClassifyTrace:
             (FieldPattern.NEVER, CategoryLabel.NEVER),
         ]
         for pattern, expected in table:
-            got = classify_trace("HKEY_USERS\\X", {"modified": pattern}, RecordKind.REGKEY, False)
-            assert got.label is expected
+            got = classify("HKEY_USERS\\X", RecordKind.REGKEY, {"modified": pattern})
+            assert got == TraceAnalysis(TraceCategory(expected), "modified")
 
     def test_background_flag_marks_confounded(self):
-        got = classify_trace(
+        got = classify(
             "C:\\x",
-            {"modified": FieldPattern.ALWAYS, "accessed": FieldPattern.ALWAYS},
             RecordKind.FILE,
-            True,
+            {"modified": FieldPattern.ALWAYS, "accessed": FieldPattern.ALWAYS},
+            confounded=True,
         )
-        assert got.label is CategoryLabel.AU1 and got.confounded
+        assert got.category.label is CategoryLabel.AU1 and got.category.confounded
 
     def test_shortcut_usage_pattern(self):
-        got = classify_trace(
+        got = classify(
             LNK,
-            {"modified": FieldPattern.USAGE_BASED, "accessed": FieldPattern.USAGE_BASED},
             RecordKind.FILE,
-            False,
+            {"modified": FieldPattern.USAGE_BASED, "accessed": FieldPattern.USAGE_BASED},
         )
-        assert got.label is CategoryLabel.UB
+        # a launch shows on the shortcut's accessed time, whatever modified does
+        assert got == TraceAnalysis(TraceCategory(CategoryLabel.UB), "accessed")
 
     def test_usage_pattern_off_a_shortcut_is_not_ub(self):
-        got = classify_trace(
-            "C:\\x.txt", {"accessed": FieldPattern.USAGE_BASED}, RecordKind.FILE, False
-        )
-        assert got.label is not CategoryLabel.UB
+        got = classify("C:\\x.txt", RecordKind.FILE, {"accessed": FieldPattern.USAGE_BASED})
+        assert got.category.label is not CategoryLabel.UB
 
     def test_iui_needs_every_session_first_covered(self):
         runs = RUNS[:4]
-        base = {"accessed": FieldPattern.IRREGULAR}
-        hit = classify_trace(
-            "C:\\cookie.txt", base, RecordKind.FILE, False,
-            accessed_vector=(True, False, True, True), runs=runs,
+        hit, _ = classify_trace(
+            "C:\\cookie.txt", RecordKind.FILE, {"accessed": (T, F, T, T)}, runs, False
         )
-        assert hit.label is CategoryLabel.IUI
-        miss = classify_trace(
-            "C:\\cookie.txt", base, RecordKind.FILE, False,
-            accessed_vector=(True, True, False, True), runs=runs,
+        assert hit == TraceAnalysis(TraceCategory(CategoryLabel.IUI), "accessed")
+        miss, _ = classify_trace(
+            "C:\\cookie.txt", RecordKind.FILE, {"accessed": (T, T, F, T)}, runs, False
         )
-        assert miss.label is CategoryLabel.IU
+        assert miss == TraceAnalysis(TraceCategory(CategoryLabel.IU), "accessed")
 
     def test_off_lattice_combo_degrades_to_iu(self, caplog):
-        patterns = {"modified": FieldPattern.NEVER, "created": FieldPattern.ALWAYS}
-        with caplog.at_level("WARNING", logger="tracesig"):
-            got = classify_trace("C:\\odd", patterns, RecordKind.FILE, False)
-        assert got.label is CategoryLabel.IU
-        assert any("odd" in r.message for r in caplog.records)
+        vectors = vectors_for({"modified": FieldPattern.NEVER, "created": FieldPattern.ALWAYS})
+        with caplog.at_level("DEBUG", logger="tracesig"):
+            got, on_lattice = classify_trace(
+                "C:\\odd", RecordKind.FILE, vectors, runs_via("C:\\odd"), False
+            )
+        assert got == TraceAnalysis(TraceCategory(CategoryLabel.IU), "created")
+        assert not on_lattice
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG and "odd" in record.getMessage()
 
 
 # --- the two if-chains the lattice table replaced -----------------------------
@@ -230,6 +263,29 @@ def chain_classify_trace(trace, patterns, kind, background_updates, *, accessed_
     return cat(CategoryLabel.IU)
 
 
+def chain_core_field(patterns):
+    """``signatures._core_field``, the field a core trace was keyed on before
+    the lattice named it, kept as its oracle."""
+    if patterns.get("modified") is FieldPattern.ALWAYS:
+        return "modified"
+    return "accessed"
+
+
+def chain_field(category, patterns):
+    """``signatures._supporting_field``, which also keyed always-updated
+    traces through ``chain_core_field``, kept as the field oracle."""
+    if category.label is CategoryLabel.FRO:
+        for f in FIELDS:
+            if patterns.get(f) is FieldPattern.FIRST_RUN_ONLY:
+                return f
+    if category.is_always:
+        return chain_core_field(patterns)
+    for f in FIELDS:
+        if patterns.get(f, FieldPattern.NEVER) is not FieldPattern.NEVER:
+            return f
+    return "modified"
+
+
 def chain_planted_label(kind, modes, trace):
     """The simulator's planted label as an if-chain over mode tags, before it
     read the lattice table, kept as its oracle."""
@@ -285,28 +341,56 @@ def lattice_inputs():
         yield REG_PATH, RecordKind.REGKEY, {"modified": pattern}
 
 
-class TestLatticeAgainstTheIfChains:
-    IUI_RUNS = RUNS[:4]
-    IUI_VECTOR = (True, False, True, True)
+def one_trace_matrix(trace, kind, patterns, iui=False):
+    folded = fold_path(trace)
+    return UpdateMatrix(
+        runs=runs_via(trace),
+        vectors={folded: vectors_for(patterns, iui)},
+        kinds={folded: kind},
+        display={folded: trace},
+    )
 
+
+class TestLatticeAgainstTheIfChains:
     def test_classifier_labels_match_the_chain(self):
+        moved = []
         for trace, kind, patterns in lattice_inputs():
-            for extra in ({}, {"accessed_vector": self.IUI_VECTOR, "runs": self.IUI_RUNS}):
+            for iui in (False, True):
+                vectors = vectors_for(patterns, iui)
                 for confounded in (False, True):
-                    got = classify_trace(trace, patterns, kind, confounded, **extra)
-                    want = chain_classify_trace(trace, patterns, kind, confounded, **extra)
-                    assert got == want, (trace, patterns, extra)
+                    got, on_lattice = classify_trace(
+                        trace, kind, vectors, runs_via(trace), confounded
+                    )
+                    category = chain_classify_trace(
+                        trace, patterns, kind, confounded,
+                        accessed_vector=vectors.get("accessed"), runs=runs_via(trace),
+                    )
+                    assert got.category == category, (trace, patterns, iui)
+                    assert on_lattice == (category_of(kind, patterns, trace) is not None)
+                    if got.field != chain_field(category, patterns):
+                        moved.append((category.label, patterns["modified"]))
+                    else:
+                        assert got == TraceAnalysis(category, chain_field(category, patterns))
+        # the only field that moved: a shortcut launch shows on its accessed time
+        assert moved and all(
+            label is CategoryLabel.UB and modified is not FieldPattern.NEVER
+            for label, modified in moved
+        )
+        assert len(moved) == 2 * 2 * 4 * 5  # iui, confounded, modified, created
 
     def test_warning_fires_exactly_off_the_lattice(self, caplog):
         off = []
         for trace, kind, patterns in lattice_inputs():
             caplog.clear()
-            with caplog.at_level("WARNING", logger="tracesig"):
-                classify_trace(trace, patterns, kind, False)
-            warned = any(r.levelno == logging.WARNING for r in caplog.records)
-            assert warned == (category_of(kind, patterns, trace) is None), (trace, patterns)
-            if warned:
-                assert "outside the category lattice" in caplog.records[0].getMessage()
+            with caplog.at_level("DEBUG", logger="tracesig"):
+                categorize_matrix(one_trace_matrix(trace, kind, patterns))
+            warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            details = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+            is_off = category_of(kind, patterns, trace) is None
+            assert len(warnings) == len(details) == is_off, (trace, patterns)
+            if is_off:
+                assert warnings[0].startswith("1 trace(s) have pattern combinations outside")
+                assert "outside the category lattice" in details[0] and repr(trace) in details[0]
                 off.append((kind, tuple(patterns.values())))
         # every Irregular/Never file triple is on the lattice now
         irregular_or_never = {FieldPattern.IRREGULAR, FieldPattern.NEVER}
@@ -439,6 +523,25 @@ class TestCategorizeMatrix:
         assert analyses["c:\\alpha.dat"].category.label is CategoryLabel.AU5
         assert not analyses["c:\\alpha.dat"].category.confounded
         assert analyses["c:\\beta.dat"].category.confounded
+
+    def test_off_lattice_traces_get_one_summary_warning(self, caplog):
+        created_only = {"modified": (F, F), "accessed": (F, F), "created": (T, T)}
+        traces = ["C:\\a.dat", "C:\\b.dat", "C:\\c.dat", "C:\\ok.dat"]
+        vectors = {fold_path(t): created_only for t in traces[:3]}
+        vectors[fold_path(traces[3])] = {"modified": (T, T)}
+        matrix = UpdateMatrix(
+            runs=RUNS[:2],
+            vectors=vectors,
+            kinds={fold_path(t): RecordKind.FILE for t in traces},
+            display={fold_path(t): t for t in traces},
+        )
+        with caplog.at_level("DEBUG", logger="tracesig"):
+            analyses = categorize_matrix(matrix)
+        [warning] = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warning.startswith("3 trace(s) have pattern combinations outside")
+        details = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert [t for t in traces if any(repr(t) in d for d in details)] == traces[:3]
+        assert analyses["c:\\a.dat"] == TraceAnalysis(TraceCategory(CategoryLabel.IU), "created")
 
     def test_without_background_nothing_is_confounded(self):
         action = build_update_matrix(two_run_obs(), TraceNameSet.of(["C:\\beta.dat"]))

@@ -483,6 +483,17 @@ class TestSimulateDeriveRoundTrip:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {run} is not UTF-8 text: ")
 
+    def test_byte_order_marks_leave_the_derived_signature_alone(self, sim_tree, tmp_path, capsys):
+        obs = sim_tree / "obs" / "app.open"
+        derive = ["derive", "--obs", str(obs), "--action", "app.open", "--platform", "sim"]
+        plain, marked = tmp_path / "plain.sig", tmp_path / "marked.sig"
+        assert main(derive + ["-o", str(plain)]) == 0
+        for path in obs.iterdir():  # every run snapshot and sessions.csv
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(derive + ["-o", str(marked)]) == 0
+        capsys.readouterr()
+        assert marked.read_bytes() == plain.read_bytes()
+
     def test_inspect_emits_the_matrix(self, sim_tree, capsys):
         rc = main(["inspect", "--obs", str(sim_tree / "obs" / "app.open")])
         out = capsys.readouterr().out

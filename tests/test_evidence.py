@@ -1,4 +1,3 @@
-import io
 import string
 from calendar import timegm
 from datetime import datetime
@@ -231,10 +230,6 @@ class TestSnapshotIO:
         assert pf.accessed is None
         key = snap.get(RecordKind.REGKEY, f"{HKU}\\Software\\Microsoft\\CTF\\TIP")
         assert key.modified.precision_s == 60
-
-    def test_accepts_file_object(self):
-        snap = parse_snapshot(io.StringIO(SNAPSHOT_TEXT))
-        assert len(snap) == 2
 
     def test_save_parse_identity(self):
         snap = parse_snapshot(SNAPSHOT_TEXT)

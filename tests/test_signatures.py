@@ -307,6 +307,30 @@ class TestDeriveSignature:
         assert load_signature(text).platform == "xp"
 
 
+    def test_shortcut_launches_are_read_from_accessed(self):
+        # sessions 0,0,1,1 launched through the shortcut on runs 1 and 3; its
+        # modified time moves on run 0 alone, so that field is Irregular
+        lnk = f"{ADMIN}\\Desktop\\App.lnk"
+        meta = xp_meta()
+        times = {"m": "2010-04-01T08:00:00Z", "a": "2010-04-01T08:00:00Z"}
+        obs = []
+        for run, (session, launch) in enumerate([(0, None), (0, lnk), (1, None), (1, lnk)]):
+            before = snap_of([frec(lnk, m=times["m"], a=times["a"])], meta=meta)
+            now = f"2010-04-01T1{run}:00:00Z"
+            if run == 0:
+                times["m"] = now
+            if launch:
+                times["a"] = now
+            after = snap_of([frec(lnk, m=times["m"], a=times["a"])], meta=meta)
+            obs.append(RunObservation(run, session, launch, before, after))
+        matrix = build_update_matrix(obs, TraceNameSet.of([lnk]))
+        sig = derive_signature("app.open", matrix, None, obs[0].before)
+        [entry] = sig.supporting
+        assert entry.template.text == "%HomeDrive%\\%HomePath%\\Desktop\\App.lnk"
+        assert entry.category.label is CategoryLabel.UB
+        assert entry.field == "accessed"
+
+
 class TestTemplateCollision:
     """Two always-updated files share a generalized name; background touches one."""
 

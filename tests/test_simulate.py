@@ -9,6 +9,7 @@ from tracesig.capture import TraceNameSet
 from tracesig.categorize import CategoryLabel, build_update_matrix
 from tracesig.data import fixture_text
 from tracesig.evidence import RecordKind
+from tracesig.signatures import derive_signature
 from tracesig.simulate import (
     Always,
     Background,
@@ -25,6 +26,7 @@ from tracesig.simulate import (
     draw_latency,
     draw_uniform,
     load_scenario,
+    oracle_compare,
     planted_categories,
     run_scenario,
     write_scenario_outputs,
@@ -272,6 +274,36 @@ class TestPlantedTruth:
         planted = planted_categories(tiny_scenario(model=model, script=script))
         assert planted["a.one"]["C:\\shared"].confounded
         assert planted["a.two"]["C:\\shared"].confounded
+
+
+class TestOracleCompare:
+    def test_irregular_draws_covering_every_session_first_are_an_artifact(self):
+        # No rule plants IUI, but a probability rule on accessed can draw a
+        # vector that hits every session's first run, which classifies as IUI.
+        pf = "C:\\WINDOWS\\Prefetch\\APP.EXE-0BADF00D.pf"
+        cookie = "C:\\Users\\u\\Cookies\\c.txt"
+        model = {
+            "app.open": (
+                UpdateRule(pf, RecordKind.FILE, "modified", Always()),
+                UpdateRule(cookie, RecordKind.FILE, "accessed", Probability(0.5)),
+            )
+        }
+        script = tuple(
+            ScriptStep(t(f"2010-05-01T{hour:02d}:00:00Z"), "app.open", session)
+            for hour, session in ((9, 0), (10, 0), (14, 1), (15, 1))
+        )
+        sc = Scenario(seed=0, meta=xp_meta(capture="2010-05-01T23:00:00Z"), model=model, script=script)
+        result = run_scenario(sc)
+        obs = result.observations["app.open"]
+        matrix = build_update_matrix(obs, TraceNameSet.of([pf, cookie]))
+        assert matrix.vectors[cookie.lower()]["accessed"] == (True, True, True, False)
+        sig = derive_signature("app.open", matrix, None, obs[0].before)
+        report = oracle_compare(result.planted["app.open"], sig, matrix)
+        [entry] = report.disagreements()
+        assert entry.trace == cookie and entry.planted.label is CategoryLabel.IU
+        assert entry.classified.label is CategoryLabel.IUI
+        assert report.artifacts() == [entry]
+        assert report.clean
 
 
 class TestScenarioJson:

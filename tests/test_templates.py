@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from conftest import HKU, SID, frec, krec, snap_of, xp_meta
@@ -127,6 +127,18 @@ class TestGeneralize:
     def test_hex_run_needs_a_digit(self, path, expected):
         assert gen(path) == expected
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("cafe-1a2b3c.dat", "cafe-%s.dat"),
+            ("a-000000.dat", "a-%s.dat"),
+            ("1a2b3c-4d5e6f.bin", "%s-%s.bin"),
+            ("2cedbfbc-dba8-43aa-b1fd-cc8e6316e3e2.dat", "%s.dat"),
+        ],
+    )
+    def test_each_dash_piece_is_judged_alone_except_a_guid(self, name, expected):
+        assert gen(f"C:\\app\\{name}") == f"C:\\app\\{expected}"
+
     @pytest.mark.parametrize("run", ["deadbeef", "cafebabedeadbeef", "abcdef" * 5 + "ab", "fade" * 10])
     def test_hash_length_hex_run_needs_no_digit(self, run):
         assert gen(f"C:\\x\\{run}.bin") == "C:\\x\\%s.bin"
@@ -149,6 +161,22 @@ class TestGeneralize:
     def test_kind_inferred_from_hive_prefix(self):
         assert generalize_path("HKEY_LOCAL_MACHINE\\X", xp_meta()).kind is RecordKind.REGKEY
         assert generalize_path("C:\\x.txt", xp_meta()).kind is RecordKind.FILE
+
+
+# an ordinary word: shorter than a hex run, or holding a letter past f
+ORDINARY_WORDS = hs.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=10).filter(
+    lambda w: len(w) < 6 or not set(w) <= set("abcdef")
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ORDINARY_WORDS, ORDINARY_WORDS, hs.text("0123456789abcdef", min_size=6, max_size=12))
+def test_generalized_name_matches_no_sibling_with_another_word(word, other, token):
+    assume(word != other)
+    path, sibling = f"C:\\app\\{word}-{token}.dat", f"C:\\app\\{other}-{token}.dat"
+    snap = snap_of([frec(p, m="2010-04-01T10:00:00Z") for p in (path, sibling)])
+    tpl = generalize_path(path, snap.meta)
+    assert [rec.path for rec, _ in instantiate(tpl, snap)] == [path]
 
 
 class TestInstantiate:
