@@ -33,7 +33,7 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -47,6 +47,7 @@ from .evidence import (
     fold_path,
     parse_snapshot,
     read_utf8,
+    reraise_as,
     save_snapshot,
 )
 from .capture import TraceNameSet
@@ -175,7 +176,8 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     """Diff each run's snapshot pair into per-trace, per-field update vectors.
 
     A run is the first of its session when no lower run index shares its
-    session id.
+    session id.  Every snapshot must describe the same system; only its
+    capture time may differ.
     """
     if not obs:
         raise ValueError("at least one run observation is required")
@@ -183,8 +185,8 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     if [o.run_index for o in ordered] != list(range(len(ordered))):
         raise ValueError("run indexes must be exactly 0..n-1")
     meta0 = ordered[0].before.meta
-    for o in ordered:
-        if o.before.meta != meta0 or o.after.meta != meta0:
+    for snap in [s for o in ordered for s in (o.before, o.after)]:
+        if replace(snap.meta, capture_time=meta0.capture_time) != meta0:
             raise ValueError("observations use inconsistent snapshot metadata")
     sessions: set[int] = set()
     runs = []
@@ -414,10 +416,8 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
 def _read_run(path: Path) -> Snapshot:
     """Parse one run snapshot; an error names the file among the 2N of the directory."""
     text = read_utf8(path)
-    try:
+    with reraise_as(SnapshotFormatError, str(path)):
         return parse_snapshot(text)
-    except SnapshotFormatError as exc:
-        raise SnapshotFormatError(f"{path}: {exc}")
 
 
 def _session_int(cell: str, column: str, row_no: int) -> int:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 import string
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from enum import Enum
@@ -26,6 +28,7 @@ from typing import Iterable, Iterator, Mapping
 __all__ = [
     "FIELDS",
     "ArtifactRecord",
+    "JsonObject",
     "RecordKind",
     "Snapshot",
     "SnapshotFormatError",
@@ -35,7 +38,9 @@ __all__ = [
     "format_timestamp",
     "parse_snapshot",
     "parse_timestamp",
+    "read_json",
     "read_utf8",
+    "reraise_as",
     "save_snapshot",
 ]
 
@@ -55,6 +60,101 @@ def read_utf8(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}")
+
+
+_REQUIRED = object()
+
+# Each JSON type a loader reads: how an error names it, and its test.  The
+# tests compare exact types because JSON true and false load as bool, an int.
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    bool: ("true or false", lambda v: type(v) is bool),
+    list: ("a list", lambda v: type(v) is list),
+    dict: ("a JSON object", lambda v: type(v) is dict),
+    list[str]: ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+    dict[str, str]: (
+        "an object of strings",
+        lambda v: type(v) is dict and all(type(s) is str for s in v.values()),
+    ),
+    (int, str): ("an integer or a string", lambda v: type(v) in (int, str)),
+}
+
+
+def _at(where: str, message: str) -> str:
+    return f"{where}: {message}" if where else message
+
+
+class reraise_as(AbstractContextManager):
+    """Raise a ValueError from the block, a constructor's refusal say, as the
+    loader's own ``error`` naming ``where``; keep reads that name their own
+    place outside it.  A class: a generator-based one slows a small load."""
+
+    def __init__(self, error: type[ValueError], where: str) -> None:
+        self._error, self._where = error, where
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, ValueError):
+            raise self._error(_at(self._where, str(exc))) from exc
+
+
+class JsonObject:
+    """One object of a JSON input document.  A read raises the loader's own
+    ``error`` naming the place of the bad value: ``meta.sids`` in a named
+    object, ``core[1]: template`` in a list item, ``model['app.open']`` in a
+    map, an object whose keys the document chooses (``keys=None``)."""
+
+    def __init__(
+        self, value: object, where: str, error: type[ValueError], keys: Iterable[str] | None
+    ) -> None:
+        if type(value) is not dict:
+            raise error(f"{where or 'the document'} must be a JSON object")
+        if keys is not None and not set(value) <= set(keys):
+            raise error(_at(where, f"unknown keys {sorted(set(value) - set(keys))}"))
+        self.value, self.where, self._error, self._keys = value, where, error, keys
+
+    def name(self, key: str) -> str:
+        if self._keys is None:
+            return f"{self.where}[{key!r}]"
+        if not self.where:
+            return key
+        return f"{self.where}{': ' if self.where.endswith(']') else '.'}{key}"
+
+    def get(self, key: str, kind, default=_REQUIRED):
+        """The value at ``key`` as ``kind``, a key of ``_JSON_TYPES`` or an
+        Enum.  An absent key gives ``default`` if there is one."""
+        if key not in self.value:
+            if default is _REQUIRED:
+                raise self._error(_at(self.where, f"missing key {key!r}"))
+            return default
+        value = self.value[key]
+        if kind in _JSON_TYPES:
+            words, test = _JSON_TYPES[kind]
+            if not test(value):
+                raise self._error(f"{self.name(key)} must be {words}")
+            return value
+        try:
+            return kind(value)
+        except ValueError:
+            raise self._error(_at(self.where, f"unknown {key} {value!r}")) from None
+
+    def object(self, key: str, keys: Iterable[str] | None = None) -> JsonObject:
+        return JsonObject(self.get(key, dict), self.name(key), self._error, keys)
+
+    def objects(self, key: str, keys: Iterable[str], default=_REQUIRED) -> list[JsonObject]:
+        """The list at ``key``, whose items are objects holding only ``keys``."""
+        where, items = self.name(key), self.get(key, list, default)
+        return [JsonObject(v, f"{where}[{i}]", self._error, keys) for i, v in enumerate(items)]
+
+
+def read_json(text: str, error: type[ValueError], keys: Iterable[str]) -> JsonObject:
+    """The top-level object of a JSON document, holding only ``keys``."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"not valid JSON: {exc}")
+    return JsonObject(value, "", error, keys)
 
 
 def fold_path(path: str) -> str:
@@ -181,9 +281,17 @@ class ArtifactRecord:
         return (self.kind, fold_path(self.path))
 
 
+# The characters str.splitlines breaks a line at, and NUL, which the csv
+# reader before Python 3.11 refuses: no line of a saved snapshot holds them.
+_NOT_IN_A_LINE = re.compile("[\x00\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 @dataclass(frozen=True)
 class SnapshotMeta:
-    """System facts required to interpret and generalize evidence paths."""
+    """System facts required to interpret and generalize evidence paths.
+
+    Each value must survive the ``#key=value`` lines of a saved snapshot.
+    """
 
     system_root: str
     home_drive: str
@@ -192,6 +300,28 @@ class SnapshotMeta:
     last_access_enabled: bool
     capture_time: TimePoint
     install_paths: Mapping[str, str] = dc_field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        values = {
+            "system_root": self.system_root,
+            "home_drive": self.home_drive,
+            "home_path": self.home_path,
+            **{f"sid {sid!r}": sid for sid in self.sids},
+            **{f"install path {name!r}": name + path for name, path in self.install_paths.items()},
+        }
+        for key, value in values.items():
+            if _NOT_IN_A_LINE.search(value):
+                raise ValueError(f"{key} holds a line break or NUL: {value!r}")
+        if "" in self.sids:
+            raise ValueError("a SID must be non-empty")
+        for name in self.install_paths:
+            if not name or "=" in name or "%" in name or name != name.strip():
+                raise ValueError(
+                    f"install path name {name!r} must be non-empty, "
+                    "with no '=', '%' or outer whitespace"
+                )
+        if self.capture_time.precision_s != 1:
+            raise ValueError("capture_time must be to the second")
 
 
 @dataclass(frozen=True)
@@ -293,10 +423,7 @@ def parse_snapshot(text: str) -> Snapshot:
         if key == "sid":
             sids.append(value)
         elif key.startswith("install_path."):
-            name = key[len("install_path."):]
-            if not name:
-                raise SnapshotFormatError(f"install_path key needs a name: {line!r}")
-            install_paths[name] = value
+            install_paths[key[len("install_path."):]] = value
         elif key in _REQUIRED_META:
             if key in singles:
                 raise SnapshotFormatError(f"duplicate metadata key {key!r}")
@@ -313,19 +440,18 @@ def parse_snapshot(text: str) -> Snapshot:
         raise SnapshotFormatError(
             f"last_access_enabled must be 'true' or 'false', got {flag!r}"
         )
-    try:
+    with reraise_as(SnapshotFormatError, "#capture_time"):
         capture_time = TimePoint(parse_timestamp(singles["capture_time"]))
-    except ValueError as exc:
-        raise SnapshotFormatError(f"#capture_time: {exc}")
-    meta = SnapshotMeta(
-        system_root=singles["system_root"],
-        home_drive=singles["home_drive"],
-        home_path=singles["home_path"],
-        sids=tuple(sids),
-        last_access_enabled=(flag == "true"),
-        capture_time=capture_time,
-        install_paths=install_paths,
-    )
+    with reraise_as(SnapshotFormatError, "metadata"):
+        meta = SnapshotMeta(
+            system_root=singles["system_root"],
+            home_drive=singles["home_drive"],
+            home_path=singles["home_path"],
+            sids=tuple(sids),
+            last_access_enabled=(flag == "true"),
+            capture_time=capture_time,
+            install_paths=install_paths,
+        )
 
     if idx >= len(lines) or lines[idx] != _HEADER_ROW:
         raise SnapshotFormatError(f"missing column header row {_HEADER_ROW!r}")
@@ -364,7 +490,9 @@ def _parse_row(row: list[str], line_no: int) -> ArtifactRecord:
     def point(cell: str) -> TimePoint | None:
         return None if cell == "" else TimePoint(parse_timestamp(cell), precision)
 
-    try:
+    if "\x00" in path:  # as the csv reader before Python 3.11 does
+        raise SnapshotFormatError(f"line {line_no}: record path holds NUL")
+    try:  # not reraise_as: per row, its object and message cost ~12 ms per 20k rows
         return ArtifactRecord(
             kind=kind,
             path=path,
@@ -380,7 +508,8 @@ def save_snapshot(snap: Snapshot) -> str:
     """Serialize a snapshot to canonical CSV text.
 
     Records are sorted by kind then folded path so that serialization is
-    byte-stable; parse followed by save followed by parse is an identity.
+    byte-stable; parse followed by save followed by parse is an identity.  A
+    record one row cannot hold (a line break, NUL, mixed precisions) is refused.
     """
     out = io.StringIO()
     meta = snap.meta
@@ -403,6 +532,8 @@ def save_snapshot(snap: Snapshot) -> str:
             raise SnapshotFormatError(
                 f"{rec.path!r} mixes timestamp precisions; one row holds one precision"
             )
+        if _NOT_IN_A_LINE.search(rec.path):
+            raise SnapshotFormatError(f"{rec.path!r} holds a line break or NUL; no row can")
         cells = [rec.kind.value, rec.path]
         for f in FIELDS:
             point = rec.timestamp(f)

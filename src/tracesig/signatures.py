@@ -24,8 +24,8 @@ from importlib.resources import files
 from typing import Iterable
 
 from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
-from .evidence import FIELDS, RecordKind, Snapshot, fold_path
-from .templates import PathTemplate, TemplateSyntaxError, generalize_path
+from .evidence import FIELDS, JsonObject, RecordKind, Snapshot, fold_path, read_json, reraise_as
+from .templates import PathTemplate, generalize_path
 
 __all__ = [
     "DEFAULT_WINDOW_S",
@@ -115,97 +115,38 @@ class Signature:
         return len(self.core) <= 1
 
 
-def _parse_entry(entry: object, where: str, supporting: bool) -> CoreTrace | SupportingTrace:
-    if not isinstance(entry, dict):
-        raise SignatureFormatError(f"{where}: trace entries must be JSON objects")
-    known = {"kind", "template", "field"} | ({"category", "confounded"} if supporting else set())
-    unknown = set(entry) - known
-    if unknown:
-        raise SignatureFormatError(f"{where}: unknown keys {sorted(unknown)}")
-    try:
-        kind_text = entry["kind"]
-        template_text = entry["template"]
-        field = entry["field"]
-    except KeyError as exc:
-        raise SignatureFormatError(f"{where}: missing key {exc.args[0]!r}")
-    try:
-        kind = RecordKind(kind_text)
-    except ValueError:
-        raise SignatureFormatError(f"{where}: unknown kind {kind_text!r}")
-    if not isinstance(template_text, str):
-        raise SignatureFormatError(f"{where}: template must be a string")
-    try:
-        template = PathTemplate(template_text, kind)
-    except TemplateSyntaxError as exc:
-        raise SignatureFormatError(f"{where}: bad template {template_text!r}: {exc}")
-    try:
+def _parse_entry(entry: JsonObject, supporting: bool) -> CoreTrace | SupportingTrace:
+    kind = entry.get("kind", RecordKind)
+    text, field = entry.get("template", str), entry.get("field", str)
+    with reraise_as(SignatureFormatError, f"{entry.where}: bad template {text!r}"):
+        template = PathTemplate(text, kind)
+    label = entry.get("category", CategoryLabel) if supporting else None
+    confounded = entry.get("confounded", bool, False)  # a core entry holds no such key
+    with reraise_as(SignatureFormatError, entry.where):
         if not supporting:
             return CoreTrace(template=template, field=field)
-        try:
-            label = CategoryLabel(entry.get("category", ""))
-        except ValueError:
-            raise SignatureFormatError(f"{where}: unknown category {entry.get('category')!r}")
-        confounded = entry.get("confounded", False)
-        if not isinstance(confounded, bool):
-            raise SignatureFormatError(f"{where}: confounded must be a boolean")
-        return SupportingTrace(
-            template=template, field=field, category=TraceCategory(label, confounded)
-        )
-    except ValueError as exc:
-        if isinstance(exc, SignatureFormatError):
-            raise
-        raise SignatureFormatError(f"{where}: {exc}")
+        return SupportingTrace(template, field, TraceCategory(label, confounded))
 
 
 def load_signature(text: str) -> Signature:
     """Parse .sig JSON text, validating schema, templates and categories."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SignatureFormatError(f"not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise SignatureFormatError("signature file must hold a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
+    keys = ("schema", "action", "platform", "window_s", "core", "supporting")
+    doc = read_json(text, SignatureFormatError, keys)
+    schema = doc.get("schema", int, None)
+    if schema != SCHEMA_VERSION:
         raise SignatureFormatError(
-            f"unknown schema version {data.get('schema')!r}; this build reads version {SCHEMA_VERSION}"
+            f"unknown schema version {schema!r}; this build reads version {SCHEMA_VERSION}"
         )
-    unknown = set(data) - {"schema", "action", "platform", "window_s", "core", "supporting"}
-    if unknown:
-        raise SignatureFormatError(f"unknown top-level keys {sorted(unknown)}")
-    action = data.get("action")
-    if not isinstance(action, str) or not action:
-        raise SignatureFormatError("action must be a non-empty string")
-    platform = data.get("platform", "")
-    if not isinstance(platform, str):
-        raise SignatureFormatError("platform must be a string")
-    window_s = data.get("window_s", DEFAULT_WINDOW_S)
-    if not isinstance(window_s, int) or isinstance(window_s, bool):
-        raise SignatureFormatError("window_s must be an integer")
-    core_data = data.get("core")
-    if not isinstance(core_data, list):
-        raise SignatureFormatError("core must be a list")
-    supporting_data = data.get("supporting", [])
-    if not isinstance(supporting_data, list):
-        raise SignatureFormatError("supporting must be a list")
-
-    core = tuple(
-        _parse_entry(entry, f"core[{i}]", supporting=False)
-        for i, entry in enumerate(core_data)
-    )
+    action, platform = doc.get("action", str), doc.get("platform", str, "")
+    window_s = doc.get("window_s", int, DEFAULT_WINDOW_S)
+    entry_keys = ("kind", "template", "field")
+    core = tuple(_parse_entry(e, supporting=False) for e in doc.objects("core", entry_keys))
     supporting = tuple(
-        _parse_entry(entry, f"supporting[{i}]", supporting=True)
-        for i, entry in enumerate(supporting_data)
+        _parse_entry(e, supporting=True)
+        for e in doc.objects("supporting", entry_keys + ("category", "confounded"), [])
     )
-    try:
-        return Signature(
-            action=action,
-            platform=platform,
-            core=core,  # type: ignore[arg-type]
-            supporting=supporting,  # type: ignore[arg-type]
-            window_s=window_s,
-        )
-    except ValueError as exc:
-        raise SignatureFormatError(str(exc))
+    with reraise_as(SignatureFormatError, ""):
+        return Signature(action, platform, core, supporting, window_s)  # type: ignore[arg-type]
 
 
 def save_signature(sig: Signature) -> str:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -50,12 +50,15 @@ from .categorize import (
 from .evidence import (
     FIELDS,
     ArtifactRecord,
+    JsonObject,
     RecordKind,
     Snapshot,
     SnapshotMeta,
     TimePoint,
     fold_path,
     parse_timestamp,
+    read_json,
+    reraise_as,
     save_snapshot,
 )
 from .signatures import Signature
@@ -220,10 +223,8 @@ class Scenario:
                 raise ScenarioError(f"script references undefined action {step.action!r}")
         if times[-1] + MAX_LATENCY_S > self.meta.capture_time.hi:
             raise ScenarioError("capture_time must fall after the last step plus latency")
-        try:
+        with reraise_as(ScenarioError, "script[0]: the baseline a day before it"):
             TimePoint(times[0] - _BASELINE_LEAD_S)
-        except ValueError as exc:
-            raise ScenarioError(f"script[0]: the baseline a day before it: {exc}")
         seen: dict[tuple[str, str, str], str] = {}
         kinds: dict[str, RecordKind] = {}
         for action, rules in self.model.items():
@@ -242,145 +243,71 @@ class Scenario:
 # --- scenario JSON ----------------------------------------------------------
 
 
-def _parse_time(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ScenarioError(f"{where}: time must be epoch seconds or ISO-8601 text")
-    try:  # TimePoint holds the range a timestamp may take
-        return TimePoint(value if isinstance(value, int) else parse_timestamp(value)).epoch_s
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}")
+_NAMED_MODES = dict(always=Always, first_run_of_session=FirstRunOfSession, background=Background)
 
 
-def _parse_mode(value: object, where: str) -> UpdateMode:
-    if value == "always":
-        return Always()
-    if value == "first_run_of_session":
-        return FirstRunOfSession()
-    if value == "background":
-        return Background()
-    if isinstance(value, dict) and len(value) == 1:
-        if "probability" in value:
-            p = value["probability"]
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise ScenarioError(f"{where}: probability must be a number")
-            return Probability(float(p))
-        if "usage_based" in value:
-            method = value["usage_based"]
-            if not isinstance(method, str) or not method:
-                raise ScenarioError(f"{where}: usage_based needs a launch method path")
-            return UsageBased(method)
-    raise ScenarioError(f"{where}: unknown mode {value!r}")
+def _parse_time(obj: JsonObject, key: str, where: str) -> TimePoint:
+    value = obj.get(key, (int, str))
+    with reraise_as(ScenarioError, where):  # TimePoint holds the range a timestamp may take
+        return TimePoint(value if isinstance(value, int) else parse_timestamp(value))
+
+
+def _parse_mode(rule: JsonObject) -> UpdateMode:
+    value = rule.value.get("mode")
+    if type(value) is str:
+        if value in _NAMED_MODES:
+            return _NAMED_MODES[value]()
+    else:
+        mode = rule.object("mode", ("probability", "usage_based"))
+        if set(mode.value) == {"probability"}:
+            p = mode.get("probability", float)
+            with reraise_as(ScenarioError, mode.where):
+                return Probability(float(p))
+        if set(mode.value) == {"usage_based"} and (method := mode.get("usage_based", str)):
+            return UsageBased(method)  # a launch method path
+    raise ScenarioError(f"{rule.where}: unknown mode {value!r}")
+
+
+def _parse_rule(rule: JsonObject) -> UpdateRule:
+    trace, kind = rule.get("trace", str), rule.get("kind", RecordKind)
+    field, mode = rule.get("field", str), _parse_mode(rule)
+    latency_s = rule.get("latency_s", int, None)
+    with reraise_as(ScenarioError, rule.where):
+        return UpdateRule(trace, kind, field, mode, latency_s)
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse scenario JSON: seed, meta, model (rules per action), script."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario file must hold a JSON object")
-    unknown = set(data) - {"seed", "meta", "model", "script"}
-    if unknown:
-        raise ScenarioError(f"unknown top-level keys {sorted(unknown)}")
-    seed = data.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("seed must be an integer")
-    meta_data = data.get("meta")
-    if not isinstance(meta_data, dict):
-        raise ScenarioError("meta must be a JSON object")
-    for key in ("system_root", "home_drive", "home_path"):
-        if not isinstance(meta_data.get(key, ""), str):
-            raise ScenarioError(f"meta.{key} must be a string")
-    sids = meta_data.get("sids", [])
-    if not isinstance(sids, list) or not all(isinstance(sid, str) for sid in sids):
-        raise ScenarioError("meta.sids must be a list of strings")
-    last_access_enabled = meta_data.get("last_access_enabled", True)
-    if not isinstance(last_access_enabled, bool):
-        raise ScenarioError("meta.last_access_enabled must be true or false")
-    install_paths = meta_data.get("install_paths", {})
-    if not isinstance(install_paths, dict) or not all(
-        isinstance(path, str) for path in install_paths.values()
-    ):
-        raise ScenarioError("meta.install_paths must map names to path strings")
-    try:
-        meta = SnapshotMeta(
-            system_root=meta_data["system_root"],
-            home_drive=meta_data["home_drive"],
-            home_path=meta_data["home_path"],
-            sids=tuple(sids),
-            last_access_enabled=last_access_enabled,
-            capture_time=TimePoint(_parse_time(meta_data["capture_time"], "meta.capture_time")),
-            install_paths=dict(install_paths),
+    doc = read_json(text, ScenarioError, ("seed", "meta", "model", "script"))
+    seed = doc.get("seed", int)
+    meta = doc.object("meta", [f.name for f in dc_fields(SnapshotMeta)])
+    meta_values = dict(
+        system_root=meta.get("system_root", str),
+        home_drive=meta.get("home_drive", str),
+        home_path=meta.get("home_path", str),
+        sids=tuple(meta.get("sids", list[str], [])),
+        last_access_enabled=meta.get("last_access_enabled", bool, True),
+        capture_time=_parse_time(meta, "capture_time", meta.name("capture_time")),
+        install_paths=dict(meta.get("install_paths", dict[str, str], {})),
+    )
+    with reraise_as(ScenarioError, meta.where):
+        snapshot_meta = SnapshotMeta(**meta_values)
+    model = doc.object("model")
+    rules = {
+        action: tuple(
+            _parse_rule(rule)
+            for rule in model.objects(action, ("trace", "kind", "field", "mode", "latency_s"))
         )
-    except KeyError as exc:
-        raise ScenarioError(f"meta is missing key {exc.args[0]!r}")
-
-    model_data = data.get("model")
-    if not isinstance(model_data, dict) or not model_data:
-        raise ScenarioError("model must map at least one action to its rules")
-    model: dict[str, tuple[UpdateRule, ...]] = {}
-    for action, rules_data in model_data.items():
-        if not isinstance(rules_data, list):
-            raise ScenarioError(f"model[{action!r}] must be a list of rules")
-        rules = []
-        for i, rule_data in enumerate(rules_data):
-            where = f"model[{action!r}][{i}]"
-            if not isinstance(rule_data, dict):
-                raise ScenarioError(f"{where}: rules must be JSON objects")
-            unknown = set(rule_data) - {"trace", "kind", "field", "mode", "latency_s"}
-            if unknown:
-                raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-            try:
-                kind = RecordKind(rule_data.get("kind"))
-            except ValueError:
-                raise ScenarioError(f"{where}: unknown kind {rule_data.get('kind')!r}")
-            trace = rule_data.get("trace", "")
-            if not isinstance(trace, str):
-                raise ScenarioError(f"{where}: trace must be a string")
-            latency_s = rule_data.get("latency_s")
-            if latency_s is not None and (isinstance(latency_s, bool) or not isinstance(latency_s, int)):
-                raise ScenarioError(f"{where}: latency_s must be an integer")
-            rules.append(
-                UpdateRule(
-                    trace=trace,
-                    kind=kind,
-                    field=rule_data.get("field", ""),
-                    mode=_parse_mode(rule_data.get("mode"), where),
-                    latency_s=latency_s,
-                )
-            )
-        model[action] = tuple(rules)
-
-    script_data = data.get("script")
-    if not isinstance(script_data, list):
-        raise ScenarioError("script must be a list of steps")
-    script = []
-    for i, step_data in enumerate(script_data):
-        where = f"script[{i}]"
-        if not isinstance(step_data, dict):
-            raise ScenarioError(f"{where}: steps must be JSON objects")
-        unknown = set(step_data) - {"time", "action", "session", "launch"}
-        if unknown:
-            raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-        session = step_data.get("session")
-        if isinstance(session, bool) or not isinstance(session, int):
-            raise ScenarioError(f"{where}: session must be an integer")
-        action = step_data.get("action", "")
-        if not isinstance(action, str):
-            raise ScenarioError(f"{where}: action must be a string")
-        launch = step_data.get("launch")
-        if launch is not None and not isinstance(launch, str):
-            raise ScenarioError(f"{where}: launch must be a string")
-        script.append(
-            ScriptStep(
-                time=_parse_time(step_data.get("time"), where),
-                action=action,
-                session_id=session,
-                launch_method=launch,
-            )
+        for action in model.value
+    }
+    script = tuple(
+        ScriptStep(
+            _parse_time(step, "time", step.where).epoch_s, step.get("action", str),
+            step.get("session", int), step.get("launch", str, None),
         )
-    return Scenario(seed=seed, meta=meta, model=model, script=tuple(script))
+        for step in doc.objects("script", ("time", "action", "session", "launch"))
+    )
+    return Scenario(seed=seed, meta=snapshot_meta, model=rules, script=script)
 
 
 # --- execution --------------------------------------------------------------

@@ -489,10 +489,12 @@ class TestBuildUpdateMatrix:
             build_update_matrix(broken, TraceNameSet.of(["C:\\alpha.dat"]))
 
     def test_meta_must_agree_across_runs(self):
-        obs = two_run_obs()
-        other = two_run_obs(meta=xp_meta(capture="2010-04-14T17:19:00Z"))
+        obs, names = two_run_obs(), TraceNameSet.of(["C:\\alpha.dat"])
+        later = two_run_obs(meta=xp_meta(capture="2010-04-14T17:19:00Z"))
+        build_update_matrix([obs[0], later[1]], names)  # only the capture time differs
+        other = two_run_obs(meta=xp_meta(home_path="\\Documents and Settings\\Other"))
         with pytest.raises(ValueError, match="metadata"):
-            build_update_matrix([obs[0], other[1]], TraceNameSet.of(["C:\\alpha.dat"]))
+            build_update_matrix([obs[0], other[1]], names)
 
     def test_first_of_session_follows_run_order(self):
         run = two_run_obs()[0]

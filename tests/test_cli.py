@@ -494,6 +494,23 @@ class TestSimulateDeriveRoundTrip:
         capsys.readouterr()
         assert marked.read_bytes() == plain.read_bytes()
 
+    def test_runs_captured_at_other_times_derive_the_same_signature(self, sim_tree, tmp_path, capsys):
+        obs = sim_tree / "obs" / "app.open"
+        derive = ["derive", "--obs", str(obs), "--action", "app.open", "--platform", "sim"]
+        plain, later = tmp_path / "plain.sig", tmp_path / "later.sig"
+        assert main(derive + ["-o", str(plain)]) == 0
+        for path in obs.glob("run*_after.csv"):
+            text = path.read_text(encoding="utf-8")
+            assert "#capture_time=2010-05-02T00:00:00Z\n" in text
+            path.write_text(
+                text.replace("#capture_time=2010-05-02T00:00:00Z", "#capture_time=2010-05-02T00:05:00Z"),
+                encoding="utf-8",
+            )
+        assert main(derive + ["-o", str(later)]) == 0
+        assert main(["inspect", "--obs", str(obs)]) == 0
+        capsys.readouterr()
+        assert later.read_bytes() == plain.read_bytes()
+
     def test_inspect_emits_the_matrix(self, sim_tree, capsys):
         rc = main(["inspect", "--obs", str(sim_tree / "obs" / "app.open")])
         out = capsys.readouterr().out

@@ -99,6 +99,9 @@ class TestLoadSignature:
             ({"window_s": "60"}, "window_s"),
             ({"window_s": True}, "window_s"),
             ({"core": {"kind": "file"}}, "core"),
+            ({"schema": True}, "^schema must be an integer"),
+            ({"platform": 5}, "^platform must be a string"),
+            ({"core": [5]}, r"^core\[0\] must be a JSON object"),
         ],
     )
     def test_top_level_validation(self, mutate, fragment):

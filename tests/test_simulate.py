@@ -349,11 +349,22 @@ class TestScenarioJson:
             ("rule", "trace", 5, "trace"),
             ("step", "action", [], "action"),
             ("step", "launch", 5, "launch"),
+            ("top", "seed", True, "^seed must be an integer"),
+            ("step", "session", "0", r"^script\[0\]: session must be an integer"),
+            ("rule", "mode", {"probability": True}, r"mode\.probability must be a number"),
+            ("meta", "last_acess_enabled", False, r"^meta: unknown keys \['last_acess_enabled'\]"),
+            ("rule", "field", "changed", r"^model\['app.open'\]\[0\]: unknown timestamp field"),
+            ("rule", "mode", {"probability": 1.5}, r"^model\['app.open'\]\[0\]: mode: probability"),
+            ("rule", "mode", 5, r"^model\['app.open'\]\[0\]: mode must be a JSON object"),
+            ("meta", "home_path", "\\x\n#sid=S-1-5", "^meta: home_path holds a line break"),
+            ("meta", "sids", [""], "^meta: a SID must be non-empty"),
+            ("meta", "install_paths", {"A=B": "C:\\x"}, "^meta: install path name 'A=B'"),
         ],
     )
     def test_value_of_wrong_json_type(self, section, key, value, fragment):
         data = self.base()
         target = {
+            "top": data,
             "meta": data["meta"],
             "rule": data["model"]["app.open"][0],
             "step": data["script"][0],
