@@ -392,10 +392,18 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
     if not sessions_file.exists():
         raise ValueError(f"missing sessions.csv in {directory}")
     lines = read_utf8(sessions_file).splitlines()
+    sessions: dict[int, tuple[int, str | None]] = {}
+
+    def add_session(row: list[str]) -> None:
+        run, session = _parse_session(row)
+        if run in sessions:
+            raise ValueError(f"run {run} is listed twice")
+        sessions[run] = session
+
     with reraise_as(ValueError, str(sessions_file)):
         if read_csv(lines[:1], list, ValueError) != [_SESSIONS_HEADER]:
             raise ValueError("line 1: expected the header run,session,launch_method")
-        sessions = dict(read_csv(lines[1:], _parse_session, ValueError, first_line=2))
+        read_csv(lines[1:], add_session, ValueError, first_line=2)
     if set(sessions) != set(pairs):
         raise ValueError("sessions.csv rows do not match the run files")
 

@@ -18,12 +18,12 @@ import io
 import json
 import re
 import string
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field as dc_field
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "FIELDS",
@@ -237,7 +237,7 @@ _LATEST_S = 253402300799  # 9999-12-31T23:59:59Z
 _MAX_PRECISION_S = 86400  # one day: FAT's last-access date, the coarsest Windows time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimePoint:
     """A timestamp known to whole-second resolution or coarser.
 
@@ -294,7 +294,7 @@ def check_field(kind: RecordKind, field: str) -> None:
         raise ValueError(f"a {kind.value} has no {field} time, only {'/'.join(KIND_FIELDS[kind])}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArtifactRecord:
     """One file or registry key and whichever timestamps the export carried:
     a non-empty subset of its kind's ``KIND_FIELDS``."""
@@ -371,14 +371,16 @@ class SnapshotMeta:
 class Snapshot:
     """A full evidence set: metadata plus records keyed by (kind, folded path).
 
-    ``by_path`` sorts one kind's records by folded path on first use and
+    ``records`` is any mapping: a dict from ``build``, or, from
+    ``parse_snapshot``, one that builds each record from its validated row on
+    first lookup.  ``by_path`` sorts one kind's folded paths on first use and
     keeps the result, so the sort is paid only by snapshots that are searched
     or iterated.
     """
 
     meta: SnapshotMeta
     records: Mapping[tuple[RecordKind, str], ArtifactRecord]
-    _by_path: dict[RecordKind, tuple[tuple[str, ...], tuple[ArtifactRecord, ...]]] = dc_field(
+    _by_path: dict[RecordKind, tuple[str, ...]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -414,19 +416,20 @@ class Snapshot:
     def get(self, kind: RecordKind, path: str) -> ArtifactRecord | None:
         return self.records.get((kind, fold_path(path)))
 
-    def by_path(self, kind: RecordKind) -> tuple[tuple[str, ...], tuple[ArtifactRecord, ...]]:
-        """One kind's folded paths in sorted order, and their records in step."""
+    def by_path(self, kind: RecordKind) -> tuple[str, ...]:
+        """One kind's folded paths in sorted order; the record of each is
+        ``records[(kind, path)]``."""
         index = self._by_path.get(kind)
         if index is None:
-            folded = sorted(path for k, path in self.records if k is kind)
-            index = (tuple(folded), tuple(self.records[(kind, path)] for path in folded))
+            index = tuple(sorted(path for k, path in self.records if k is kind))
             self._by_path[kind] = index
         return index
 
     def __iter__(self) -> Iterator[ArtifactRecord]:
         """Records by kind (in ``RecordKind`` order, which is value order), then folded path."""
         for kind in RecordKind:
-            yield from self.by_path(kind)[1]
+            for path in self.by_path(kind):
+                yield self.records[(kind, path)]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -449,6 +452,12 @@ def parse_snapshot(text: str) -> Snapshot:
     ``parse_timestamp``).  Timestamp cells may be empty; ``precision_s``
     defaults to 1.  Fields containing commas are double-quoted with embedded
     quotes doubled.
+
+    Every row is validated here, but a record is built only when it is first
+    looked up (see ``_validated_rows``), so a search that reaches a few paths
+    builds a few records.  If that one-pass check refuses any row, the whole
+    text is parsed eagerly instead, every row through ``read_csv`` and
+    ``Snapshot.build``, which give every error.
     """
     lines = text.splitlines()
 
@@ -500,8 +509,111 @@ def parse_snapshot(text: str) -> Snapshot:
         raise SnapshotFormatError(f"missing column header row {_HEADER_ROW!r}")
     idx += 1
 
-    records = read_csv(lines[idx:], _parse_row, SnapshotFormatError, first_line=idx + 1)
+    rows = lines[idx:]
+    validated = _validated_rows(rows, meta)
+    if validated is not None:
+        return Snapshot(meta, validated)
+    records = read_csv(rows, _parse_row, SnapshotFormatError, first_line=idx + 1)
     return Snapshot.build(meta, records)
+
+
+# A row ``_validated_rows`` accepts: a kind, a path cell without a quote,
+# comma or NUL and no longer than Windows allows (the csv reader refuses a
+# cell over 131,072), three cells empty or canonical with the time of day in
+# range, and a precision in plain digits.
+_TIME_CELL = r"(\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\dZ)?"
+_ROW_TEXT = re.compile(
+    rf'((?i:file|regkey)),([^",\x00]{{1,32767}}),'
+    rf"{_TIME_CELL},{_TIME_CELL},{_TIME_CELL},([1-9]\d{{0,4}})?",
+    re.ASCII,
+)
+_KIND_OF = {kind.value: kind for kind in RecordKind}
+
+
+class _Days(dict):
+    """``YYYY-MM-DD`` text to the epoch seconds its day starts at, or None for
+    a date that does not exist or lies outside 1601..9998 (the last year is
+    left to the eager parse, as a time late in it may end past 9999)."""
+
+    def __missing__(self, day: str) -> int | None:
+        year = int(day[:4])
+        try:
+            start = date(year, int(day[5:7]), int(day[8:10])).toordinal() - _EPOCH_ORDINAL
+            start *= 86400
+        except ValueError:  # no such date
+            start = None
+        self[day] = start if 1601 <= year < 9999 else None
+        return self[day]
+
+
+class _RowRecords(Mapping):
+    """Records keyed by (kind, folded path), each held as its validated row
+    until first looked up, then built, kept, and its row dropped."""
+
+    def __init__(self, rows: dict[tuple[RecordKind, str], str], days: _Days) -> None:
+        self._rows, self._days = rows, days
+
+    def __getitem__(self, key: tuple[RecordKind, str]) -> ArtifactRecord:
+        value = self._rows[key]
+        if type(value) is str:
+            value = self._rows[key] = _build_record(key[0], value, self._days)
+        return value
+
+    def get(self, key, default=None):  # Mapping's own raises and catches a KeyError per miss
+        return self[key] if key in self._rows else default
+
+    def __iter__(self) -> Iterator[tuple[RecordKind, str]]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _validated_rows(rows: list[str], meta: SnapshotMeta) -> _RowRecords | None:
+    """The records of ``rows``, each built on first lookup, when every row
+    matches ``_ROW_TEXT`` and passes every check ``_parse_row`` and
+    ``Snapshot.build`` make; None as soon as one does not.  Each distinct day
+    is checked once, and the capture-time bound is a text comparison, as
+    canonical timestamps sort as text."""
+    capture = meta.capture_time.iso()
+    days = _Days()
+    table: dict[tuple[RecordKind, str], str] = {}
+    for line in rows:
+        match = _ROW_TEXT.fullmatch(line)
+        if match is None:
+            return None
+        kind_text, path, modified, accessed, created, precision = match.groups()
+        kind = _KIND_OF[kind_text.lower()]
+        if precision and int(precision) > _MAX_PRECISION_S:
+            return None
+        if kind is RecordKind.REGKEY and (accessed or created):
+            return None
+        if not (modified or accessed or created):
+            return None
+        for cell in (modified, accessed, created):
+            if cell is not None and (cell > capture or days[cell[:10]] is None):
+                return None
+        key = (kind, fold_path(path))
+        if key in table:
+            return None
+        if not meta.sids and kind is RecordKind.REGKEY and key[1].startswith("hkey_users\\"):
+            return None
+        table[key] = line
+    return _RowRecords(table, days)
+
+
+def _build_record(kind: RecordKind, line: str, days: _Days) -> ArtifactRecord:
+    """The record of one row ``_validated_rows`` accepted."""
+    _, path, *cells, precision_text = line.split(",")
+    precision = int(precision_text) if precision_text else 1
+    points = [
+        None if not cell else TimePoint(
+            days[cell[:10]] + int(cell[11:13]) * 3600 + int(cell[14:16]) * 60 + int(cell[17:19]),
+            precision,
+        )
+        for cell in cells
+    ]
+    return ArtifactRecord(kind, path, *points)
 
 
 def _parse_row(row: list[str]) -> ArtifactRecord:

@@ -300,9 +300,9 @@ def instantiate(
     Results never cross record kinds and come back sorted by folded path.
 
     Only records whose folded path starts with the template's expansion up to
-    its first unbound variable are tried.  They form one contiguous run of
-    ``Snapshot.by_path``, found with ``bisect``, so a call costs log N plus
-    the records under that prefix.
+    its first unbound variable are tried, and only they are built.  Their
+    paths form one contiguous run of ``Snapshot.by_path``, found with
+    ``bisect``, so a call costs log N plus the records under that prefix.
     """
     fixed_sid = fixed.sid if fixed is not None else None
     compiled = _compile(tpl, snap.meta, fixed_sid)
@@ -310,13 +310,13 @@ def instantiate(
         return []
     pattern, prefix = compiled
     folded_sids = {fold_path(s) for s in snap.meta.sids}
-    paths, records = snap.by_path(tpl.kind)
+    paths, records = snap.by_path(tpl.kind), snap.records
 
     out = []
     for i in range(bisect_left(paths, prefix), len(paths)):
         if not paths[i].startswith(prefix):
             break
-        rec = records[i]
+        rec = records[(tpl.kind, paths[i])]
         match = pattern.fullmatch(rec.path)
         if match is None:
             continue

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import string
 from calendar import timegm
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from conftest import HKU, SID, frec, krec, pt, snap_of, t, xp_meta
+from tracesig import evidence
 from tracesig.capture import CaptureFormatError, parse_capture
 from tracesig.categorize import RunObservation, read_observations, write_observations
 from tracesig.evidence import (
@@ -20,7 +23,9 @@ from tracesig.evidence import (
     fold_path,
     format_timestamp,
     parse_snapshot,
+    _parse_row,
     parse_timestamp,
+    read_csv,
     save_snapshot,
 )
 
@@ -477,3 +482,166 @@ def test_a_snapshot_round_trips_or_is_refused(parts):
     except SnapshotFormatError:  # a record one row cannot hold
         return
     assert parse_snapshot(text) == snap
+
+
+
+# --- the one-pass row check against the eager parse --------------------------
+
+HEADER_ROW = "kind,path,modified,accessed,created,precision_s"
+
+
+def eager_parse(text):
+    """The reference for ``parse_snapshot``: its metadata block and header,
+    then every row through ``read_csv`` and ``Snapshot.build``, building every
+    record at once."""
+    lines = text.splitlines()
+    start = lines.index(HEADER_ROW) + 1
+    meta = parse_snapshot("\n".join(lines[:start])).meta
+    records = read_csv(lines[start:], _parse_row, SnapshotFormatError, first_line=start + 1)
+    return Snapshot.build(meta, records)
+
+
+@hs.composite
+def saved_snapshot(draw):
+    """The saved text of a random snapshot, and its capture time: files and
+    keys, some under HKEY_USERS, paths with a comma or a quote now and then,
+    times up to the capture time, a precision from a second to a day."""
+    capture = _T0 + draw(hs.integers(0, 86400))
+    stamp = hs.integers(_T0 - 400 * 86400, capture)
+    records = {}
+    for _ in range(draw(hs.integers(1, 6))):
+        kind = draw(hs.sampled_from(RecordKind))
+        prefix = draw(hs.sampled_from(("C:\\", f"{HKU}\\", "HKEY_USERS\\")))
+        name = draw(hs.text(hs.sampled_from(list("ab\\ .\u00c4")), min_size=1, max_size=6))
+        name += draw(hs.sampled_from(("",) * 8 + (",", '"')))
+        precision = draw(hs.sampled_from((1, 60, 3600, 86400)))
+        if kind is RecordKind.REGKEY:
+            stamps = [draw(stamp), None, None]
+        else:
+            stamps = [draw(hs.none() | stamp) for _ in range(3)]
+            stamps[0] = draw(stamp) if stamps == [None] * 3 else stamps[0]
+        points = [None if s is None else TimePoint(s - s % precision, precision) for s in stamps]
+        rec = ArtifactRecord(kind, prefix + name, *points)
+        records[rec.key] = rec
+    meta = xp_meta(capture=format_timestamp(capture))
+    return save_snapshot(Snapshot.build(meta, records.values())), capture
+
+
+def _rewrite_cell(rows, i, column, value):
+    cells = next(csv.reader([rows[i]]))
+    cells[column] = value(cells[column])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(cells)
+    rows[i] = out.getvalue()
+
+
+# In the order they are made: those that rewrite a cell come before those
+# that leave a row the csv reader may not split.
+MUTATIONS = (
+    "quoted-comma", "precision=", "precision=0", "precision=01", "precision= 5", "precision=86401",
+    "year=1600", "year=9999", "feb-30", "clock=24:00:00", "clock=23:60:00", "clock=23:59:60",
+    "after-capture", "capture-9999", "accessed", "no-timestamps", "duplicate-in-another-case",
+    "no-sid", "upper-kind", "nul", "dropped-column", "char", "blank-line",
+)
+
+
+def mutate(draw, mutation, head, rows, capture):
+    """Make ``mutation`` to a random row of ``rows`` (or to ``head``): each is
+    a way a row is refused, or accepted by the eager parse alone."""
+    name, _, value = mutation.partition("=")
+    i = draw(hs.integers(0, len(rows) - 1))
+    column = draw(hs.integers(2, 4))  # a timestamp cell, given a canonical time if empty
+    earlier = format_timestamp(capture - draw(hs.integers(0, 86400)))
+    at = draw(hs.integers(0, len(rows[i])))
+    if name == "quoted-comma":
+        _rewrite_cell(rows, i, 1, lambda path: path + ",x")
+    elif name == "precision":
+        _rewrite_cell(rows, i, 5, lambda _: value)
+    elif name == "year":
+        _rewrite_cell(rows, i, column, lambda cell: value + (cell or earlier)[4:])
+    elif name == "feb-30":
+        _rewrite_cell(rows, i, column, lambda cell: (cell or earlier)[:5] + "02-30T00:00:00Z")
+    elif name == "clock":
+        _rewrite_cell(rows, i, column, lambda cell: (cell or earlier)[:11] + value + "Z")
+    elif name == "after-capture":
+        _rewrite_cell(rows, i, column, lambda _: format_timestamp(capture + 1))
+    elif name == "capture-9999":
+        head[:] = [
+            "#capture_time=9999-12-31T23:59:59Z" if line.startswith("#capture_time=") else line
+            for line in head
+        ]
+        clock = draw(hs.sampled_from(("23:59:59", "23:59:00", "23:00:00", "00:00:00")))
+        _rewrite_cell(rows, i, column, lambda _: f"9999-12-31T{clock}Z")
+    elif name == "accessed":  # on a key, which has none
+        _rewrite_cell(rows, i, 0, lambda _: "regkey")
+        _rewrite_cell(rows, i, 3, lambda _: earlier)
+    elif name == "no-timestamps":
+        for column in (2, 3, 4):
+            _rewrite_cell(rows, i, column, lambda _: "")
+    elif name == "duplicate-in-another-case":
+        rows.append(rows[i])
+        _rewrite_cell(rows, -1, 1, str.swapcase)
+    elif name == "no-sid":
+        head[:] = [line for line in head if not line.startswith("#sid=")]
+    elif name == "upper-kind":
+        _rewrite_cell(rows, i, 0, str.upper)
+    elif name == "nul":  # in the path cell
+        at = rows[i].index(",") + 1 + draw(hs.integers(0, 2))
+        rows[i] = rows[i][:at] + "\x00" + rows[i][at:]
+    elif name == "dropped-column":
+        rows[i] = rows[i].rsplit(",", 1)[0]
+    elif name == "char":
+        char = draw(hs.sampled_from(list(',"\x00 Z9T:-a\u00c4')))
+        rows[i] = rows[i][:at] + char + rows[i][at + 1:]
+    elif name == "blank-line":
+        rows.insert(i, "")
+
+
+@hs.composite
+def snapshot_text(draw, first):
+    """Saved snapshot text with mutation ``first`` (unless None) and perhaps
+    one more made to it, and the names of those made."""
+    text, capture = draw(saved_snapshot())
+    lines = text.splitlines()
+    start = lines.index(HEADER_ROW) + 1
+    head, rows = lines[:start], lines[start:]
+    names = [first] if first else []
+    names += draw(hs.lists(hs.sampled_from(MUTATIONS), max_size=1))
+    for name in sorted(names, key=MUTATIONS.index):
+        mutate(draw, name, head, rows, capture)
+    return "\n".join(head + rows) + "\n", names
+
+
+@pytest.mark.parametrize("first", [None, *MUTATIONS])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=hs.data())
+def test_parse_agrees_with_the_eager_parse(first, data):
+    """The same records in the same order, every one of them built without
+    error, or the same refusal naming the same line."""
+    text, mutations = data.draw(snapshot_text(first))
+    try:
+        expected = eager_parse(text)
+    except SnapshotFormatError as exc:
+        with pytest.raises(SnapshotFormatError) as info:
+            parse_snapshot(text)
+        assert str(info.value) == str(exc)
+        return
+    snap = parse_snapshot(text)
+    if not mutations and '"' not in text:
+        assert type(snap.records) is not dict  # taken by the one-pass check, not the eager parse
+    assert snap.meta == expected.meta
+    assert len(snap) == len(expected)
+    assert list(snap) == list(expected)
+    assert snap.records == expected.records
+
+
+def test_a_parsed_record_is_built_when_first_looked_up(monkeypatch):
+    built = []
+    build = evidence._build_record
+    monkeypatch.setattr(evidence, "_build_record", lambda *args: built.append(1) or build(*args))
+    snap = parse_snapshot(SNAPSHOT_TEXT)
+    assert len(snap) == 2 and built == []
+    rec = snap.get(RecordKind.FILE, "c:\\windows\\prefetch\\IEXPLORE.EXE-27122324.pf")
+    assert rec == frec("C:\\WINDOWS\\Prefetch\\IEXPLORE.EXE-27122324.pf", "2010-04-12T14:30:37Z")
+    assert snap.get(RecordKind.FILE, rec.path) is rec
+    assert len(built) == 1
