@@ -453,11 +453,11 @@ def parse_snapshot(text: str) -> Snapshot:
     defaults to 1.  Fields containing commas are double-quoted with embedded
     quotes doubled.
 
-    Every row is validated here, but a record is built only when it is first
-    looked up (see ``_validated_rows``), so a search that reaches a few paths
-    builds a few records.  If that one-pass check refuses any row, the whole
-    text is parsed eagerly instead, every row through ``read_csv`` and
-    ``Snapshot.build``, which give every error.
+    Every row is validated here, but a plain row's record is built only when
+    it is first looked up (see ``_validated_rows``), so a search that reaches
+    a few paths builds a few records.  If that one-pass check refuses any row,
+    the whole text is parsed again eagerly, every row through ``read_csv`` and
+    ``Snapshot.build``, for the error they give.
     """
     lines = text.splitlines()
 
@@ -510,39 +510,45 @@ def parse_snapshot(text: str) -> Snapshot:
     idx += 1
 
     rows = lines[idx:]
-    validated = _validated_rows(rows, meta)
+    validated = _validated_rows(rows, meta, singles["capture_time"])
     if validated is not None:
         return Snapshot(meta, validated)
     records = read_csv(rows, _parse_row, SnapshotFormatError, first_line=idx + 1)
     return Snapshot.build(meta, records)
 
 
-# A row ``_validated_rows`` accepts: a kind, a path cell without a quote,
-# comma or NUL and no longer than Windows allows (the csv reader refuses a
-# cell over 131,072), three cells empty or canonical with the time of day in
-# range, and a precision in plain digits.
+# The rest of a row after its kind cell, as ``_plain_row_key`` checks it
+# without the csv reader: a path cell without a quote, comma or NUL and no
+# longer than Windows allows (the csv reader refuses a cell over 131,072); for
+# each of the kind's ``KIND_FIELDS`` a cell empty or canonical with the time of
+# day in range, and for each other field an empty cell; a precision in plain
+# digits.
 _TIME_CELL = r"(\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\dZ)?"
-_ROW_TEXT = re.compile(
-    rf'((?i:file|regkey)),([^",\x00]{{1,32767}}),'
-    rf"{_TIME_CELL},{_TIME_CELL},{_TIME_CELL},([1-9]\d{{0,4}})?",
-    re.ASCII,
-)
+_ROW_AFTER_KIND = {
+    kind: re.compile(
+        r'([^",\x00]{1,32767}),'
+        + ",".join(_TIME_CELL if f in fields else "" for f in FIELDS)
+        + r",([1-9]\d{0,4})?",
+        re.ASCII,
+    )
+    for kind, fields in KIND_FIELDS.items()
+}
 _KIND_OF = {kind.value: kind for kind in RecordKind}
 
 
 class _Days(dict):
     """``YYYY-MM-DD`` text to the epoch seconds its day starts at, or None for
-    a date that does not exist or lies outside 1601..9998 (the last year is
-    left to the eager parse, as a time late in it may end past 9999)."""
+    a date that does not exist or one with a time that, at some precision,
+    would not lie within the bounds a ``TimePoint`` checks."""
 
     def __missing__(self, day: str) -> int | None:
-        year = int(day[:4])
         try:
-            start = date(year, int(day[5:7]), int(day[8:10])).toordinal() - _EPOCH_ORDINAL
-            start *= 86400
+            start = date(int(day[:4]), int(day[5:7]), int(day[8:10])).toordinal() - _EPOCH_ORDINAL
         except ValueError:  # no such date
-            start = None
-        self[day] = start if 1601 <= year < 9999 else None
+            return self.setdefault(day, None)
+        start *= 86400
+        fits = _EARLIEST_S <= start and start + 86399 + _MAX_PRECISION_S - 1 <= _LATEST_S
+        self[day] = start if fits else None
         return self[day]
 
 
@@ -550,7 +556,9 @@ class _RowRecords(Mapping):
     """Records keyed by (kind, folded path), each held as its validated row
     until first looked up, then built, kept, and its row dropped."""
 
-    def __init__(self, rows: dict[tuple[RecordKind, str], str], days: _Days) -> None:
+    def __init__(
+        self, rows: dict[tuple[RecordKind, str], str | ArtifactRecord], days: _Days
+    ) -> None:
         self._rows, self._days = rows, days
 
     def __getitem__(self, key: tuple[RecordKind, str]) -> ArtifactRecord:
@@ -569,41 +577,54 @@ class _RowRecords(Mapping):
         return len(self._rows)
 
 
-def _validated_rows(rows: list[str], meta: SnapshotMeta) -> _RowRecords | None:
-    """The records of ``rows``, each built on first lookup, when every row
-    matches ``_ROW_TEXT`` and passes every check ``_parse_row`` and
-    ``Snapshot.build`` make; None as soon as one does not.  Each distinct day
-    is checked once, and the capture-time bound is a text comparison, as
-    canonical timestamps sort as text."""
-    capture = meta.capture_time.iso()
+def _plain_row_key(line: str, capture: str, days: _Days) -> tuple[RecordKind, str] | None:
+    """The key of a row that ``_ROW_AFTER_KIND`` matches and passes every check
+    ``_parse_row`` makes and the capture-time bound; None for any other row.
+    Each distinct day is checked once, and the bound is a text comparison with
+    the canonical ``capture`` text, as canonical timestamps sort as text."""
+    kind_text, _, rest = line.partition(",")
+    kind = _KIND_OF.get(fold_path(kind_text))
+    match = kind and _ROW_AFTER_KIND[kind].fullmatch(rest)
+    if not match:
+        return None
+    path, *cells, precision = match.groups()
+    if precision and int(precision) > _MAX_PRECISION_S or not any(cells):
+        return None
+    for cell in cells:
+        if cell is not None and (cell > capture or days[cell[:10]] is None):
+            return None
+    return (kind, fold_path(path))
+
+
+def _validated_rows(rows: list[str], meta: SnapshotMeta, capture: str) -> _RowRecords | None:
+    """The records of ``rows`` when every row passes every check
+    ``_parse_row`` and ``Snapshot.build`` make; None as soon as one does not.
+    A row ``_plain_row_key`` accepts is kept as text and built on first
+    lookup; any other (a quoted path, say) is built now through ``_parse_row``
+    and checked as ``Snapshot.build`` checks it."""
+    cap_hi = meta.capture_time.hi
     days = _Days()
-    table: dict[tuple[RecordKind, str], str] = {}
+    table: dict[tuple[RecordKind, str], str | ArtifactRecord] = {}
     for line in rows:
-        match = _ROW_TEXT.fullmatch(line)
-        if match is None:
-            return None
-        kind_text, path, modified, accessed, created, precision = match.groups()
-        kind = _KIND_OF[kind_text.lower()]
-        if precision and int(precision) > _MAX_PRECISION_S:
-            return None
-        if kind is RecordKind.REGKEY and (accessed or created):
-            return None
-        if not (modified or accessed or created):
-            return None
-        for cell in (modified, accessed, created):
-            if cell is not None and (cell > capture or days[cell[:10]] is None):
+        key, value = _plain_row_key(line, capture, days), line
+        if key is None:
+            try:
+                (value,) = read_csv([line], _parse_row, SnapshotFormatError)
+            except SnapshotFormatError:
                 return None
-        key = (kind, fold_path(path))
+            if any(p is not None and p.epoch_s > cap_hi for p in map(value.timestamp, FIELDS)):
+                return None
+            key = value.key
         if key in table:
             return None
-        if not meta.sids and kind is RecordKind.REGKEY and key[1].startswith("hkey_users\\"):
+        if not meta.sids and key[0] is RecordKind.REGKEY and key[1].startswith("hkey_users\\"):
             return None
-        table[key] = line
+        table[key] = value
     return _RowRecords(table, days)
 
 
 def _build_record(kind: RecordKind, line: str, days: _Days) -> ArtifactRecord:
-    """The record of one row ``_validated_rows`` accepted."""
+    """The record of one row ``_plain_row_key`` accepted."""
     _, path, *cells, precision_text = line.split(",")
     precision = int(precision_text) if precision_text else 1
     points = [

@@ -612,13 +612,9 @@ def snapshot_text(draw, first):
     return "\n".join(head + rows) + "\n", names
 
 
-@pytest.mark.parametrize("first", [None, *MUTATIONS])
-@settings(derandomize=True, database=None, deadline=None, max_examples=10)
-@given(data=hs.data())
-def test_parse_agrees_with_the_eager_parse(first, data):
+def assert_agrees(text):
     """The same records in the same order, every one of them built without
     error, or the same refusal naming the same line."""
-    text, mutations = data.draw(snapshot_text(first))
     try:
         expected = eager_parse(text)
     except SnapshotFormatError as exc:
@@ -627,21 +623,54 @@ def test_parse_agrees_with_the_eager_parse(first, data):
         assert str(info.value) == str(exc)
         return
     snap = parse_snapshot(text)
-    if not mutations and '"' not in text:
-        assert type(snap.records) is not dict  # taken by the one-pass check, not the eager parse
+    assert type(snap.records) is not dict  # taken by the one-pass check, not the eager parse
     assert snap.meta == expected.meta
     assert len(snap) == len(expected)
     assert list(snap) == list(expected)
     assert snap.records == expected.records
 
 
+@pytest.mark.parametrize("first", [None, *MUTATIONS])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=hs.data())
+def test_parse_agrees_with_the_eager_parse(first, data):
+    text, _ = data.draw(snapshot_text(first))
+    assert_agrees(text)
+
+
+_EDGE_ROWS = [
+    *(f"file,C:\\x,{cell},,,{precision}" for precision in (1, 60, 86400) for cell in (
+        "1600-12-31T23:59:59Z", "1601-01-01T00:00:00Z", "9999-12-30T00:00:00Z",
+        "9999-12-30T23:59:59Z", "9999-12-31T00:00:00Z", "9999-12-31T23:59:00Z",
+        "9999-12-31T23:59:59Z",
+    )),
+    # case folds ASCII letters only: the Kelvin sign is no K
+    *(f"{kind},C:\\x,2010-04-13T09:00:00Z,,,1" for kind in (
+        "FILE", "Regkey", '"file"', "reg\u212aey", "fi le",
+    )),
+]
+
+
+@pytest.mark.parametrize("row", _EDGE_ROWS)
+def test_edge_rows_agree_with_the_eager_parse(row):
+    """A time near either end of the range, at a precision that may carry it
+    past the end, or an odd kind cell."""
+    text = SNAPSHOT_TEXT.replace("2010-04-14T16:45:00Z", "9999-12-31T23:59:59Z")
+    assert_agrees(text + row + "\n")
+
+
 def test_a_parsed_record_is_built_when_first_looked_up(monkeypatch):
+    """A plain row is built on its first lookup, a quoted one alone on load."""
     built = []
     build = evidence._build_record
     monkeypatch.setattr(evidence, "_build_record", lambda *args: built.append(1) or build(*args))
-    snap = parse_snapshot(SNAPSHOT_TEXT)
-    assert len(snap) == 2 and built == []
+    text = SNAPSHOT_TEXT + 'file,"C:\\Users\\Smith, J.docx",2010-04-13T09:00:00Z,,,1\n'
+    snap = parse_snapshot(text)
+    assert type(snap.records) is not dict and len(snap) == 3 and built == []
     rec = snap.get(RecordKind.FILE, "c:\\windows\\prefetch\\IEXPLORE.EXE-27122324.pf")
     assert rec == frec("C:\\WINDOWS\\Prefetch\\IEXPLORE.EXE-27122324.pf", "2010-04-12T14:30:37Z")
     assert snap.get(RecordKind.FILE, rec.path) is rec
+    assert len(built) == 1
+    quoted = snap.get(RecordKind.FILE, "C:\\Users\\Smith, J.docx")
+    assert quoted == frec("C:\\Users\\Smith, J.docx", "2010-04-13T09:00:00Z")
     assert len(built) == 1
