@@ -41,7 +41,6 @@ from typing import Iterable, Mapping, Sequence
 from .evidence import (
     FIELDS,
     KIND_FIELDS,
-    ArtifactRecord,
     RecordKind,
     Snapshot,
     SnapshotFormatError,
@@ -156,27 +155,28 @@ class UpdateMatrix:
         return any(any(vec) for vec in self.vectors.get(fold_path(trace), {}).values())
 
 
-def _field_updated(
-    before: ArtifactRecord | None, after: ArtifactRecord | None, field: str
-) -> bool:
-    after_point = after.timestamp(field) if after is not None else None
-    if after_point is None:
-        return False
-    before_point = before.timestamp(field) if before is not None else None
-    if before_point is None:
-        return True  # appeared; creation counts as an update
-    return before_point != after_point
+_NO_RECORD = (None,) * len(FIELDS)
 
 
-def _lookup(snap: Snapshot, folded: str) -> ArtifactRecord | None:
-    rec = snap.records.get((RecordKind.FILE, folded))
-    if rec is None:
-        rec = snap.records.get((RecordKind.REGKEY, folded))
-    return rec
+def _lookup(snap: Snapshot, folded: str) -> tuple[RecordKind, str, tuple] | None:
+    """The kind, path and time cells (see ``Snapshot.cells``) of the file, or
+    else the registry key, named ``folded``."""
+    for kind in (RecordKind.FILE, RecordKind.REGKEY):
+        found = snap.cells((kind, folded))
+        if found is not None:
+            return (kind, *found)
+    return None
 
 
 def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> UpdateMatrix:
     """Diff each run's snapshot pair into per-trace, per-field update vectors.
+
+    A field updated on a run when the after snapshot carries its time and the
+    before snapshot does not (the trace appeared), or carries another time
+    text or precision.  The diff reads each record's cells through
+    ``Snapshot.cells``: the validated row text of a parsed snapshot, so no
+    record is built.  ``kinds`` and ``display`` come from the first record
+    seen, the before snapshot of run 0 first.
 
     A run is the first of its session when no lower run index shares its
     session id.  Every snapshot must describe the same system; only its
@@ -201,16 +201,16 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     display: dict[str, str] = {}
 
     for name in names:
-        pairs = [(_lookup(o.before, name), _lookup(o.after, name)) for o in ordered]
-        seen = [r for pair in pairs for r in pair if r is not None]
+        found = [(_lookup(o.before, name), _lookup(o.after, name)) for o in ordered]
+        seen = [r for pair in found for r in pair if r is not None]
         if not seen:
             continue  # never present in any snapshot
-        kinds[name] = seen[0].kind
-        display[name] = seen[0].path
+        kinds[name], display[name], _ = seen[0]
+        cells = [tuple(_NO_RECORD if r is None else r[2] for r in pair) for pair in found]
         vectors[name] = {
-            f: tuple(_field_updated(b, a, f) for b, a in pairs)
-            for f in FIELDS
-            if any(r.timestamp(f) is not None for r in seen)
+            f: tuple(a[i] is not None and a[i] != b[i] for b, a in cells)
+            for i, f in enumerate(FIELDS)
+            if any(r[2][i] is not None for r in seen)
         }
     return UpdateMatrix(runs=tuple(runs), vectors=vectors, kinds=kinds, display=display)
 

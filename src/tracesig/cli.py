@@ -60,13 +60,13 @@ def _load_signatures(args: argparse.Namespace) -> list[Signature]:
 
 
 def _trace_names(args: argparse.Namespace, observations: list[RunObservation]) -> TraceNameSet:
-    """The names in the ``--traces`` file, else every name the observations hold."""
+    """The names in the ``--traces`` file, else every name the observations
+    hold, read from the snapshots' (kind, folded path) keys."""
     if args.traces:
         lines = read_utf8(args.traces).splitlines()
         return TraceNameSet.of(line.strip() for line in lines if line.strip())
-    return TraceNameSet.of(
-        rec.path for obs in observations for snap in (obs.before, obs.after) for rec in snap
-    )
+    snaps = [snap for obs in observations for snap in (obs.before, obs.after)]
+    return TraceNameSet.of(path for snap in snaps for _, path in snap.records)
 
 
 # --- traces -----------------------------------------------------------------

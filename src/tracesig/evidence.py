@@ -324,6 +324,11 @@ class ArtifactRecord:
         return (self.kind, fold_path(self.path))
 
 
+# A record's times as ``Snapshot.cells`` gives them: per field of ``FIELDS``,
+# the canonical time text and the precision, or None.
+_Cells = tuple[tuple[str, int] | None, ...]
+
+
 # The characters str.splitlines breaks a line at, and NUL, which the csv
 # reader before Python 3.11 refuses: no line of a saved snapshot holds them.
 _NOT_IN_A_LINE = re.compile("[\x00\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -415,6 +420,22 @@ class Snapshot:
 
     def get(self, kind: RecordKind, path: str) -> ArtifactRecord | None:
         return self.records.get((kind, fold_path(path)))
+
+    def cells(self, key: tuple[RecordKind, str]) -> tuple[str, _Cells] | None:
+        """The path of the record at ``key`` and, per field of ``FIELDS``, its
+        canonical time text and precision, or None where it carries no time;
+        None when there is no such record.  Canonical time text maps one to
+        one onto epoch seconds, so equal cells mean equal ``TimePoint``s.  A
+        row validated but not yet built is read from its text and stays
+        unbuilt; a built record's times are formatted."""
+        records = self.records
+        value = records._rows.get(key) if type(records) is _RowRecords else records.get(key)
+        if value is None:
+            return None
+        if type(value) is str:
+            return _row_cells(value)
+        points = (value.modified, value.accessed, value.created)
+        return value.path, tuple(None if p is None else (p.iso(), p.precision_s) for p in points)
 
     def by_path(self, kind: RecordKind) -> tuple[str, ...]:
         """One kind's folded paths in sorted order; the record of each is
@@ -621,6 +642,14 @@ def _validated_rows(rows: list[str], meta: SnapshotMeta, capture: str) -> _RowRe
             return None
         table[key] = value
     return _RowRecords(table, days)
+
+
+def _row_cells(line: str) -> tuple[str, _Cells]:
+    """The path and time cells of one row ``_plain_row_key`` accepted, as
+    ``Snapshot.cells`` gives them: an empty precision cell means 1."""
+    _, path, *cells, precision_text = line.split(",")
+    precision = int(precision_text) if precision_text else 1
+    return path, tuple((cell, precision) if cell else None for cell in cells)
 
 
 def _build_record(kind: RecordKind, line: str, days: _Days) -> ArtifactRecord:

@@ -53,6 +53,10 @@ _CLOSED_VARS = ("SystemRoot", "HomeDrive", "HomePath", "SID")
 _INLINE_VARS = ("s", "i")
 
 
+def _var_text(var: Var) -> str:
+    return f"%{var.name}" if var.name in _INLINE_VARS else f"%{var.name}%"
+
+
 def parse_template(text: str) -> tuple[Token, ...]:
     """Split template text into literal and variable tokens.
 
@@ -119,6 +123,17 @@ class PathTemplate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_tokens", parse_template(self.text))
 
+    @classmethod
+    def _of_tokens(cls, tokens: tuple[Token, ...], kind: RecordKind) -> "PathTemplate":
+        """The template of ``tokens``, a tuple ``parse_template`` could give,
+        whose text is written from them rather than parsed."""
+        tpl = cls.__new__(cls)
+        text = "".join([t if type(t) is str else _var_text(t) for t in tokens])
+        object.__setattr__(tpl, "text", text)
+        object.__setattr__(tpl, "kind", kind)
+        object.__setattr__(tpl, "_tokens", tokens)
+        return tpl
+
     @property
     def tokens(self) -> tuple[Token, ...]:
         return self._tokens  # type: ignore[attr-defined]
@@ -180,23 +195,47 @@ def _metadata_text(meta: SnapshotMeta) -> dict[str, str]:
     return text
 
 
-def _prefix_candidates(meta: SnapshotMeta) -> list[tuple[str, str]]:
+_S, _I, _SID = Var("s"), Var("i"), Var("SID")
+_HOME = (Var("HomeDrive"), "\\", Var("HomePath"))
+
+
+def _prefix_candidates(meta: SnapshotMeta) -> list[tuple[str, tuple[Token, ...]]]:
     text = _metadata_text(meta)
     drive, rel = text.pop("HomeDrive"), text.pop("HomePath")
-    candidates = [(f"{drive}\\{rel}", "%HomeDrive%\\%HomePath%")] if drive and rel else []
-    candidates += [(prefix, f"%{name}%") for name, prefix in text.items() if prefix]
+    candidates = [(f"{drive}\\{rel}", _HOME)] if drive and rel else []
+    candidates += [(prefix, (Var(name),)) for name, prefix in text.items() if prefix]
     candidates.sort(key=lambda c: len(c[0]), reverse=True)
     return candidates
 
 
-def _sub_hex_runs(segment: str) -> str:
-    def repl(match: re.Match[str]) -> str:
-        run = match.group(1)
-        if len(run) < _MIN_HEX_RUN:
-            return run
-        return "%s" if len(run) in _HASH_LENGTHS or any(ch.isdigit() for ch in run) else run
+def _between(parts: list[str], tokens: tuple[Token, ...]) -> list[Token]:
+    """``parts`` with ``tokens`` put between each two of them."""
+    out: list[Token] = [parts[0]]
+    for part in parts[1:]:
+        out += [*tokens, part]
+    return out
 
-    return _HEX_RUN.sub(repl, segment)
+
+def _segment_tokens(segment: str, last: bool, folded_sids: set[str]) -> list[Token]:
+    if "%" in segment:
+        return [segment]  # a literal percent sign: parse_template reads it (see generalize_path)
+    if fold_path(segment) in folded_sids:
+        return [_SID]
+    parts = _BRACED_GUID.split(segment)
+    if len(parts) > 1:
+        return _between(parts, ("{", _S, "}"))
+    if not last:
+        return parts
+    parts = _LOG_COUNTER.split(segment)
+    if len(parts) > 1:
+        return _between(parts, (_I,))
+    parts = _HEX_RUN.split(segment)  # literal, run, literal, ..., literal
+    for i in range(1, len(parts), 2):
+        run = parts[i]
+        hashlike = len(run) in _HASH_LENGTHS or any(c.isdigit() for c in run)
+        if len(run) >= _MIN_HEX_RUN and hashlike:
+            parts[i] = _S
+    return parts
 
 
 def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = None) -> PathTemplate:
@@ -210,35 +249,39 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
     characters that holds a digit or has a hash length (8, 16, 32 or 40)
     becomes %s.  Paths with nothing machine-specific come back as
     all-literal templates.
+
+    The template's tokens are assembled with its text, so the text is not
+    parsed again; only a path holding a percent sign, whose text
+    ``parse_template`` may read as variables or refuse, is parsed.
     """
     if kind is None:
         kind = RecordKind.REGKEY if fold_path(path).startswith("hkey_") else RecordKind.FILE
 
-    working = path
+    head: tuple[Token, ...] = ()
+    segments = path.split("\\")
     folded = fold_path(path)
     for prefix, replacement in _prefix_candidates(meta):
         fp = fold_path(prefix)
         if folded.startswith(fp) and (len(path) == len(prefix) or path[len(prefix)] == "\\"):
-            working = replacement + working[len(prefix):]
+            head, segments = replacement, path[len(prefix):].split("\\")[1:]
             break
 
-    segments = working.split("\\")
     folded_sids = {fold_path(s) for s in meta.sids}
-    out = []
+    pieces: list[Token] = list(head)
     for pos, segment in enumerate(segments):
-        if "%" in segment:
-            out.append(segment)  # placeholder from the prefix step
-            continue
-        if fold_path(segment) in folded_sids:
-            out.append("%SID%")
-            continue
-        segment = _BRACED_GUID.sub("{%s}", segment)
-        if pos == len(segments) - 1 and "%" not in segment:
-            segment = _LOG_COUNTER.sub("%i", segment)
-            if "%" not in segment:
-                segment = _sub_hex_runs(segment)
-        out.append(segment)
-    return PathTemplate("\\".join(out), kind)
+        if pieces:
+            pieces.append("\\")
+        pieces += _segment_tokens(segment, pos == len(segments) - 1, folded_sids)
+    tokens: list[Token] = []
+    for piece in pieces:  # join neighbouring literals, drop empty ones
+        if isinstance(piece, str) and tokens and isinstance(tokens[-1], str):
+            tokens[-1] += piece
+        elif piece:
+            tokens.append(piece)
+    template = PathTemplate._of_tokens(tuple(tokens), kind)
+    if "%" in path or not tokens:
+        return PathTemplate(template.text, kind)
+    return template
 
 
 # --- instantiation --------------------------------------------------------

@@ -3,8 +3,11 @@ import logging
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from conftest import ADMIN, frec, krec, snap_of, xp_meta
+from conftest import ADMIN, HKU, frec, krec, snap_of, t, xp_meta
+from tracesig import evidence
 from tracesig.capture import TraceNameSet
 from tracesig.categorize import (
     CategoryLabel,
@@ -22,7 +25,22 @@ from tracesig.categorize import (
     read_observations,
     write_observations,
 )
-from tracesig.evidence import FIELDS, RecordKind, SnapshotFormatError, fold_path
+from tracesig.data import fixture_text
+from tracesig.evidence import (
+    FIELDS,
+    KIND_FIELDS,
+    ArtifactRecord,
+    RecordKind,
+    Snapshot,
+    SnapshotFormatError,
+    TimePoint,
+    _parse_row,
+    fold_path,
+    parse_snapshot,
+    read_csv,
+    save_snapshot,
+)
+from tracesig.signatures import derive_signature
 from tracesig.simulate import (
     Always,
     Background,
@@ -31,6 +49,9 @@ from tracesig.simulate import (
     ScenarioError,
     UsageBased,
     _planted_label,
+    load_scenario,
+    run_scenario,
+    write_scenario_outputs,
 )
 
 LNK = f"{ADMIN}\\Desktop\\App.lnk"
@@ -508,6 +529,166 @@ class TestBuildUpdateMatrix:
     def test_empty_observation_list_rejected(self):
         with pytest.raises(ValueError):
             build_update_matrix([], TraceNameSet.of(["C:\\x"]))
+
+
+# The metadata block and header row of a snapshot under ``xp_meta``.
+SNAPSHOT_HEAD = save_snapshot(snap_of([]))
+T1, T2 = "2010-04-12T14:30:37Z", "2010-04-13T09:00:00Z"
+
+
+def parsed(*rows):
+    return parse_snapshot(SNAPSHOT_HEAD + "".join(row + "\n" for row in rows))
+
+
+def row_matrix(*runs, name="C:\\x"):
+    """The matrix of one trace over runs given as (before rows, after rows)."""
+    obs = [RunObservation(i, 0, None, parsed(*b), parsed(*a)) for i, (b, a) in enumerate(runs)]
+    return build_update_matrix(obs, TraceNameSet.of([name]))
+
+
+class TestDiffOfRowText:
+    """``build_update_matrix`` compares cells as text; each case where text
+    that differs means the same ``TimePoint``, or the reverse."""
+
+    def test_empty_precision_is_one(self):
+        empty, one = f"file,C:\\x,{T1},,,", f"file,C:\\x,{T1},,,1"
+        matrix = row_matrix(([empty], [one]), ([one], [empty]))
+        assert matrix.vectors == {"c:\\x": {"modified": (False, False)}}
+
+    def test_same_time_text_at_another_precision_is_an_update(self):
+        matrix = row_matrix(([f"file,C:\\x,{T1},,,1"], [f"file,C:\\x,{T1},,,60"]))
+        assert matrix.vectors == {"c:\\x": {"modified": (True,)}}
+
+    def test_kind_cell_and_path_case_fold(self):
+        matrix = row_matrix(([f"FILE,C:\\X,{T1},,,1"], [f"file,c:\\x,{T1},,,1"]))
+        assert matrix.vectors == {"c:\\x": {"modified": (False,)}}
+        assert matrix.kinds == {"c:\\x": RecordKind.FILE}
+
+    def test_display_keeps_the_first_seen_spelling(self):
+        matrix = row_matrix(
+            ([], [f"file,C:\\App\\X.dat,{T1},,,1"]),
+            ([f"file,c:\\APP\\x.DAT,{T1},,,1"], [f"file,c:\\app\\x.dat,{T2},,,1"]),
+            name="C:\\App\\X.dat",
+        )
+        assert matrix.display == {"c:\\app\\x.dat": "C:\\App\\X.dat"}
+        assert matrix.vectors["c:\\app\\x.dat"] == {"modified": (True, True)}
+
+
+# The records the oracle below draws from: a path whose row must be quoted, a
+# file named like a registry key beside that key (the file is looked up
+# first), and a key under HKEY_USERS.
+ORACLE_PATHS = [
+    (RecordKind.FILE, "C:\\App\\a.dat"),
+    (RecordKind.FILE, "C:\\App\\Smith, J.doc"),
+    (RecordKind.FILE, "HKEY_LOCAL_MACHINE\\Both"),
+    (RecordKind.REGKEY, "HKEY_LOCAL_MACHINE\\Both"),
+    (RecordKind.REGKEY, f"{HKU}\\Software\\App"),
+]
+ORACLE_TIMES = ["2010-04-12T14:30:00Z", T1, T2]
+
+
+@hs.composite
+def oracle_row(draw, kind, path):
+    """A row of ``path``, quoted or plain, in any case, with an empty, 1 or
+    60 precision cell."""
+    times = [draw(hs.sampled_from([None, *ORACLE_TIMES])) for _ in KIND_FIELDS[kind]]
+    if not any(times):
+        times[0] = draw(hs.sampled_from(ORACLE_TIMES))
+    times += [None] * (len(FIELDS) - len(times))
+    spelling = draw(hs.sampled_from([path, path.lower(), path.upper()]))
+    if "," in path or draw(hs.booleans()):
+        spelling = f'"{spelling}"'
+    kind_cell = draw(hs.sampled_from([kind.value, kind.value.upper()]))
+    precision = draw(hs.sampled_from(["", "1", "60"]))
+    return ",".join([kind_cell, spelling, *(cell or "" for cell in times), precision])
+
+
+@hs.composite
+def oracle_snapshot(draw):
+    """A snapshot of some of ``ORACLE_PATHS`` and its eager reference, every
+    record built through ``_parse_row`` and ``Snapshot.build``.  The snapshot
+    is parsed, parsed with some records looked up already, or is the
+    dict-backed reference itself, perhaps with a record whose fields mix
+    precisions, which no row can hold."""
+    chosen = draw(hs.lists(hs.sampled_from(ORACLE_PATHS), unique=True))
+    rows = [draw(oracle_row(kind, path)) for kind, path in chosen]
+    eager = Snapshot.build(xp_meta(), read_csv(rows, _parse_row, SnapshotFormatError))
+    form = draw(hs.sampled_from(["parsed", "looked up", "built"]))
+    if form == "built":
+        records = {rec.key: rec for rec in eager}
+        if draw(hs.booleans()):
+            mixed = [
+                TimePoint(t(draw(hs.sampled_from(ORACLE_TIMES))), precision)
+                for precision in (1, 60)
+            ]
+            rec = ArtifactRecord(RecordKind.FILE, ORACLE_PATHS[0][1], *mixed)
+            records[rec.key] = rec
+        snap = snap_of(records.values())
+        return snap, snap
+    snap = parsed(*rows)
+    if form == "looked up" and chosen:
+        for kind, path in draw(hs.lists(hs.sampled_from(chosen))):
+            snap.get(kind, path)
+    return snap, eager
+
+
+def reference_matrix(obs, names):
+    """The update matrix of ``obs`` (in run order), records compared as
+    ``TimePoint``s."""
+    sessions, runs, vectors, kinds, display = set(), [], {}, {}, {}
+    for o in obs:
+        runs.append(RunInfo(o.session_id, o.session_id not in sessions, o.launch_method))
+        sessions.add(o.session_id)
+    for name in names:
+        lookup = lambda snap: next(
+            (rec for kind in RecordKind if (rec := snap.records.get((kind, name)))), None
+        )
+        pairs = [(lookup(o.before), lookup(o.after)) for o in obs]
+        seen = [rec for pair in pairs for rec in pair if rec is not None]
+        if not seen:
+            continue
+        kinds[name], display[name] = seen[0].kind, seen[0].path
+        point = lambda rec, f: None if rec is None else rec.timestamp(f)
+        vectors[name] = {
+            f: tuple(point(a, f) is not None and point(b, f) != point(a, f) for b, a in pairs)
+            for f in FIELDS
+            if any(rec.timestamp(f) is not None for rec in seen)
+        }
+    return UpdateMatrix(tuple(runs), vectors, kinds, display)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=hs.data())
+def test_update_matrix_agrees_with_time_points(data):
+    count = data.draw(hs.integers(1, 3))
+    pairs = [(data.draw(oracle_snapshot()), data.draw(oracle_snapshot())) for _ in range(count)]
+    sessions = data.draw(hs.lists(hs.integers(0, 1), min_size=count, max_size=count))
+    traced = data.draw(hs.lists(hs.sampled_from([p for _, p in ORACLE_PATHS] + ["C:\\ghost"])))
+    names = TraceNameSet.of(traced)
+    runs = list(enumerate(zip(sessions, pairs)))
+    obs, eager = [
+        [RunObservation(i, s, None, b[side], a[side]) for i, (s, (b, a)) in runs] for side in (0, 1)
+    ]
+    assert build_update_matrix(obs, names) == reference_matrix(eager, names)
+
+
+def test_derive_over_parsed_observations_builds_no_record(tmp_path, monkeypatch):
+    """Loading, diffing and deriving over plain rows builds no record, and no
+    ``TimePoint`` beyond each snapshot's capture time."""
+    scenario = load_scenario(fixture_text("demo_scenario.json"))
+    write_scenario_outputs(run_scenario(scenario), tmp_path)
+    built, points = [], []
+    monkeypatch.setattr(evidence, "_build_record", lambda *args: built.append(args))
+    record_check, point_check = ArtifactRecord.__post_init__, TimePoint.__post_init__
+    monkeypatch.setattr(ArtifactRecord, "__post_init__", lambda r: built.append(r) or record_check(r))
+    monkeypatch.setattr(TimePoint, "__post_init__", lambda p: points.append(p) or point_check(p))
+    obs = read_observations(tmp_path / "obs" / "app.open")
+    assert len(points) == 2 * len(obs)
+    names = TraceNameSet.of(path for o in obs for _, path in o.before.records)
+    matrix = build_update_matrix(obs, names)
+    sig = derive_signature("app.open", matrix, None, obs[0].before)
+    assert sig.core and matrix.vectors
+    assert built == [] and len(points) == 2 * len(obs)
 
 
 class TestCategorizeMatrix:

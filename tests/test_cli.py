@@ -12,6 +12,7 @@ import tracesig
 from tracesig import cli
 from tracesig.cli import main
 from tracesig.data import fixture_text, signature_text
+from tracesig.evidence import ArtifactRecord
 
 
 @pytest.fixture
@@ -524,6 +525,18 @@ class TestSimulateDeriveRoundTrip:
         assert main(["inspect", "--obs", str(obs)]) == 0
         capsys.readouterr()
         assert later.read_bytes() == plain.read_bytes()
+
+    def test_no_record_is_built_without_traces(self, sim_tree, monkeypatch, capsys):
+        """The trace names come from the snapshots' keys and the diff reads row text."""
+        built = []
+        check = ArtifactRecord.__post_init__
+        monkeypatch.setattr(ArtifactRecord, "__post_init__", lambda r: built.append(r) or check(r))
+        obs = sim_tree / "obs"
+        derive = ["derive", "--obs", str(obs / "app.open"), "--action", "app.open"]
+        assert main(derive + ["--background", str(obs / "web.browse")]) == 0
+        assert main(["inspect", "--obs", str(obs / "app.open")]) == 0
+        capsys.readouterr()
+        assert built == []
 
     def test_inspect_emits_the_matrix(self, sim_tree, capsys):
         rc = main(["inspect", "--obs", str(sim_tree / "obs" / "app.open")])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from conftest import HKU, SID, frec, krec, snap_of, xp_meta
+from conftest import ADMIN, HKU, SID, frec, krec, snap_of, xp_meta
+from tracesig import templates
 from tracesig.evidence import RecordKind, fold_path
 from tracesig.templates import (
     Binding,
@@ -389,3 +390,56 @@ def instantiate_cases(draw):
 def test_instantiate_agrees_with_the_linear_scan(case):
     tpl, snap, fixed = case
     assert instantiate(tpl, snap, fixed=fixed) == linear_instantiate(tpl, snap, fixed=fixed)
+
+
+# Path segments for every step of ``generalize_path``: SIDs, braced and bare
+# GUIDs, hex runs, log counters, literal percent signs and plain words.
+PATH_SEGMENTS = hs.one_of(
+    hs.text("aBcF09-{}.%:Ssi", max_size=10),
+    hs.sampled_from([
+        SID, SID2.lower(), "{01234567-89AB-cdef-0123-456789abcdef}",
+        "0123abcd-ef01-2345-6789-abcdef012345", "app-12.log", "IEXPLORE.EXE-27122324.pf",
+        "Program Files", "App", "%s", "%SID%",
+    ]),
+)
+PATH_PREFIXES = [
+    "", "C:\\WINDOWS", "c:\\windows\\", "C:\\Documents and Settings\\Administrator\\",
+    "C:\\Program Files\\App\\", "C:\\Program Files\\\u00c4pp\\", "HKEY_USERS\\",
+]
+
+
+@hs.composite
+def generalize_metas(draw):
+    install = hs.sampled_from(
+        ["C:\\Program Files\\App\\", "C:\\PROGRAM FILES\\\u00c4pp", "C:\\Program Files"]
+    )
+    names = hs.sampled_from(["App", "Office", "a\\b"])
+    return xp_meta(
+        system_root=draw(hs.sampled_from(["C:\\WINDOWS", "c:\\windows\\", "C:\\"])),
+        home_path=draw(hs.sampled_from(["\\Documents and Settings\\Administrator", "\\", ""])),
+        sids=tuple(draw(hs.lists(hs.sampled_from([SID, SID2]), unique=True))),
+        install_paths=draw(hs.dictionaries(names, install, max_size=2)),
+    )
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(hs.sampled_from(PATH_PREFIXES), hs.lists(PATH_SEGMENTS, max_size=5), generalize_metas())
+def test_generalized_tokens_are_those_of_its_text(prefix, segments, meta):
+    path = prefix + "\\".join(segments)
+    try:
+        tpl = generalize_path(path, meta)
+    except TemplateSyntaxError:
+        assert "%" in path or not path
+        return
+    assert tpl.tokens == parse_template(tpl.text)
+
+
+def test_generalize_parses_no_text_without_a_percent_sign(monkeypatch):
+    monkeypatch.setattr(templates, "parse_template", lambda text: pytest.fail(f"parsed {text!r}"))
+    meta = xp_meta(install_paths={"App": "C:\\Program Files\\App"})
+    guid = "{01234567-89AB-cdef-0123-456789abcdef}"
+    tpl = generalize_path(f"{ADMIN}\\{guid}\\Cache\\x-1a2b3c.dat", meta)
+    assert tpl.text == "%HomeDrive%\\%HomePath%\\{%s}\\Cache\\x-%s.dat"
+    assert [t for t in tpl.tokens if isinstance(t, str)] == ["\\", "\\{", "}\\Cache\\x-", ".dat"]
+    tpl = generalize_path("C:\\Program Files\\App\\app-12.log", meta)
+    assert tpl.text == "%InstallPath.App%\\app-%i.log"
