@@ -376,11 +376,11 @@ class SnapshotMeta:
 class Snapshot:
     """A full evidence set: metadata plus records keyed by (kind, folded path).
 
-    ``records`` is any mapping: a dict from ``build``, or, from
-    ``parse_snapshot``, one that builds each record from its validated row on
-    first lookup.  ``by_path`` sorts one kind's folded paths on first use and
-    keeps the result, so the sort is paid only by snapshots that are searched
-    or iterated.
+    ``records`` is any mapping that ``_checked_table`` passed: a dict from
+    ``build``, or, from ``parse_snapshot``, one that builds each record from
+    its validated row on first lookup.  ``by_path`` sorts one kind's folded
+    paths on first use and keeps the result, so the sort is paid only by
+    snapshots that are searched or iterated.
     """
 
     meta: SnapshotMeta
@@ -391,32 +391,8 @@ class Snapshot:
 
     @classmethod
     def build(cls, meta: SnapshotMeta, records: Iterable[ArtifactRecord]) -> "Snapshot":
-        table: dict[tuple[RecordKind, str], ArtifactRecord] = {}
-        for rec in records:
-            key = rec.key
-            if key in table:
-                raise SnapshotFormatError(f"duplicate record for path {rec.path!r}")
-            table[key] = rec
-        snap = cls(meta, table)
-        snap.validate()
-        return snap
-
-    def validate(self) -> None:
-        cap_hi = self.meta.capture_time.hi
-        has_user_hive = False
-        for (kind, folded), rec in self.records.items():
-            for field in FIELDS:
-                point = rec.timestamp(field)
-                if point is not None and point.epoch_s > cap_hi:
-                    raise SnapshotFormatError(
-                        f"{rec.path!r} has a {field} time after the capture time"
-                    )
-            if kind is RecordKind.REGKEY and folded.startswith("hkey_users\\"):
-                has_user_hive = True
-        if has_user_hive and not self.meta.sids:
-            raise SnapshotFormatError(
-                "snapshot contains HKEY_USERS keys but no #sid metadata"
-            )
+        records = list(records)
+        return cls(meta, _checked_table(meta, [rec.key for rec in records], records, records))
 
     def get(self, kind: RecordKind, path: str) -> ArtifactRecord | None:
         return self.records.get((kind, fold_path(path)))
@@ -476,9 +452,7 @@ def parse_snapshot(text: str) -> Snapshot:
 
     Every row is validated here, but a plain row's record is built only when
     it is first looked up (see ``_validated_rows``), so a search that reaches
-    a few paths builds a few records.  If that one-pass check refuses any row,
-    the whole text is parsed again eagerly, every row through ``read_csv`` and
-    ``Snapshot.build``, for the error they give.
+    a few paths builds a few records.
     """
     lines = text.splitlines()
 
@@ -530,12 +504,7 @@ def parse_snapshot(text: str) -> Snapshot:
         raise SnapshotFormatError(f"missing column header row {_HEADER_ROW!r}")
     idx += 1
 
-    rows = lines[idx:]
-    validated = _validated_rows(rows, meta, singles["capture_time"])
-    if validated is not None:
-        return Snapshot(meta, validated)
-    records = read_csv(rows, _parse_row, SnapshotFormatError, first_line=idx + 1)
-    return Snapshot.build(meta, records)
+    return Snapshot(meta, _validated_rows(lines[idx:], meta, singles["capture_time"], idx + 1))
 
 
 # The rest of a row after its kind cell, as ``_plain_row_key`` checks it
@@ -600,9 +569,10 @@ class _RowRecords(Mapping):
 
 def _plain_row_key(line: str, capture: str, days: _Days) -> tuple[RecordKind, str] | None:
     """The key of a row that ``_ROW_AFTER_KIND`` matches and passes every check
-    ``_parse_row`` makes and the capture-time bound; None for any other row.
-    Each distinct day is checked once, and the bound is a text comparison with
-    the canonical ``capture`` text, as canonical timestamps sort as text."""
+    ``_parse_row`` makes and the capture-time bound; None for any other row,
+    which is parsed alone and whose times ``_checked_table`` bounds.  Each
+    distinct day is checked once, and the bound is a text comparison with the
+    canonical ``capture`` text, as canonical timestamps sort as text."""
     kind_text, _, rest = line.partition(",")
     kind = _KIND_OF.get(fold_path(kind_text))
     match = kind and _ROW_AFTER_KIND[kind].fullmatch(rest)
@@ -617,31 +587,53 @@ def _plain_row_key(line: str, capture: str, days: _Days) -> tuple[RecordKind, st
     return (kind, fold_path(path))
 
 
-def _validated_rows(rows: list[str], meta: SnapshotMeta, capture: str) -> _RowRecords | None:
-    """The records of ``rows`` when every row passes every check
-    ``_parse_row`` and ``Snapshot.build`` make; None as soon as one does not.
-    A row ``_plain_row_key`` accepts is kept as text and built on first
-    lookup; any other (a quoted path, say) is built now through ``_parse_row``
-    and checked as ``Snapshot.build`` checks it."""
+def _checked_table(meta: SnapshotMeta, keys: list, values: list, records: list) -> dict:
+    """``values`` by their ``keys``, in file order: rows ``_plain_row_key``
+    accepted, all within the capture time, and ``records``.  The rules over
+    the whole snapshot are checked in the order an eager parse breaks them:
+    the first duplicate, else the first time after the capture time, else
+    ``HKEY_USERS`` keys with no SID."""
+    table = dict(zip(keys, values))
+    if len(table) < len(keys):
+        seen = set()
+        for key, value in zip(keys, values):
+            if key in seen:
+                path = value.split(",")[1] if isinstance(value, str) else value.path
+                raise SnapshotFormatError(f"duplicate record for path {path!r}")
+            seen.add(key)
     cap_hi = meta.capture_time.hi
+    for rec in records:
+        for field in FIELDS:
+            point = getattr(rec, field)
+            if point is not None and point.epoch_s > cap_hi:
+                raise SnapshotFormatError(f"{rec.path!r} has a {field} time after the capture time")
+    user_keys = (p for k, p in table if k is RecordKind.REGKEY and p.startswith("hkey_users\\"))
+    if not meta.sids and any(user_keys):
+        raise SnapshotFormatError("snapshot contains HKEY_USERS keys but no #sid metadata")
+    return table
+
+
+def _validated_rows(
+    rows: list[str], meta: SnapshotMeta, capture: str, first_line: int
+) -> _RowRecords:
+    """The records of ``rows``, the first on line ``first_line``.  A row
+    ``_plain_row_key`` accepts is kept as text and built on first lookup; any
+    other (a quoted path, say) is built now through ``_parse_row``, and its
+    refusal is the one ``read_csv`` gives over the whole text."""
     days = _Days()
-    table: dict[tuple[RecordKind, str], str | ArtifactRecord] = {}
-    for line in rows:
-        key, value = _plain_row_key(line, capture, days), line
+    keys, values, records = [], rows.copy(), []
+    for i, line in enumerate(rows):
+        key = _plain_row_key(line, capture, days)
         if key is None:
             try:
-                (value,) = read_csv([line], _parse_row, SnapshotFormatError)
-            except SnapshotFormatError:
-                return None
-            if any(p is not None and p.epoch_s > cap_hi for p in map(value.timestamp, FIELDS)):
-                return None
-            key = value.key
-        if key in table:
-            return None
-        if not meta.sids and key[0] is RecordKind.REGKEY and key[1].startswith("hkey_users\\"):
-            return None
-        table[key] = value
-    return _RowRecords(table, days)
+                (rec,) = read_csv([line], _parse_row, SnapshotFormatError)
+            except SnapshotFormatError:  # a NUL on a later line, or a quote open past this one
+                read_csv(rows[i:], _parse_row, SnapshotFormatError, first_line + i)
+                raise
+            values[i], key = rec, rec.key
+            records.append(rec)
+        keys.append(key)
+    return _RowRecords(_checked_table(meta, keys, values, records), days)
 
 
 def _row_cells(line: str) -> tuple[str, _Cells]:

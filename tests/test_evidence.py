@@ -14,6 +14,7 @@ from tracesig import evidence
 from tracesig.capture import CaptureFormatError, parse_capture
 from tracesig.categorize import RunObservation, read_observations, write_observations
 from tracesig.evidence import (
+    FIELDS,
     ArtifactRecord,
     RecordKind,
     Snapshot,
@@ -674,3 +675,128 @@ def test_a_parsed_record_is_built_when_first_looked_up(monkeypatch):
     quoted = snap.get(RecordKind.FILE, "C:\\Users\\Smith, J.docx")
     assert quoted == frec("C:\\Users\\Smith, J.docx", "2010-04-13T09:00:00Z")
     assert len(built) == 1
+
+
+# --- which refusal a snapshot with several faults gets -----------------------
+
+LATE = "2011-01-01T00:00:00Z"  # after SNAPSHOT_TEXT's capture time
+ROW = "file,C:\\Dir\\{},2010-04-13T09:00:00Z,,,1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SNAPSHOT_TEXT + "file,C:\\a,2010-04-13T09:00:00Z,,\n" + ROW.format("b\x00"),
+            "line 11: a cell holds NUL",
+        ),
+        (
+            SNAPSHOT_TEXT + ROW.format("a") + ROW.format("A") + ROW.format("b")[:-2] + "x\n",
+            "line 12: precision_s must be an integer, got 'x'",
+        ),
+        (
+            SNAPSHOT_TEXT + f"file,C:\\late,{LATE},,,1\n" + ROW.format("a") + ROW.format("A"),
+            "duplicate record for path 'C:\\\\Dir\\\\A'",
+        ),
+        (
+            SNAPSHOT_TEXT.replace(f"#sid={SID}\n", "") + f"file,C:\\late,,{LATE},{LATE},1\n",
+            "'C:\\\\late' has a accessed time after the capture time",
+        ),
+        (
+            SNAPSHOT_TEXT + f'file,"C:\\q, r",{LATE},,,1\n' + f"file,C:\\p,{LATE},,,1\n",
+            "'C:\\\\q, r' has a modified time after the capture time",
+        ),
+    ],
+    ids=[
+        "nul-after-short-row", "bad-row-after-duplicate", "duplicate-after-late-record",
+        "late-record-without-sid", "quoted-late-before-plain-late",
+    ],
+)
+def test_the_first_refusal_of_the_eager_parse_wins(text, message):
+    with pytest.raises(SnapshotFormatError) as info:
+        eager_parse(text)
+    assert str(info.value) == message
+    assert_agrees(text)
+
+
+def reference_build(meta, records):
+    """The records table ``Snapshot.build`` makes, as a dict, by its own
+    separate checks: the first duplicate path, then, by record, a time after
+    the capture time, then HKEY_USERS keys with no SID."""
+    table = {}
+    for rec in records:
+        key = rec.key
+        if key in table:
+            raise SnapshotFormatError(f"duplicate record for path {rec.path!r}")
+        table[key] = rec
+    cap_hi = meta.capture_time.hi
+    has_user_hive = False
+    for (kind, folded), rec in table.items():
+        for field in FIELDS:
+            point = rec.timestamp(field)
+            if point is not None and point.epoch_s > cap_hi:
+                raise SnapshotFormatError(
+                    f"{rec.path!r} has a {field} time after the capture time"
+                )
+        if kind is RecordKind.REGKEY and folded.startswith("hkey_users\\"):
+            has_user_hive = True
+    if has_user_hive and not meta.sids:
+        raise SnapshotFormatError(
+            "snapshot contains HKEY_USERS keys but no #sid metadata"
+        )
+    return table
+
+
+@hs.composite
+def record_lists(draw):
+    """A meta with or without SIDs, and records whose paths often differ
+    only in case, under HKEY_USERS or not, with times that may pass the
+    capture time on any field."""
+    capture = _T0 + draw(hs.integers(0, 86400))
+    stamp = hs.integers(capture - 86400, capture + 2)
+    records = []
+    for _ in range(draw(hs.integers(0, 6))):
+        kind = draw(hs.sampled_from(RecordKind))
+        prefix = draw(hs.sampled_from(("C:\\", "HKEY_USERS\\", "hkey_users\\", f"{HKU}\\")))
+        path = prefix + draw(hs.text(hs.sampled_from("aAb"), min_size=1, max_size=2))
+        precision = draw(hs.sampled_from((1, 60)))
+        stamps = [draw(stamp), None, None]
+        if kind is RecordKind.FILE:
+            stamps = [draw(hs.none() | stamp) for _ in FIELDS]
+            if stamps == [None] * 3:
+                stamps[draw(hs.integers(0, 2))] = draw(stamp)
+        points = [None if s is None else TimePoint(s, precision) for s in stamps]
+        records.append(ArtifactRecord(kind, path, *points))
+    sids = draw(hs.sampled_from(((), (SID,))))
+    return xp_meta(capture=format_timestamp(capture), sids=sids), records
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(case=record_lists())
+def test_build_agrees_with_the_reference_build(case):
+    meta, records = case
+    try:
+        expected = reference_build(meta, records)
+    except SnapshotFormatError as exc:
+        with pytest.raises(SnapshotFormatError) as info:
+            Snapshot.build(meta, iter(records))
+        assert str(info.value) == str(exc)
+        return
+    snap = Snapshot.build(meta, iter(records))
+    assert snap.meta is meta
+    assert list(snap.records.items()) == list(expected.items())
+
+
+def test_a_refused_file_is_not_parsed_again(monkeypatch):
+    """A file of plain rows that is refused as a whole builds no record."""
+    calls = []
+    for name in ("_parse_row", "_build_record"):
+        original = getattr(evidence, name)
+        monkeypatch.setattr(evidence, name, lambda *a, f=original: calls.append(f) or f(*a))
+    rows = [ROW.format(f"File{i}.txt") for i in range(200)]
+    rows[-1] = ROW.format("FILE0.TXT")
+    text = SNAPSHOT_TEXT[: SNAPSHOT_TEXT.index(HEADER_ROW)] + HEADER_ROW + "\n" + "".join(rows)
+    with pytest.raises(SnapshotFormatError) as info:
+        parse_snapshot(text)
+    assert str(info.value) == "duplicate record for path 'C:\\\\Dir\\\\FILE0.TXT'"
+    assert calls == []
