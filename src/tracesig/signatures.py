@@ -26,7 +26,7 @@ from typing import Iterable
 from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
 from .evidence import JsonObject, RecordKind, Snapshot, check_field, fold_path, read_json
 from .evidence import reraise_as
-from .templates import PathTemplate, generalize_path
+from .templates import PathTemplate, TemplateSyntaxError, generalize_path
 
 __all__ = [
     "DEFAULT_WINDOW_S",
@@ -100,12 +100,12 @@ class Signature:
             raise ValueError(f"window_s must be >= 1, got {self.window_s}")
         seen = set()
         for trace in self.core:
-            key = (trace.template.kind, fold_path(trace.template.text))
+            key = trace.template.key
             if key in seen:
                 raise ValueError(f"duplicate core template {trace.template.text!r}")
             seen.add(key)
         for trace in self.supporting:
-            if (trace.template.kind, fold_path(trace.template.text)) in seen:
+            if trace.template.key in seen:
                 raise ValueError(f"template {trace.template.text!r} is both core and supporting")
 
     @property
@@ -200,33 +200,42 @@ def derive_signature(
     in the core.  First-run,
     shortcut and irregular traces become supporting entries, as do
     always-updated traces that background activity also touched (flagged
-    confounded).  An empty or single-entry core still produces a signature,
-    just a weak one.
+    confounded).  A trace whose path holds a percent sign has no template and
+    is left out, with one summary warning.  An empty or single-entry core
+    still produces a signature, just a weak one.
     """
     analyses = categorize_matrix(matrix_action, matrix_background)
     templates: dict[str, PathTemplate] = {}
     core_fields: dict[tuple[RecordKind, str], set[str | None]] = {}
+    refused = 0
     for trace, analysis in sorted(analyses.items()):
         kind = matrix_action.kinds[trace]
-        template = generalize_path(matrix_action.display[trace], snap.meta, kind=kind)
+        try:
+            template = generalize_path(matrix_action.display[trace], snap.meta, kind=kind)
+        except TemplateSyntaxError:  # a percent sign in the path
+            refused += 1
+            continue
         templates[trace] = template
         in_core = analysis.category.is_always and not analysis.category.confounded
-        core_fields.setdefault((kind, fold_path(template.text)), set()).add(
-            analysis.field if in_core else None
+        core_fields.setdefault(template.key, set()).add(analysis.field if in_core else None)
+    if refused:
+        logger.warning(
+            "%d trace(s) hold a percent sign in their path, which no template can; "
+            "leaving them out of the signature",
+            refused,
         )
 
     core: dict[tuple[RecordKind, str], CoreTrace] = {}
     supporting: dict[tuple[RecordKind, str], SupportingTrace] = {}
-    for trace, analysis in sorted(analyses.items()):
-        category, field = analysis.category, analysis.field
+    for trace, template in templates.items():
+        category, field = analyses[trace].category, analyses[trace].field
         if category.label is CategoryLabel.NEVER:
             continue
-        template = templates[trace]
-        key = (template.kind, fold_path(template.text))
+        key = template.key
         if category.is_always and not category.confounded:
             if core_fields[key] != {field}:  # the template would reach other traces
                 template = PathTemplate(matrix_action.display[trace], template.kind)
-                key = (template.kind, fold_path(template.text))
+                key = template.key
             core.setdefault(key, CoreTrace(template=template, field=field))
         else:
             supporting.setdefault(

@@ -15,7 +15,8 @@ equivalent artifact on another:
 
 Literal text matches case-insensitively (ASCII), mirroring Windows path
 identity; the original spelling of matched records is preserved.  A literal
-percent sign cannot appear in a template.
+percent sign cannot appear in a template, so a path holding one is not
+generalized.
 """
 
 from __future__ import annotations
@@ -49,12 +50,9 @@ class Var:
 
 Token = Union[str, Var]
 
-_CLOSED_VARS = ("SystemRoot", "HomeDrive", "HomePath", "SID")
-_INLINE_VARS = ("s", "i")
-
-
-def _var_text(var: Var) -> str:
-    return f"%{var.name}" if var.name in _INLINE_VARS else f"%{var.name}%"
+# One variable at a percent sign, or, through the empty last branch, a percent
+# sign that starts none.
+_VAR = re.compile(r"%(?:(SystemRoot|HomeDrive|HomePath|SID)%|(InstallPath\.[^%]+)%|([si])|)")
 
 
 def parse_template(text: str) -> tuple[Token, ...]:
@@ -67,49 +65,25 @@ def parse_template(text: str) -> tuple[Token, ...]:
     if not text:
         raise TemplateSyntaxError("empty template")
     tokens: list[Token] = []
-    literal: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "%":
-            literal.append(ch)
-            i += 1
-            continue
-        var = None
-        for name in _CLOSED_VARS:
-            if text.startswith(f"%{name}%", i):
-                var = Var(name)
-                i += len(name) + 2
-                break
-        if var is None and text.startswith("%InstallPath.", i):
-            end = text.find("%", i + 1)
-            name = text[i + len("%InstallPath."):end] if end != -1 else ""
-            if end == -1 or not name or "%" in name:
+    end = 0
+    for match in _VAR.finditer(text):
+        start = match.start()
+        if match.lastindex is None:
+            if text.startswith("%InstallPath.", start):
                 raise TemplateSyntaxError(
-                    f"malformed install-path variable at position {i} in {text!r}"
+                    f"malformed install-path variable at position {start} in {text!r}"
                 )
-            var = Var(f"InstallPath.{name}")
-            i = end + 1
-        if var is None:
-            for name in _INLINE_VARS:
-                if text.startswith(f"%{name}", i):
-                    var = Var(name)
-                    i += 2
-                    break
-        if var is None:
-            raise TemplateSyntaxError(
-                f"unknown variable at position {i} in template {text!r}"
-            )
-        if literal:
-            tokens.append("".join(literal))
-            literal = []
-        elif tokens and isinstance(tokens[-1], Var):
+            raise TemplateSyntaxError(f"unknown variable at position {start} in template {text!r}")
+        if start > end:
+            tokens.append(text[end:start])
+        elif tokens:  # the previous variable ended where this one starts
             raise TemplateSyntaxError(
                 f"adjacent variables without a separator in template {text!r}"
             )
-        tokens.append(var)
-    if literal:
-        tokens.append("".join(literal))
+        tokens.append(Var(match[match.lastindex]))
+        end = match.end()
+    if end < len(text):
+        tokens.append(text[end:])
     return tuple(tokens)
 
 
@@ -123,17 +97,6 @@ class PathTemplate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_tokens", parse_template(self.text))
 
-    @classmethod
-    def _of_tokens(cls, tokens: tuple[Token, ...], kind: RecordKind) -> "PathTemplate":
-        """The template of ``tokens``, a tuple ``parse_template`` could give,
-        whose text is written from them rather than parsed."""
-        tpl = cls.__new__(cls)
-        text = "".join([t if type(t) is str else _var_text(t) for t in tokens])
-        object.__setattr__(tpl, "text", text)
-        object.__setattr__(tpl, "kind", kind)
-        object.__setattr__(tpl, "_tokens", tokens)
-        return tpl
-
     @property
     def tokens(self) -> tuple[Token, ...]:
         return self._tokens  # type: ignore[attr-defined]
@@ -144,6 +107,10 @@ class PathTemplate:
     @property
     def uses_sid(self) -> bool:
         return "SID" in self.variables()
+
+    @property
+    def key(self) -> tuple[RecordKind, str]:
+        return (self.kind, fold_path(self.text))
 
 
 @dataclass(frozen=True)
@@ -195,47 +162,33 @@ def _metadata_text(meta: SnapshotMeta) -> dict[str, str]:
     return text
 
 
-_S, _I, _SID = Var("s"), Var("i"), Var("SID")
-_HOME = (Var("HomeDrive"), "\\", Var("HomePath"))
-
-
-def _prefix_candidates(meta: SnapshotMeta) -> list[tuple[str, tuple[Token, ...]]]:
+def _prefix_candidates(meta: SnapshotMeta) -> list[tuple[str, str]]:
     text = _metadata_text(meta)
     drive, rel = text.pop("HomeDrive"), text.pop("HomePath")
-    candidates = [(f"{drive}\\{rel}", _HOME)] if drive and rel else []
-    candidates += [(prefix, (Var(name),)) for name, prefix in text.items() if prefix]
+    candidates = [(f"{drive}\\{rel}", "%HomeDrive%\\%HomePath%")] if drive and rel else []
+    candidates += [(prefix, f"%{name}%") for name, prefix in text.items() if prefix]
     candidates.sort(key=lambda c: len(c[0]), reverse=True)
     return candidates
 
 
-def _between(parts: list[str], tokens: tuple[Token, ...]) -> list[Token]:
-    """``parts`` with ``tokens`` put between each two of them."""
-    out: list[Token] = [parts[0]]
-    for part in parts[1:]:
-        out += [*tokens, part]
-    return out
-
-
-def _segment_tokens(segment: str, last: bool, folded_sids: set[str]) -> list[Token]:
-    if "%" in segment:
-        return [segment]  # a literal percent sign: parse_template reads it (see generalize_path)
+def _segment_text(segment: str, last: bool, folded_sids: set[str]) -> str:
     if fold_path(segment) in folded_sids:
-        return [_SID]
+        return "%SID%"
     parts = _BRACED_GUID.split(segment)
     if len(parts) > 1:
-        return _between(parts, ("{", _S, "}"))
+        return "{%s}".join(parts)
     if not last:
-        return parts
+        return segment
     parts = _LOG_COUNTER.split(segment)
     if len(parts) > 1:
-        return _between(parts, (_I,))
+        return "%i".join(parts)
     parts = _HEX_RUN.split(segment)  # literal, run, literal, ..., literal
     for i in range(1, len(parts), 2):
         run = parts[i]
         hashlike = len(run) in _HASH_LENGTHS or any(c.isdigit() for c in run)
         if len(run) >= _MIN_HEX_RUN and hashlike:
-            parts[i] = _S
-    return parts
+            parts[i] = "%s"
+    return "".join(parts)
 
 
 def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = None) -> PathTemplate:
@@ -250,38 +203,28 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
     becomes %s.  Paths with nothing machine-specific come back as
     all-literal templates.
 
-    The template's tokens are assembled with its text, so the text is not
-    parsed again; only a path holding a percent sign, whose text
-    ``parse_template`` may read as variables or refuse, is parsed.
+    A path holding a percent sign is refused with TemplateSyntaxError: a
+    template cannot hold one literally, and read as template text it would
+    name variables the path never had.
     """
+    if "%" in path:
+        raise TemplateSyntaxError(f"a path holding a percent sign has no template: {path!r}")
     if kind is None:
         kind = RecordKind.REGKEY if fold_path(path).startswith("hkey_") else RecordKind.FILE
 
-    head: tuple[Token, ...] = ()
+    parts: list[str] = []
     segments = path.split("\\")
     folded = fold_path(path)
     for prefix, replacement in _prefix_candidates(meta):
         fp = fold_path(prefix)
         if folded.startswith(fp) and (len(path) == len(prefix) or path[len(prefix)] == "\\"):
-            head, segments = replacement, path[len(prefix):].split("\\")[1:]
+            parts, segments = [replacement], path[len(prefix):].split("\\")[1:]
             break
 
     folded_sids = {fold_path(s) for s in meta.sids}
-    pieces: list[Token] = list(head)
-    for pos, segment in enumerate(segments):
-        if pieces:
-            pieces.append("\\")
-        pieces += _segment_tokens(segment, pos == len(segments) - 1, folded_sids)
-    tokens: list[Token] = []
-    for piece in pieces:  # join neighbouring literals, drop empty ones
-        if isinstance(piece, str) and tokens and isinstance(tokens[-1], str):
-            tokens[-1] += piece
-        elif piece:
-            tokens.append(piece)
-    template = PathTemplate._of_tokens(tuple(tokens), kind)
-    if "%" in path or not tokens:
-        return PathTemplate(template.text, kind)
-    return template
+    last = len(segments) - 1
+    parts += [_segment_text(s, pos == last, folded_sids) for pos, s in enumerate(segments)]
+    return PathTemplate("\\".join(parts), kind)
 
 
 # --- instantiation --------------------------------------------------------
@@ -318,12 +261,8 @@ def _compile(
             if token.name == "SID":
                 parts.append(r"(?P=sid)" if sid_seen else rf"(?P<sid>{_SID_SHAPE})")
                 sid_seen = True
-            elif token.name == "s":
-                parts.append(r"[0-9A-Za-z-]+")
-            elif token.name == "i":
-                parts.append(r"[0-9]+")
-            else:  # unreachable once parse_template has accepted the text
-                raise TemplateSyntaxError(f"unknown variable {token.name!r}")
+            else:
+                parts.append(r"[0-9A-Za-z-]+" if token.name == "s" else r"[0-9]+")
             unbound_seen = True
             continue
         parts.append(re.escape(text))

@@ -538,6 +538,30 @@ class TestSimulateDeriveRoundTrip:
         capsys.readouterr()
         assert built == []
 
+    def test_derive_leaves_out_traces_holding_a_percent_sign(self, tmp_path, capsys):
+        data = json.loads(fixture_text("demo_scenario.json"))
+        folder = "C:\\Documents and Settings\\demo\\My Documents"
+        for name in ("100%.txt", "a%sb.txt"):
+            rule = {"trace": f"{folder}\\{name}", "kind": "file", "field": "modified", "mode": "always"}
+            data["model"]["app.open"].append(rule)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+        out, sig_file = tmp_path / "sim", tmp_path / "derived.sig"
+        assert main(["simulate", "--scenario", str(scenario), "-o", str(out)]) == 0
+        capsys.readouterr()
+        rc = main(
+            ["derive", "--obs", str(out / "obs" / "app.open"),
+             "--background", str(out / "obs" / "web.browse"),
+             "--action", "app.open", "--platform", "sim", "-o", str(sig_file)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert "My Documents" not in sig_file.read_text(encoding="utf-8")
+        assert [line for line in err.splitlines() if line.startswith("WARNING")] == [
+            "WARNING: 2 trace(s) hold a percent sign in their path, which no template can; "
+            "leaving them out of the signature"
+        ]
+
     def test_inspect_emits_the_matrix(self, sim_tree, capsys):
         rc = main(["inspect", "--obs", str(sim_tree / "obs" / "app.open")])
         out = capsys.readouterr().out

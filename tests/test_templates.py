@@ -5,12 +5,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from conftest import ADMIN, HKU, SID, frec, krec, snap_of, xp_meta
-from tracesig import templates
 from tracesig.evidence import RecordKind, fold_path
 from tracesig.templates import (
     Binding,
     PathTemplate,
     TemplateSyntaxError,
+    Var,
     generalize_path,
     instantiate,
     parse_template,
@@ -434,8 +434,7 @@ def test_generalized_tokens_are_those_of_its_text(prefix, segments, meta):
     assert tpl.tokens == parse_template(tpl.text)
 
 
-def test_generalize_parses_no_text_without_a_percent_sign(monkeypatch):
-    monkeypatch.setattr(templates, "parse_template", lambda text: pytest.fail(f"parsed {text!r}"))
+def test_generalized_text_and_tokens():
     meta = xp_meta(install_paths={"App": "C:\\Program Files\\App"})
     guid = "{01234567-89AB-cdef-0123-456789abcdef}"
     tpl = generalize_path(f"{ADMIN}\\{guid}\\Cache\\x-1a2b3c.dat", meta)
@@ -443,3 +442,85 @@ def test_generalize_parses_no_text_without_a_percent_sign(monkeypatch):
     assert [t for t in tpl.tokens if isinstance(t, str)] == ["\\", "\\{", "}\\Cache\\x-", ".dat"]
     tpl = generalize_path("C:\\Program Files\\App\\app-12.log", meta)
     assert tpl.text == "%InstallPath.App%\\app-%i.log"
+    for name in ("100%.txt", "a%sb.txt"):
+        path = f"{ADMIN}\\My Documents\\{name}"
+        with pytest.raises(TemplateSyntaxError, match=re.escape(repr(path))):
+            generalize_path(path, meta)
+
+
+# --- parse_template against the character loop it replaced -------------------
+
+_CLOSED_VARS = ("SystemRoot", "HomeDrive", "HomePath", "SID")
+_INLINE_VARS = ("s", "i")
+
+
+def reference_parse_template(text):
+    """The character loop ``parse_template`` was before it became one regex scan."""
+    if not text:
+        raise TemplateSyntaxError("empty template")
+    tokens = []
+    literal = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "%":
+            literal.append(ch)
+            i += 1
+            continue
+        var = None
+        for name in _CLOSED_VARS:
+            if text.startswith(f"%{name}%", i):
+                var = Var(name)
+                i += len(name) + 2
+                break
+        if var is None and text.startswith("%InstallPath.", i):
+            end = text.find("%", i + 1)
+            name = text[i + len("%InstallPath."):end] if end != -1 else ""
+            if end == -1 or not name or "%" in name:
+                raise TemplateSyntaxError(
+                    f"malformed install-path variable at position {i} in {text!r}"
+                )
+            var = Var(f"InstallPath.{name}")
+            i = end + 1
+        if var is None:
+            for name in _INLINE_VARS:
+                if text.startswith(f"%{name}", i):
+                    var = Var(name)
+                    i += 2
+                    break
+        if var is None:
+            raise TemplateSyntaxError(
+                f"unknown variable at position {i} in template {text!r}"
+            )
+        if literal:
+            tokens.append("".join(literal))
+            literal = []
+        elif tokens and isinstance(tokens[-1], Var):
+            raise TemplateSyntaxError(
+                f"adjacent variables without a separator in template {text!r}"
+            )
+        tokens.append(var)
+    if literal:
+        tokens.append("".join(literal))
+    return tuple(tokens)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except TemplateSyntaxError as exc:
+        return str(exc)
+
+
+# Pieces of every variable, whole and broken, and the literals between them.
+TEMPLATE_FRAGMENTS = hs.sampled_from([
+    "%SystemRoot%", "%HomeDrive%", "%HomePath%", "%SID%", "%InstallPath.", "%InstallPath.App%",
+    "%InstallPath.a\\b%", "%s", "%i", "%S", "%", "S", "ID%", "InstallPath", ".", "\\",
+    "a", "b", "x", "Root%",
+])
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(hs.lists(TEMPLATE_FRAGMENTS, max_size=8).map("".join))
+def test_parse_template_agrees_with_the_character_loop(text):
+    assert parse_outcome(parse_template, text) == parse_outcome(reference_parse_template, text)
