@@ -1,11 +1,11 @@
 """Activity-capture log parsing and trace-name extraction.
 
 Capture logs are process-monitor style CSV exports with the columns Time,
-Process Name, PID, Operation, Path, Result, Detail.  The functions here
-reproduce the noise-reduction pipeline used to find candidate traces for a
-user action: filter the log to the processes of interest, collapse it to the
-set of distinct path names, and intersect those sets across repeated runs of
-the action.
+Process Name, PID, Operation, Path, Result, Detail; each row is read to its
+process name and path.  The functions here reproduce the noise-reduction
+pipeline used to find candidate traces for a user action: filter the log to
+the processes of interest, collapse it to the set of distinct path names, and
+intersect those sets across repeated runs of the action.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 from .evidence import fold_path, int_cell, read_csv
 
 __all__ = [
-    "CaptureEvent",
     "CaptureFormatError",
     "TraceNameSet",
     "filter_by_process",
@@ -31,23 +30,8 @@ class CaptureFormatError(ValueError):
     """Capture text that does not conform to the capture CSV format."""
 
 
-@dataclass(frozen=True)
-class CaptureEvent:
-    """One monitored operation: which process touched which path."""
-
-    time_of_day: str
-    process_name: str
-    pid: int
-    operation: str
-    path: str
-    result: str
-    detail: str
-
-    def __post_init__(self) -> None:
-        if not self.process_name:
-            raise ValueError("capture event needs a process name")
-        if not self.path:
-            raise ValueError("capture event needs a path")
+# One monitored operation: the process name and the path it touched.
+Event = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -70,13 +54,15 @@ class TraceNameSet:
         return fold_path(name) in self.names
 
 
-def parse_capture(text: str) -> tuple[CaptureEvent, ...]:
-    """Parse capture CSV text into its events, in log order.
+def parse_capture(text: str) -> tuple[Event, ...]:
+    """Parse capture CSV text into (process name, path) pairs, in log order.
 
     An optional first header row is recognized by the literal cell
     ``Process Name`` and skipped.  Rows need at least the seven standard
-    columns; extra trailing columns are ignored.  Quoted cells may contain
-    commas, with embedded quotes doubled; a row is one line (see ``read_csv``).
+    columns; extra trailing columns are ignored.  A row's process name and
+    path must be non-empty and its PID an integer; the time, operation,
+    result and detail cells are not read.  Quoted cells may contain commas,
+    with embedded quotes doubled; a row is one line (see ``read_csv``).
     """
     lines = text.splitlines()
     header = read_csv(lines[:1], list, CaptureFormatError)
@@ -84,27 +70,29 @@ def parse_capture(text: str) -> tuple[CaptureEvent, ...]:
     return tuple(read_csv(lines[skip:], _parse_event, CaptureFormatError, first_line=skip + 1))
 
 
-def _parse_event(row: list[str]) -> CaptureEvent:
+def _parse_event(row: list[str]) -> Event:
     if len(row) < 7:
         raise ValueError(f"row has {len(row)} columns, expected at least 7")
-    time_of_day, process_name, pid_text, operation, path, result, detail = row[:7]
-    pid = int_cell(pid_text, "PID")
-    return CaptureEvent(time_of_day, process_name, pid, operation, path, result, detail)
+    process_name, pid, path = row[1], row[2], row[4]
+    int_cell(pid, "PID")
+    if not process_name:
+        raise ValueError("capture event needs a process name")
+    if not path:
+        raise ValueError("capture event needs a path")
+    return process_name, path
 
 
-def filter_by_process(
-    log: Iterable[CaptureEvent], processes: Iterable[str]
-) -> tuple[CaptureEvent, ...]:
+def filter_by_process(log: Iterable[Event], processes: Iterable[str]) -> tuple[Event, ...]:
     """Keep only events from the named processes (case-insensitive)."""
     wanted = {fold_path(p) for p in processes}
     if not wanted:
         raise ValueError("at least one process name is required")
-    return tuple(e for e in log if fold_path(e.process_name) in wanted)
+    return tuple(e for e in log if fold_path(e[0]) in wanted)
 
 
-def unique_traces(log: Iterable[CaptureEvent]) -> TraceNameSet:
+def unique_traces(log: Iterable[Event]) -> TraceNameSet:
     """The distinct path names a log touches, case-folded."""
-    return TraceNameSet.of(e.path for e in log)
+    return TraceNameSet.of(path for _process, path in log)
 
 
 def intersect_runs(runs: Sequence[TraceNameSet]) -> TraceNameSet:

@@ -171,9 +171,7 @@ def _prefix_candidates(meta: SnapshotMeta) -> list[tuple[str, str]]:
     return candidates
 
 
-def _segment_text(segment: str, last: bool, folded_sids: set[str]) -> str:
-    if fold_path(segment) in folded_sids:
-        return "%SID%"
+def _segment_text(segment: str, last: bool) -> str:
     parts = _BRACED_GUID.split(segment)
     if len(parts) > 1:
         return "{%s}".join(parts)
@@ -196,7 +194,8 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
 
     The longest matching prefix out of the profile directory, the system root
     and any published install paths becomes its variable; whole segments equal
-    to a known user SID become %SID%; brace-wrapped GUIDs anywhere become
+    to the first known user SID in the path become %SID%, as %SID% binds one
+    value, and other SIDs stay literal; brace-wrapped GUIDs anywhere become
     {%s}; in the final segment, rotation counters in log-style names become
     %i, and each unbraced GUID or dash-separated hex piece of six or more
     characters that holds a digit or has a hash length (8, 16, 32 or 40)
@@ -222,15 +221,21 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
             break
 
     folded_sids = {fold_path(s) for s in meta.sids}
+    sid = None  # the folded SID %SID% stands for: the first one the path holds
     last = len(segments) - 1
-    parts += [_segment_text(s, pos == last, folded_sids) for pos, s in enumerate(segments)]
+    for pos, segment in enumerate(segments):
+        folded_segment = fold_path(segment)
+        if folded_segment not in folded_sids:
+            parts.append(_segment_text(segment, pos == last))
+        elif sid in (None, folded_segment):
+            sid = folded_segment
+            parts.append("%SID%")
+        else:
+            parts.append(segment)
     return PathTemplate("\\".join(parts), kind)
 
 
 # --- instantiation --------------------------------------------------------
-
-_SID_SHAPE = r"S-\d+(?:-\d+)+"
-
 
 def _compile(
     tpl: PathTemplate, meta: SnapshotMeta, fixed_sid: str | None
@@ -240,8 +245,9 @@ def _compile(
     Returns the pattern and the folded text every match starts with: the
     template's expansion up to its first unbound variable (%s, %i, or a %SID%
     that ``fixed_sid`` does not pin).  Returns None when the template cannot
-    be expanded here at all (an install-path variable the snapshot does not
-    define).  An unbound %SID% is captured in the group ``sid``.
+    be expanded here at all: an install-path variable the snapshot does not
+    define, or an unbound %SID% in a snapshot that lists no SID.  An unbound
+    %SID% is captured in the group ``sid``, which takes any listed SID.
     """
     parts: list[str] = []
     prefix: list[str] = []
@@ -258,11 +264,14 @@ def _compile(
         elif token.name == "SID" and fixed_sid is not None:
             text = fixed_sid
         else:
-            if token.name == "SID":
-                parts.append(r"(?P=sid)" if sid_seen else rf"(?P<sid>{_SID_SHAPE})")
-                sid_seen = True
-            else:
+            if token.name != "SID":
                 parts.append(r"[0-9A-Za-z-]+" if token.name == "s" else r"[0-9]+")
+            elif not meta.sids:
+                return None
+            else:
+                sids = "|".join(map(re.escape, meta.sids))
+                parts.append(r"(?P=sid)" if sid_seen else f"(?P<sid>{sids})")
+                sid_seen = True
             unbound_seen = True
             continue
         parts.append(re.escape(text))
@@ -291,7 +300,6 @@ def instantiate(
     if compiled is None:
         return []
     pattern, prefix = compiled
-    folded_sids = {fold_path(s) for s in snap.meta.sids}
     paths, records = snap.by_path(tpl.kind), snap.records
 
     out = []
@@ -302,12 +310,6 @@ def instantiate(
         match = pattern.fullmatch(rec.path)
         if match is None:
             continue
-        sid = fixed_sid
-        if sid is None:
-            bound = match.groupdict().get("sid")
-            if bound is not None:
-                if fold_path(bound) not in folded_sids:
-                    continue
-                sid = bound
+        sid = fixed_sid if fixed_sid is not None else match.groupdict().get("sid")
         out.append((rec, Binding(sid=sid)))
     return out

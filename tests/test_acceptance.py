@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FROZEN_FILTERED_TRACES, frec, krec, pt, snap_of, t, xp_meta
-from tracesig.capture import CaptureEvent, TraceNameSet, intersect_runs, unique_traces
+from tracesig.capture import TraceNameSet, intersect_runs, unique_traces
 from tracesig.categorize import build_update_matrix
 from tracesig.cli import main
 from tracesig.data import fixture_text
@@ -308,10 +308,7 @@ EVENTS = st.lists(
 
 
 def capture_of(pairs):
-    return tuple(
-        CaptureEvent("t", "p.exe", 1, "Op", name.upper() if up else name, "OK", "d")
-        for name, up in pairs
-    )
+    return tuple(("p.exe", name.upper() if up else name) for name, up in pairs)
 
 
 @PROP

@@ -27,13 +27,11 @@ class TestParseCapture:
 
     def test_quoted_commas_stay_in_cell(self):
         text = '4:04:19 PM,iexplore.exe,2936,ReadFile,"C:\\a,b.txt",SUCCESS,"Offset: 0, Length: 12"\n'
-        log = parse_capture(text)
-        assert log[0].path == "C:\\a,b.txt"
-        assert log[0].detail == "Offset: 0, Length: 12"
+        assert parse_capture(text) == (("iexplore.exe", "C:\\a,b.txt"),)
 
     def test_extra_trailing_columns_ignored(self):
         log = parse_capture(ROW + ",extra,more\n")
-        assert log[0].detail == "Query: Name"
+        assert log == (("iexplore.exe", "HKCU\\Software\\Microsoft"),)
 
     def test_short_row_rejected_with_line_number(self):
         with pytest.raises(CaptureFormatError, match="line 2"):
@@ -51,6 +49,10 @@ class TestParseCapture:
         with pytest.raises(CaptureFormatError, match="process"):
             parse_capture(ROW.replace("iexplore.exe", ""))
 
+    def test_empty_path(self):
+        with pytest.raises(CaptureFormatError, match="line 2: capture event needs a path"):
+            parse_capture(ROW + "\n" + ROW.replace("HKCU\\Software\\Microsoft", "") + "\n")
+
 
 @pytest.fixture(scope="module")
 def log():
@@ -61,7 +63,7 @@ class TestFilterAndTraces:
     def test_filter_is_case_insensitive(self, log):
         kept = filter_by_process(log, ["IEXPLORE.EXE"])
         assert len(kept) == 22
-        assert all(e.process_name.lower() == "iexplore.exe" for e in kept)
+        assert all(process.lower() == "iexplore.exe" for process, _path in kept)
 
     def test_filter_rejects_empty_selection(self, log):
         with pytest.raises(ValueError):

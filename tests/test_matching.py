@@ -258,6 +258,24 @@ class TestSidResolution:
         assert got.verdict is Verdict.MISSING
         assert got.missing == ("HKEY_USERS\\%SID%\\Software\\App",)
 
+    @pytest.mark.parametrize("sid", [SID, "S-1-5-21-ABC-1001"])
+    def test_unbound_sid_takes_any_listed_spelling(self, sid):
+        sig = Signature(
+            "app.open", "xp",
+            (ct("C:\\core\\a.dat"),),
+            (st("HKEY_USERS\\%SID%\\Software\\App", CategoryLabel.FRO, kind=RecordKind.REGKEY),),
+        )
+        snap = snap_of(
+            [
+                frec("C:\\core\\a.dat", m="2010-04-01T10:00:00Z"),
+                krec(f"HKEY_USERS\\{sid}\\Software\\App", "2010-04-01T10:00:00Z"),
+            ],
+            meta=xp_meta(sids=(sid,)),
+        )
+        got = match_signature(sig, snap)
+        assert got.verdict is Verdict.DETECTED
+        assert got.supporting_counts() == {"FRO": 1}
+
 
 def first_strongest(evaluations):
     """The per-SID choice written out: a stronger verdict wins, then the most

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from conftest import ADMIN, HKU, SID, frec, krec, snap_of, xp_meta
-from tracesig.evidence import RecordKind, fold_path
+from tracesig.evidence import RecordKind, Snapshot, fold_path
 from tracesig.templates import (
     Binding,
     PathTemplate,
@@ -17,6 +17,7 @@ from tracesig.templates import (
 )
 
 SID2 = "S-1-5-21-1417001333-573735546-682003330-1004"
+ODD_SID = "S-1-5-21-ABC-1001"  # a SID not of the all-digit S-1-5-21-… shape
 
 
 def gen(path, meta=None, kind=None):
@@ -397,7 +398,7 @@ def test_instantiate_agrees_with_the_linear_scan(case):
 PATH_SEGMENTS = hs.one_of(
     hs.text("aBcF09-{}.%:Ssi", max_size=10),
     hs.sampled_from([
-        SID, SID2.lower(), "{01234567-89AB-cdef-0123-456789abcdef}",
+        SID, SID2.lower(), ODD_SID.lower(), "{01234567-89AB-cdef-0123-456789abcdef}",
         "0123abcd-ef01-2345-6789-abcdef012345", "app-12.log", "IEXPLORE.EXE-27122324.pf",
         "Program Files", "App", "%s", "%SID%",
     ]),
@@ -417,21 +418,28 @@ def generalize_metas(draw):
     return xp_meta(
         system_root=draw(hs.sampled_from(["C:\\WINDOWS", "c:\\windows\\", "C:\\"])),
         home_path=draw(hs.sampled_from(["\\Documents and Settings\\Administrator", "\\", ""])),
-        sids=tuple(draw(hs.lists(hs.sampled_from([SID, SID2]), unique=True))),
+        sids=tuple(draw(hs.lists(hs.sampled_from([SID, SID2, ODD_SID]), unique=True))),
         install_paths=draw(hs.dictionaries(names, install, max_size=2)),
     )
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(hs.sampled_from(PATH_PREFIXES), hs.lists(PATH_SEGMENTS, max_size=5), generalize_metas())
-def test_generalized_tokens_are_those_of_its_text(prefix, segments, meta):
+def test_generalized_template_finds_its_path(prefix, segments, meta):
     path = prefix + "\\".join(segments)
     try:
         tpl = generalize_path(path, meta)
     except TemplateSyntaxError:
         assert "%" in path or not path
         return
-    assert tpl.tokens == parse_template(tpl.text)
+    # A snapshot holding an HKEY_USERS key must list a SID.
+    assume(meta.sids or not fold_path(path).startswith("hkey_users\\"))
+    if tpl.kind is RecordKind.FILE:
+        rec = frec(path, m="2010-04-12T14:30:37Z")
+    else:
+        rec = krec(path, "2010-04-12T14:30:00Z")
+    hits = instantiate(tpl, Snapshot.build(meta, [rec]))
+    assert [r for r, _ in hits] == [rec]
 
 
 def test_generalized_text_and_tokens():
