@@ -145,30 +145,46 @@ _BRACED_GUID = re.compile(
 _LOG_COUNTER = re.compile(r"(?<=-)\d+(?=\.[^.]*log[^.]*$)", re.IGNORECASE)
 
 
-def _metadata_text(meta: SnapshotMeta) -> dict[str, str]:
-    """The text each metadata variable stands for in this snapshot.
+class _MetaText:
+    """The text of one snapshot's metadata as both directions read it.
 
-    Keyed by variable name; an install path the snapshot does not publish has
-    no entry.  Both directions read it: ``_compile`` expands a template with
-    it and ``generalize_path`` replaces a path prefix equal to it.
+    ``text`` maps each metadata variable's name to the text it stands for;
+    an install path the snapshot does not publish has no entry.  ``_compile``
+    expands a template with it.  ``generalize_path`` replaces the first of
+    ``prefixes`` (text, folded text, variable; longest first) that a path
+    starts with, and the segments in ``folded_sids``.
     """
-    text = {
-        "SystemRoot": meta.system_root.rstrip("\\"),
-        "HomeDrive": meta.home_drive.rstrip("\\"),
-        "HomePath": meta.home_path.strip("\\"),
-    }
-    for name, prefix in meta.install_paths.items():
-        text[f"InstallPath.{name}"] = prefix.rstrip("\\")
-    return text
+
+    def __init__(self, meta: SnapshotMeta) -> None:
+        text = {
+            "SystemRoot": meta.system_root.rstrip("\\"),
+            "HomeDrive": meta.home_drive.rstrip("\\"),
+            "HomePath": meta.home_path.strip("\\"),
+        }
+        for name, prefix in meta.install_paths.items():
+            text[f"InstallPath.{name}"] = prefix.rstrip("\\")
+        drive, rel = text["HomeDrive"], text["HomePath"]
+        prefixes = [(f"{drive}\\{rel}", "%HomeDrive%\\%HomePath%")] if drive and rel else []
+        prefixes += [
+            (p, f"%{name}%") for name, p in text.items() if p and not name.startswith("Home")
+        ]
+        prefixes.sort(key=lambda c: len(c[0]), reverse=True)
+        self.text = text
+        self.prefixes = [(prefix, fold_path(prefix), variable) for prefix, variable in prefixes]
+        self.folded_sids = frozenset(map(fold_path, meta.sids))
 
 
-def _prefix_candidates(meta: SnapshotMeta) -> list[tuple[str, str]]:
-    text = _metadata_text(meta)
-    drive, rel = text.pop("HomeDrive"), text.pop("HomePath")
-    candidates = [(f"{drive}\\{rel}", "%HomeDrive%\\%HomePath%")] if drive and rel else []
-    candidates += [(prefix, f"%{name}%") for name, prefix in text.items() if prefix]
-    candidates.sort(key=lambda c: len(c[0]), reverse=True)
-    return candidates
+_last_meta: tuple[SnapshotMeta | None, _MetaText | None] = (None, None)
+
+
+def _meta_text(meta: SnapshotMeta) -> _MetaText:
+    """``meta``'s text, worked out once for the last metadata object seen (by
+    identity; a ``SnapshotMeta`` is frozen): derive generalizes every trace
+    under one, and match expands every template under one."""
+    global _last_meta
+    if _last_meta[0] is not meta:
+        _last_meta = (meta, _MetaText(meta))
+    return _last_meta[1]
 
 
 def _segment_text(segment: str, last: bool) -> str:
@@ -214,13 +230,13 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
     parts: list[str] = []
     segments = path.split("\\")
     folded = fold_path(path)
-    for prefix, replacement in _prefix_candidates(meta):
-        fp = fold_path(prefix)
+    pieces = _meta_text(meta)
+    for prefix, fp, replacement in pieces.prefixes:
         if folded.startswith(fp) and (len(path) == len(prefix) or path[len(prefix)] == "\\"):
             parts, segments = [replacement], path[len(prefix):].split("\\")[1:]
             break
 
-    folded_sids = {fold_path(s) for s in meta.sids}
+    folded_sids = pieces.folded_sids
     sid = None  # the folded SID %SID% stands for: the first one the path holds
     last = len(segments) - 1
     for pos, segment in enumerate(segments):
@@ -253,7 +269,7 @@ def _compile(
     prefix: list[str] = []
     unbound_seen = False
     sid_seen = False
-    expansions = _metadata_text(meta)
+    expansions = _meta_text(meta).text
     for token in tpl.tokens:
         if isinstance(token, str):
             text = token

@@ -800,3 +800,52 @@ def test_a_refused_file_is_not_parsed_again(monkeypatch):
         parse_snapshot(text)
     assert str(info.value) == "duplicate record for path 'C:\\\\Dir\\\\FILE0.TXT'"
     assert calls == []
+
+
+# --- rows at the edge of a scan block ----------------------------------------
+
+BLOCK_EDGE_ROWS = {
+    "refused": "file,C:\\Dir\\bad,2010-04-13T09:00:00Z,,,x",
+    "open-quote": 'file,"C:\\Dir\\open,2010-04-13T09:00:00Z,,,1',
+    "quoted": 'file,"C:\\Dir\\a, b",2010-04-13T09:00:00Z,,,1',
+    "blank": "",
+}
+
+
+def body_text(rows):
+    return SNAPSHOT_TEXT[: SNAPSHOT_TEXT.index(HEADER_ROW)] + HEADER_ROW + "\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("at", [1022, 1023, 1024, 1025])
+@pytest.mark.parametrize("row", BLOCK_EDGE_ROWS.values(), ids=BLOCK_EDGE_ROWS)
+def test_a_row_at_a_scan_block_edge_agrees_with_the_eager_parse(row, at):
+    """Rows are scanned in blocks, one of which ends after row 1,024: a row on
+    either side of that edge gets the eager parse's refusal, on its own line,
+    or the eager parse's record, as do the plain rows around it."""
+    assert 1024 % evidence._BLOCK_ROWS == 0
+    rows = [ROW.format(f"File{i}.txt") for i in range(1100)]
+    rows[at] = row + "\n"
+    assert_agrees(body_text(rows))
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2048, 2049])
+def test_quoted_rows_across_scan_blocks_agree_with_the_eager_parse(count):
+    """A body that ends at, or just past, a block's end, with a quoted row
+    on each side of the block edges after rows 1,024 and 2,048."""
+    rows = [ROW.format(f"File{i}.txt") for i in range(count)]
+    for at in (1022, 1023, 1024, 2047, 2048):
+        if at < count:
+            rows[at] = f'file,"C:\\Dir\\{at}, q",2010-04-13T09:00:00Z,,,1\n'
+    assert_agrees(body_text(rows))
+
+
+def test_a_scan_that_misses_a_row_raises(monkeypatch):
+    """A scan giving one tuple fewer than its block has rows is an error,
+    not a row skipped: here one that finds nothing on a blank line."""
+    skipping = evidence._PLAIN_ROW.pattern.replace("|.*)$", "|.+)$")
+    monkeypatch.setattr(evidence, "_PLAIN_ROW", re.compile(skipping, evidence._PLAIN_ROW.flags))
+    rows = [ROW.format(f"File{i}.txt") for i in range(3)]
+    rows[1] = "\n"
+    with pytest.raises(ValueError) as info:
+        parse_snapshot(body_text(rows))
+    assert type(info.value) is ValueError

@@ -270,7 +270,8 @@ class TestRoundTrip:
 
 
 def linear_pattern(tpl, meta, fixed_sid):
-    """The regex ``instantiate`` built before it searched by prefix."""
+    """The regex ``instantiate`` built before it searched by prefix, with an
+    unbound %SID% taking any listed SID; None where it cannot expand."""
     parts = []
     sid_seen = False
     for token in tpl.tokens:
@@ -294,8 +295,10 @@ def linear_pattern(tpl, meta, fixed_sid):
                 parts.append(re.escape(fixed_sid))
             elif sid_seen:
                 parts.append(r"(?P=sid)")
+            elif not meta.sids:
+                return None
             else:
-                parts.append(r"(?P<sid>S-\d+(?:-\d+)+)")
+                parts.append(f"(?P<sid>{'|'.join(map(re.escape, meta.sids))})")
                 sid_seen = True
         elif name == "s":
             parts.append(r"[0-9A-Za-z-]+")
@@ -310,7 +313,6 @@ def linear_instantiate(tpl, snap, fixed=None):
     pattern = linear_pattern(tpl, snap.meta, fixed_sid)
     if pattern is None:
         return []
-    folded_sids = {fold_path(s) for s in snap.meta.sids}
     out = []
     for rec in snap.records.values():
         if rec.kind is not tpl.kind:
@@ -318,13 +320,7 @@ def linear_instantiate(tpl, snap, fixed=None):
         match = pattern.fullmatch(rec.path)
         if match is None:
             continue
-        sid = fixed_sid
-        if sid is None:
-            bound = match.groupdict().get("sid")
-            if bound is not None:
-                if fold_path(bound) not in folded_sids:
-                    continue
-                sid = bound
+        sid = fixed_sid if fixed_sid is not None else match.groupdict().get("sid")
         out.append((rec, Binding(sid=sid)))
     out.sort(key=lambda pair: fold_path(pair[0].path))
     return out
@@ -340,7 +336,7 @@ CONCRETE = {
     ],
     "%InstallPath.App%": ["C:\\Program Files\\App", "c:\\program files\\\u00c4pp"],
     "%InstallPath.Gone%": ["C:\\Gone"],
-    "%SID%": [SID, SID.lower(), SID2, "S-1-5-18"],
+    "%SID%": [SID, SID.lower(), SID2, ODD_SID, ODD_SID.lower(), "S-1-5-18"],
     "%s": ["1A2B3C", "x-9", "ff00", "Z", "\u00c4"],
     "%i": ["12", "7", "0042", "x"],
     "APP-%s.pf": ["APP-1A2B3C.pf", "app-1a2b3c.PF", "APP-.pf"],
@@ -358,7 +354,7 @@ METAS = [
     xp_meta(sids=(SID, SID2), install_paths={"App": "C:\\Program Files\\App\\"}),
     xp_meta(
         system_root="c:\\windows\\",
-        sids=(SID2,),
+        sids=(SID2, ODD_SID),
         install_paths={"App": "C:\\PROGRAM FILES\\\u00c4pp"},
     ),
 ]
@@ -380,7 +376,8 @@ def instantiate_cases(draw):
             rec = krec(path, "2010-04-12T14:30:00Z")
         records.setdefault(rec.key, rec)
     fixed = draw(hs.sampled_from(
-        [None, Binding(), Binding(SID), Binding(SID.lower()), Binding(SID2), Binding("S-1-5-18")]
+        [None, Binding(), Binding(SID), Binding(SID.lower()), Binding(SID2), Binding(ODD_SID),
+         Binding("S-1-5-18")]
     ))
     tpl = PathTemplate("\\".join(tpl_pieces), tpl_kind)
     return tpl, snap_of(records.values(), meta=draw(hs.sampled_from(METAS))), fixed
