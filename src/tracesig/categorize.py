@@ -51,6 +51,7 @@ from .evidence import (
     read_utf8,
     reraise_as,
     save_snapshot,
+    stored_cells,
 )
 from .capture import TraceNameSet
 
@@ -156,16 +157,7 @@ class UpdateMatrix:
 
 
 _NO_RECORD = (None,) * len(FIELDS)
-
-
-def _lookup(snap: Snapshot, folded: str) -> tuple[RecordKind, str, tuple] | None:
-    """The kind, path and time cells (see ``Snapshot.cells``) of the file, or
-    else the registry key, named ``folded``."""
-    for kind in (RecordKind.FILE, RecordKind.REGKEY):
-        found = snap.cells((kind, folded))
-        if found is not None:
-            return (kind, *found)
-    return None
+_UNCHANGED = (False,) * len(FIELDS)
 
 
 def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> UpdateMatrix:
@@ -173,10 +165,13 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
 
     A field updated on a run when the after snapshot carries its time and the
     before snapshot does not (the trace appeared), or carries another time
-    text or precision.  The diff reads each record's cells through
-    ``Snapshot.cells``: the validated row text of a parsed snapshot, so no
-    record is built.  ``kinds`` and ``display`` come from the first record
-    seen, the before snapshot of run 0 first.
+    text or precision.  A name is looked up as a file, else as a registry key,
+    in the values ``Snapshot.stored`` holds: the validated row text of a
+    parsed snapshot, so no record is built.  A run whose after value equals
+    its before value updated no field; each distinct value of a trace is
+    split into its cells (``stored_cells``) once, and only the runs whose
+    values differ compare cells.  ``kinds`` and ``display`` come from the
+    first record seen, the before snapshot of run 0 first.
 
     A run is the first of its session when no lower run index shares its
     session id.  Every snapshot must describe the same system; only its
@@ -187,8 +182,9 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     ordered = sorted(obs, key=lambda o: o.run_index)
     if [o.run_index for o in ordered] != list(range(len(ordered))):
         raise ValueError("run indexes must be exactly 0..n-1")
-    meta0 = ordered[0].before.meta
-    for snap in [s for o in ordered for s in (o.before, o.after)]:
+    snaps = [s for o in ordered for s in (o.before, o.after)]
+    meta0 = snaps[0].meta
+    for snap in snaps:
         if replace(snap.meta, capture_time=meta0.capture_time) != meta0:
             raise ValueError("observations use inconsistent snapshot metadata")
     sessions: set[int] = set()
@@ -199,18 +195,27 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     vectors: dict[str, dict[str, tuple[bool, ...]]] = {}
     kinds: dict[str, RecordKind] = {}
     display: dict[str, str] = {}
+    gets = [snap.stored.get for snap in snaps]
 
     for name in names:
-        found = [(_lookup(o.before, name), _lookup(o.after, name)) for o in ordered]
-        seen = [r for pair in found for r in pair if r is not None]
-        if not seen:
+        file_key, key_key = (RecordKind.FILE, name), (RecordKind.REGKEY, name)
+        values = [get(file_key) or get(key_key) for get in gets]
+        first = next((i for i, value in enumerate(values) if value is not None), None)
+        if first is None:
             continue  # never present in any snapshot
-        kinds[name], display[name], _ = seen[0]
-        cells = [tuple(_NO_RECORD if r is None else r[2] for r in pair) for pair in found]
+        split = {value: stored_cells(value) for value in set(values) - {None}}
+        kinds[name] = RecordKind.FILE if gets[first](file_key) is not None else RecordKind.REGKEY
+        display[name] = split[values[first]][0]
+        updated = [
+            _UNCHANGED if after is None or after == before else tuple(
+                a is not None and a != b
+                for a, b in zip(split[after][1], _NO_RECORD if before is None else split[before][1])
+            )
+            for before, after in zip(values[::2], values[1::2])
+        ]
+        carried = zip(*[cells for _, cells in split.values()])  # per field, None if absent
         vectors[name] = {
-            f: tuple(a[i] is not None and a[i] != b[i] for b, a in cells)
-            for i, f in enumerate(FIELDS)
-            if any(r[2][i] is not None for r in seen)
+            f: vector for f, vector, times in zip(FIELDS, zip(*updated), carried) if any(times)
         }
     return UpdateMatrix(runs=tuple(runs), vectors=vectors, kinds=kinds, display=display)
 
@@ -310,16 +315,11 @@ def classify_trace(
     must never abort an analysis.  An accessed-only IU trace whose accessed
     time updated on every session's first run is refined to IUI.
     """
-    patterns = {f: classify_field(vec, runs, trace) for f, vec in vectors.items()}
+    patterns = _patterns(vectors, runs, trace)
     trio = _trio(patterns)
     found = category_of(kind, patterns, trace)
     if found is None:
-        logger.debug(
-            "trace %r has pattern combination outside the category lattice "
-            "(modified=%s accessed=%s created=%s); treating as IU",
-            trace,
-            *(p.value for p in trio),
-        )
+        _note_off_lattice(trace, trio)
     label, field = found or (CategoryLabel.IU, _first_changing(trio))
     if (
         label is CategoryLabel.IU
@@ -332,26 +332,57 @@ def classify_trace(
     return analysis, found is not None
 
 
+def _patterns(
+    vectors: Mapping[str, Sequence[bool]], runs: Sequence[RunInfo], trace: str
+) -> dict[str, FieldPattern]:
+    return {f: classify_field(vec, runs, trace) for f, vec in vectors.items()}
+
+
+def _note_off_lattice(trace: str, trio: tuple[FieldPattern, ...]) -> None:
+    logger.debug(
+        "trace %r has pattern combination outside the category lattice "
+        "(modified=%s accessed=%s created=%s); treating as IU",
+        trace,
+        *(p.value for p in trio),
+    )
+
+
 def categorize_matrix(
     action: UpdateMatrix, background: UpdateMatrix | None = None
 ) -> dict[str, TraceAnalysis]:
     """Classify every trace in an action matrix, marking confounded ones.
 
-    Off-lattice traces get one summary warning; ``classify_trace`` logs each
-    at DEBUG.
+    ``classify_trace`` runs once per distinct input: the trace's kind and
+    vectors, whether background activity updated it, on which runs it was
+    the launch method, and whether it is a shortcut.  That is all it reads of
+    a trace, so every trace sharing an input shares its analysis.  Each
+    off-lattice trace is logged at DEBUG, and they get one summary warning.
     """
+    runs = action.runs
+    launches = [None if r.launch_method is None else fold_path(r.launch_method) for r in runs]
+    classified: dict[tuple, tuple[TraceAnalysis, tuple[FieldPattern, ...] | None]] = {}
     out: dict[str, TraceAnalysis] = {}
     off_lattice = 0
     for trace in action.traces():
+        display, kind, vectors = action.display[trace], action.kinds[trace], action.vectors[trace]
         background_updates = background.any_update(trace) if background is not None else False
-        out[trace], on_lattice = classify_trace(
-            action.display[trace],
-            action.kinds[trace],
-            action.vectors[trace],
-            action.runs,
+        folded = fold_path(display)
+        key = (
+            kind,
+            tuple(vectors.items()),
             background_updates,
+            tuple(launch == folded for launch in launches),
+            folded.endswith(".lnk"),
         )
-        off_lattice += not on_lattice
+        known = classified.get(key)
+        if known is None:
+            analysis, on_lattice = classify_trace(display, kind, vectors, runs, background_updates)
+            off_trio = None if on_lattice else _trio(_patterns(vectors, runs, display))
+            known = classified[key] = analysis, off_trio
+        elif known[1] is not None:
+            _note_off_lattice(display, known[1])
+        out[trace] = known[0]
+        off_lattice += known[1] is not None
     if off_lattice:
         logger.warning(
             "%d trace(s) have pattern combinations outside the category lattice; "

@@ -73,13 +73,15 @@ def _trace_names(args: argparse.Namespace, observations: list[RunObservation]) -
 
 
 def cmd_traces(args: argparse.Namespace) -> int:
-    processes = [p.strip() for p in args.process.split(",") if p.strip()] if args.process else []
+    processes = None
+    if args.process is not None:
+        processes = [p.strip() for p in args.process.split(",") if p.strip()]
     runs = []
     for path in args.capture:
         text = read_utf8(path)
         with reraise_as(CaptureFormatError, str(path)):
             log = parse_capture(text)
-        if processes:
+        if processes is not None:  # a list of no names is refused, not read as "all"
             log = filter_by_process(log, processes)
         runs.append(unique_traces(log))
     names = intersect_runs(runs)

@@ -42,10 +42,12 @@ __all__ = [
     "parse_snapshot",
     "parse_timestamp",
     "read_csv",
+    "read_csv_rows",
     "read_json",
     "read_utf8",
     "reraise_as",
     "save_snapshot",
+    "stored_cells",
 ]
 
 
@@ -188,6 +190,23 @@ def read_csv(
     return rows
 
 
+def read_csv_rows(
+    rows: list[str], start: int, stop: int, parse_row: Callable[[list[str]], object],
+    error: type[ValueError], first_line: int,
+) -> list:
+    """``read_csv`` of ``rows[start:stop]``, where ``rows[0]`` is on line
+    ``first_line``, for a loader whose own scan passes over rows it cannot
+    read.  A refusal is the one ``read_csv`` gives over ``rows[start:]``, so
+    it is the one a read of the whole text gives when the rows before
+    ``start`` are sound: a NUL on a later line, or a quote open past
+    ``stop``, comes first there."""
+    try:
+        return read_csv(rows[start:stop], parse_row, error, first_line + start)
+    except error:
+        read_csv(rows[start:], parse_row, error, first_line + start)
+        raise
+
+
 def int_cell(cell: str, column: str) -> int:
     """The integer in a CSV cell; a ValueError naming ``column`` otherwise."""
     try:
@@ -324,7 +343,7 @@ class ArtifactRecord:
         return (self.kind, fold_path(self.path))
 
 
-# A record's times as ``Snapshot.cells`` gives them: per field of ``FIELDS``,
+# A record's times as ``stored_cells`` gives them: per field of ``FIELDS``,
 # the canonical time text and the precision, or None.
 _Cells = tuple[tuple[str, int] | None, ...]
 
@@ -397,21 +416,14 @@ class Snapshot:
     def get(self, kind: RecordKind, path: str) -> ArtifactRecord | None:
         return self.records.get((kind, fold_path(path)))
 
-    def cells(self, key: tuple[RecordKind, str]) -> tuple[str, _Cells] | None:
-        """The path of the record at ``key`` and, per field of ``FIELDS``, its
-        canonical time text and precision, or None where it carries no time;
-        None when there is no such record.  Canonical time text maps one to
-        one onto epoch seconds, so equal cells mean equal ``TimePoint``s.  A
-        row validated but not yet built is read from its text and stays
-        unbuilt; a built record's times are formatted."""
+    @property
+    def stored(self) -> Mapping[tuple[RecordKind, str], str | ArtifactRecord]:
+        """Each record by its key as the snapshot holds it: the validated row
+        text of a row not yet built, else the record.  A lookup here builds
+        nothing.  Equal values hold equal records; unequal ones may too (a
+        row and the record built from it, or rows spelled in another case)."""
         records = self.records
-        value = records._rows.get(key) if type(records) is _RowRecords else records.get(key)
-        if value is None:
-            return None
-        if type(value) is str:
-            return _row_cells(value)
-        points = (value.modified, value.accessed, value.created)
-        return value.path, tuple(None if p is None else (p.iso(), p.precision_s) for p in points)
+        return records._rows if type(records) is _RowRecords else records
 
     def by_path(self, kind: RecordKind) -> tuple[str, ...]:
         """One kind's folded paths in sorted order; the record of each is
@@ -624,20 +636,28 @@ def _validated_rows(
             ):
                 keys.append((file_kind if is_file else key_kind, folded_path))
                 continue
-            try:
-                (rec,) = read_csv([rows[i]], _parse_row, SnapshotFormatError)
-            except SnapshotFormatError:  # a NUL on a later line, or a quote open past this one
-                read_csv(rows[i:], _parse_row, SnapshotFormatError, first_line + i)
-                raise
+            (rec,) = read_csv_rows(rows, i, i + 1, _parse_row, SnapshotFormatError, first_line)
             values[i] = rec
             records.append(rec)
             keys.append(rec.key)
     return _RowRecords(_checked_table(meta, keys, values, records), days)
 
 
+def stored_cells(value: str | ArtifactRecord) -> tuple[str, _Cells]:
+    """The path of a record ``Snapshot.stored`` holds and, per field of
+    ``FIELDS``, its canonical time text and precision, or None where it
+    carries no time.  Canonical time text maps one to one onto epoch seconds,
+    so equal cells mean equal ``TimePoint``s.  A row is read from its text
+    and stays unbuilt; a built record's times are formatted."""
+    if type(value) is str:
+        return _row_cells(value)
+    points = (value.modified, value.accessed, value.created)
+    return value.path, tuple(None if p is None else (p.iso(), p.precision_s) for p in points)
+
+
 def _row_cells(line: str) -> tuple[str, _Cells]:
-    """The path and time cells of one row ``_validated_rows`` kept, as
-    ``Snapshot.cells`` gives them: an empty precision cell means 1."""
+    """``stored_cells`` of one row ``_validated_rows`` kept: an empty
+    precision cell means 1."""
     _, path, *cells, precision_text = line.split(",")
     precision = int(precision_text) if precision_text else 1
     return path, tuple((cell, precision) if cell else None for cell in cells)

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import logging
 import re
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import ADMIN, HKU, frec, krec, snap_of, t, xp_meta
-from tracesig import evidence
+from tracesig import categorize, evidence
 from tracesig.capture import TraceNameSet
 from tracesig.categorize import (
     CategoryLabel,
@@ -798,3 +799,172 @@ class TestObservationStorage:
             (tmp_path / f"run001_{side}.csv").rename(tmp_path / f"run005_{side}.csv")
         with pytest.raises(ValueError, match="contiguous"):
             read_observations(tmp_path)
+
+
+# --- one classification per distinct input --------------------------------
+
+
+def reference_categorize(action, background=None):
+    """``categorize_matrix`` as one ``classify_trace`` per trace, and the
+    count of off-lattice traces its summary warning gives."""
+    out, off_lattice = {}, 0
+    for trace in action.traces():
+        background_updates = background.any_update(trace) if background is not None else False
+        out[trace], on_lattice = classify_trace(
+            action.display[trace],
+            action.kinds[trace],
+            action.vectors[trace],
+            action.runs,
+            background_updates,
+        )
+        off_lattice += not on_lattice
+    return out, off_lattice
+
+
+class _Records(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record) -> None:
+        self.records.append(record)
+
+
+@contextlib.contextmanager
+def logged():
+    """Every message the package logs in the block, DEBUG up, as (level, text)."""
+    handler, package = _Records(), logging.getLogger("tracesig")
+    level = package.level
+    package.addHandler(handler)
+    package.setLevel(logging.DEBUG)
+    messages = []
+    try:
+        yield messages
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
+        messages.extend((r.levelno, r.getMessage()) for r in handler.records)
+
+
+# Shortcuts, plain files (one named like a shortcut) and registry keys (one
+# ending in .lnk).
+CATEGORY_PATHS = [
+    (RecordKind.FILE, "C:\\App\\App.lnk"),
+    (RecordKind.FILE, "C:\\Desk\\Run.LNK"),
+    (RecordKind.FILE, "C:\\App\\lnk.dat"),
+    *((RecordKind.FILE, f"C:\\App\\cache{i}.dat") for i in range(6)),
+    (RecordKind.REGKEY, f"{HKU}\\Software\\App"),
+    (RecordKind.REGKEY, "HKEY_LOCAL_MACHINE\\Software\\App.lnk"),
+]
+
+
+@hs.composite
+def category_matrix(draw):
+    """An action matrix of 1-5 runs in random sessions, each launched through
+    nothing or through one of the traces spelled in another case, whose
+    traces draw their vectors from a few shared ones, so that many share an
+    input and some fall off the lattice."""
+    count = draw(hs.integers(1, 5))
+    sessions = draw(hs.lists(hs.integers(0, 2), min_size=count, max_size=count))
+    spellings = [None] + [
+        spell(path) for _, path in CATEGORY_PATHS for spell in (str.upper, str.lower)
+    ]
+    runs = tuple(
+        RunInfo(session, session not in sessions[:i], draw(hs.sampled_from(spellings)))
+        for i, session in enumerate(sessions)
+    )
+    runs_of = lambda: hs.lists(hs.booleans(), min_size=count, max_size=count).map(tuple)
+    shared = draw(hs.lists(runs_of(), min_size=1, max_size=3))
+    first_runs = tuple(r.first_of_session for r in runs)
+    launched = {  # per launch method, the runs launched through it
+        tuple(fold_path(r.launch_method or "") == fold_path(path) for r in runs)
+        for path in {r.launch_method for r in runs} - {None}
+    }
+    vector = hs.sampled_from([(True,) * count, (False,) * count, first_runs, *shared, *launched])
+    vectors, kinds, display = {}, {}, {}
+    for kind, path in draw(hs.lists(hs.sampled_from(CATEGORY_PATHS), unique=True, min_size=1)):
+        fields = draw(
+            hs.lists(hs.sampled_from(KIND_FIELDS[kind]), unique=True, min_size=1).map(
+                lambda chosen: [f for f in FIELDS if f in chosen]
+            )
+        )
+        folded = fold_path(path)
+        vectors[folded] = {f: draw(vector) for f in fields}
+        kinds[folded], display[folded] = kind, path
+    return UpdateMatrix(runs, vectors, kinds, display)
+
+
+@hs.composite
+def background_of(draw, action):
+    """None, or one background run that updated some of ``action``'s traces."""
+    if draw(hs.booleans()):
+        return None
+    traces = draw(hs.lists(hs.sampled_from(action.traces()), unique=True))
+    return UpdateMatrix(
+        runs=(RunInfo(0, True, None),),
+        vectors={t: {"modified": (draw(hs.booleans()),)} for t in traces},
+        kinds={t: action.kinds[t] for t in traces},
+        display={t: action.display[t] for t in traces},
+    )
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=hs.data())
+def test_categorize_matrix_agrees_with_one_classification_per_trace(data):
+    action = data.draw(category_matrix())
+    background = data.draw(background_of(action))
+    with logged() as messages:
+        got = categorize_matrix(action, background)
+    with logged() as reference_messages:
+        want, off_lattice = reference_categorize(action, background)
+    assert got == want
+    warnings = [text for level, text in messages if level == logging.WARNING]
+    assert warnings == [
+        f"{off_lattice} trace(s) have pattern combinations outside the category lattice; "
+        "treating them as IU"
+    ][:off_lattice]
+    details = [text for level, text in messages if level == logging.DEBUG]
+    assert details == [text for level, text in reference_messages if level == logging.DEBUG]
+
+
+def test_update_matrix_splits_each_distinct_row_of_a_trace_once(tmp_path, monkeypatch):
+    write_scenario_outputs(run_scenario(load_scenario(fixture_text("demo_scenario.json"))), tmp_path)
+    obs = read_observations(tmp_path / "obs" / "app.open")
+    rows = {}  # per folded path, the distinct row texts of its records
+    for path in (tmp_path / "obs" / "app.open").glob("run*.csv"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for line in lines[lines.index(evidence._HEADER_ROW) + 1:]:
+            rows.setdefault(fold_path(line.split(",")[1]), set()).add(line)
+    split, row_cells = [], evidence._row_cells
+    monkeypatch.setattr(evidence, "_row_cells", lambda line: split.append(line) or row_cells(line))
+    matrix = build_update_matrix(obs, TraceNameSet.of(rows))
+    assert matrix.vectors and len(split) <= sum(len(texts) for texts in rows.values())
+
+
+def test_categorize_matrix_classifies_each_distinct_input_once(monkeypatch):
+    """Every lattice input on three copies of its trace, in other folders, half
+    of them updated by background activity."""
+    vectors, kinds, display, updated = {}, {}, {}, {}
+    for i, (trace, kind, patterns) in enumerate(lattice_inputs()):
+        for copy in range(3):
+            path = trace.replace("\\", f"\\input{i}\\copy{copy}\\", 1)
+            folded = fold_path(path)
+            vectors[folded], kinds[folded], display[folded] = vectors_for(patterns), kind, path
+            updated[folded] = {"modified": (copy % 2 == 0,)}
+    matrix = UpdateMatrix(RUNS, vectors, kinds, display)
+    background = UpdateMatrix((RunInfo(0, True, None),), updated, kinds, display)
+    inputs = []
+
+    def counted(trace, kind, vectors, runs, background_updates):
+        folded = fold_path(trace)
+        launched = tuple(
+            r.launch_method is not None and fold_path(r.launch_method) == folded for r in runs
+        )
+        lnk = folded.endswith(".lnk")
+        inputs.append((kind, tuple(vectors.items()), background_updates, launched, lnk))
+        return classify_trace(trace, kind, vectors, runs, background_updates)
+
+    monkeypatch.setattr(categorize, "classify_trace", counted)
+    analyses = categorize_matrix(matrix, background)
+    assert len(inputs) == len(set(inputs)) == 2 * len(analyses) // 3
+    assert analyses == reference_categorize(matrix, background)[0]

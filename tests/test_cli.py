@@ -65,6 +65,11 @@ class TestTraces:
             "c:\\windows\\prefetch\\iexplore.exe-27122324.pf"
         ]
 
+    @pytest.mark.parametrize("processes", [",", " ", " , ", ""])
+    def test_a_process_list_of_no_names_is_refused(self, capture_file, processes, capsys):
+        assert main(["traces", "--capture", capture_file, "--process", processes]) == 2
+        assert capsys.readouterr() == ("", "error: at least one process name is required\n")
+
     def test_output_file(self, capture_file, tmp_path, capsys):
         out = tmp_path / "names.txt"
         assert main(["traces", "--capture", capture_file, "-o", str(out)]) == 0
