@@ -8,6 +8,9 @@ validating the pipeline end to end.
 
 The root re-exports the names callers import from it; everything else is
 imported from its module (``tracesig.evidence``, ``tracesig.matching``, ...).
+The simulator's names (``load_scenario``, ``oracle_compare``, ``run_scenario``
+and ``write_scenario_outputs``) load ``tracesig.simulate`` on first use, so
+importing the package or the CLI does not pay for the simulator.
 """
 
 from .capture import TraceNameSet
@@ -25,7 +28,6 @@ from .evidence import (
 )
 from .matching import match_signature
 from .signatures import bundled_signature, load_signature
-from .simulate import load_scenario, oracle_compare, run_scenario, write_scenario_outputs
 
 __version__ = "0.1.0"
 
@@ -53,3 +55,16 @@ __all__ = [
     "save_snapshot",
     "write_scenario_outputs",
 ]
+
+_SIMULATE_NAMES = frozenset(
+    {"load_scenario", "oracle_compare", "run_scenario", "write_scenario_outputs"}
+)
+
+
+def __getattr__(name: str) -> object:
+    """Resolve the simulator's names on first access (PEP 562)."""
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

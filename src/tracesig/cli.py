@@ -40,7 +40,6 @@ from .signatures import (
     save_signature,
     templates_per_label,
 )
-from .simulate import load_scenario, run_scenario, write_scenario_outputs
 
 __all__ = ["main", "run"]
 
@@ -231,6 +230,9 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # Imported here so that no other subcommand pays for the simulator.
+    from .simulate import load_scenario, run_scenario, write_scenario_outputs
+
     scenario = load_scenario(read_utf8(args.scenario))
     result = run_scenario(scenario)
     write_scenario_outputs(result, args.output)

@@ -21,7 +21,7 @@ import json
 import logging
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Iterable
+from typing import Any, Iterable
 
 from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
 from .evidence import JsonObject, RecordKind, Snapshot, check_field, fold_path, read_json
@@ -148,8 +148,8 @@ def load_signature(text: str) -> Signature:
         return Signature(action, platform, core, supporting, window_s)  # type: ignore[arg-type]
 
 
-def save_signature(sig: Signature) -> str:
-    """Serialize to canonical .sig JSON (stable key order, sorted entries)."""
+def _document(sig: Signature) -> dict[str, Any]:
+    """The .sig JSON object: fixed key order, sorted entries."""
     core = sorted(sig.core, key=lambda t: (t.template.kind.value, fold_path(t.template.text)))
     supporting = sorted(
         sig.supporting,
@@ -159,7 +159,7 @@ def save_signature(sig: Signature) -> str:
             fold_path(t.template.text),
         ),
     )
-    data: dict[str, object] = {
+    return {
         "schema": SCHEMA_VERSION,
         "action": sig.action,
         "platform": sig.platform,
@@ -179,7 +179,35 @@ def save_signature(sig: Signature) -> str:
             for t in supporting
         ],
     }
-    return json.dumps(data, indent=2) + "\n"
+
+
+def _entry_list(entries: list[dict[str, object]]) -> str:
+    """``json.dumps(entries, indent=2)`` as nested one level down in the
+    document, made with json's C encoder.
+
+    A compact dump whose item separator is the indented member separator lays
+    out every member; the joints ``},<sep>{`` between list items are then
+    rewritten.  Entry values are strings and booleans, and escaping leaves no
+    raw newline in a string, so no other text matches a joint.
+    """
+    if not entries:
+        return "[]"
+    text = json.dumps(entries, separators=(",\n      ", ": "))
+    body = text[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return f"[\n    {{\n      {body}\n    }}\n  ]"
+
+
+def save_signature(sig: Signature) -> str:
+    """Serialize to canonical .sig JSON (stable key order, sorted entries).
+
+    The text is ``json.dumps(_document(sig), indent=2)`` and a final newline.
+    ``indent`` selects json's pure-Python encoder, so the entry lists, which
+    hold nearly all the bytes, are laid out around C-encoded dumps instead.
+    """
+    doc = _document(sig)
+    core, supporting = _entry_list(doc.pop("core")), _entry_list(doc.pop("supporting"))
+    head = json.dumps(doc, indent=2)[:-2]  # up to the closing "\n}"
+    return f'{head},\n  "core": {core},\n  "supporting": {supporting}\n}}\n'
 
 
 def derive_signature(

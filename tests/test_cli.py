@@ -187,20 +187,52 @@ class TestMatch:
         assert rc == 2
         assert capsys.readouterr().err == "error: unparseable timestamp '2010-4-12T1:2:3Z'\n"
 
-    def test_module_entry_point_runs_the_cli(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("not a snapshot\n", encoding="utf-8")
+    @staticmethod
+    def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
         src = str(Path(tracesig.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tracesig.cli", "match", "--bundled", "ie8_open",
-             "--snapshot", str(bad)],
-            capture_output=True, text=True, env=env, timeout=120,
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not a snapshot\n", encoding="utf-8")
+        proc = self.fresh_interpreter(
+            "-m", "tracesig.cli", "match", "--bundled", "ie8_open", "--snapshot", str(bad)
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_the_cli_imports_the_simulator_only_on_use(self):
+        script = """
+import json, sys
+import tracesig.cli
+loaded_by_cli = "tracesig.simulate" in sys.modules
+from tracesig import load_scenario, oracle_compare, run_scenario, write_scenario_outputs
+import tracesig.simulate as sim
+same = [load_scenario is sim.load_scenario, oracle_compare is sim.oracle_compare,
+        run_scenario is sim.run_scenario, write_scenario_outputs is sim.write_scenario_outputs]
+star = {}
+exec("from tracesig import *", star)
+try:
+    tracesig.no_such_name
+    unknown = "bound"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"loaded_by_cli": loaded_by_cli, "same": same, "unknown": unknown,
+                  "unbound": [name for name in tracesig.__all__ if name not in star]}))
+"""
+        proc = self.fresh_interpreter("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "loaded_by_cli": False,
+            "same": [True] * 4,
+            "unknown": "module 'tracesig' has no attribute 'no_such_name'",
+            "unbound": [],
+        }
 
     # (exit code, sha256 of the text output, sha256 of --format structured)
     # for each bundled signature against each bundled snapshot fixture, frozen

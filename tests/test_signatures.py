@@ -25,8 +25,9 @@ from tracesig.signatures import (
     derive_signature,
     load_signature,
     save_signature,
+    _document,
 )
-from tracesig.templates import PathTemplate, instantiate
+from tracesig.templates import PathTemplate, TemplateSyntaxError, instantiate, parse_template
 
 MINIMAL = {
     "schema": 1,
@@ -201,6 +202,60 @@ class TestCanonicalBytes:
         assert save_signature(load_signature(sig_json(core=[a, b]))) == save_signature(
             load_signature(sig_json(core=[b, a]))
         )
+
+
+# Pieces that a text-level rewrite of the JSON layout could trip over: quotes,
+# escapes, separators, the joints between entries and the list ends, non-ASCII
+# and control characters.
+_SIG_TEXT = hs.lists(
+    hs.sampled_from(['"', "\\", "}]", "},", "{", "[{", ", ", '": "', "},\n      {", "é", "\u2603",
+                     "\U0001f600", "\x00", "\n", "\x1f", "\x7f", "%SID%", "%s"])
+    | hs.text(hs.characters(exclude_characters="%"), min_size=1, max_size=4),
+    min_size=1,
+    max_size=6,
+).map("".join)
+
+
+def _parses(text: str) -> bool:
+    try:
+        parse_template(text)
+    except TemplateSyntaxError:  # e.g. two variables with no separator
+        return False
+    return True
+
+
+@hs.composite
+def any_signature(draw):
+    entries = draw(hs.lists(
+        hs.tuples(
+            hs.sampled_from(list(RecordKind)),
+            _SIG_TEXT.filter(_parses),
+            hs.sampled_from(["modified", "accessed", "created"]),
+            hs.sampled_from([label for label in CategoryLabel if label is not CategoryLabel.NEVER]),
+            hs.booleans(),
+        ),
+        max_size=12,
+        unique_by=lambda e: (e[0], fold_path(e[1])),
+    ))
+    split = draw(hs.integers(0, len(entries)))
+    core, supporting = [], []
+    for kind, text, field, label, confounded in entries:
+        field = field if kind is RecordKind.FILE else "modified"
+        template = PathTemplate(text, kind)
+        if len(core) < split:
+            core.append(CoreTrace(template, field))
+        else:
+            supporting.append(SupportingTrace(template, field, TraceCategory(label, confounded)))
+    return Signature(
+        draw(_SIG_TEXT), draw(hs.text()), tuple(core), tuple(supporting), draw(hs.integers(1, 10**6))
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(sig=any_signature())
+def test_save_signature_writes_the_indented_json_dump(sig):
+    """The C-encoded layout gives the bytes of the pure-Python indented dump."""
+    assert save_signature(sig) == json.dumps(_document(sig), indent=2) + "\n"
 
 
 class TestDeriveSignature:
