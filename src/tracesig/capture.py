@@ -57,14 +57,21 @@ class TraceNameSet:
 
 # One row of a block of rows joined by "\n", as ``parse_capture`` scans it
 # without the csv reader.  A plain row gives its process name and path cells:
-# at least seven cells, none holding a quote or NUL nor longer than the csv
-# reader allows, a non-empty process name and path, and a PID in at most 18
-# ASCII digits, which ``int`` reads whatever its digit limit.  Any other row
-# gives an empty process name.
-_CELL = r'[^",\x00\n]{0,131072}'
+# at least seven cells, a non-empty process name and path, and a PID in at
+# most 18 ASCII digits, which ``int`` reads whatever its digit limit.  Any
+# other row gives an empty process name.  The cells up to the result cell are
+# the one-character class ``[^,]`` and the rest of the row is ``.*``, which
+# ``re`` runs about two and eight times as fast as a set of several
+# characters; so the scan leaves to ``parse_capture`` what a plain row also
+# lacks: a quote or NUL, a cell longer than the csv reader allows, and a line
+# break, across which a match may run.  Each cell's bound keeps such a match
+# short: without them a block of lines with no comma took time in the square
+# of its length.
+_CELL_LIMIT = 131_072  # the csv reader's largest cell
+_CELL = rf"[^,]{{0,{_CELL_LIMIT}}}"
 _PLAIN_EVENT = re.compile(
-    rf'^(?:{_CELL},([^",\x00\n]{{1,131072}}),\d{{1,18}},{_CELL},([^",\x00\n]{{1,131072}}),'
-    rf"{_CELL},{_CELL}(?:,{_CELL})*|.*)$",
+    rf"^(?:{_CELL},([^,]{{1,{_CELL_LIMIT}}}),\d{{1,18}},{_CELL},([^,]{{1,{_CELL_LIMIT}}}),"
+    rf"{_CELL},.*|.*)$",
     re.ASCII | re.MULTILINE,
 )
 
@@ -79,12 +86,15 @@ def parse_capture(text: str) -> tuple[Event, ...]:
     result and detail cells are not read.  Quoted cells may contain commas,
     with embedded quotes doubled; a row is one line (see ``read_csv``).
 
-    Rows are read by one regex scan per block of rows.  A block the scan does
-    not pass whole, or one holding a quote, goes through ``read_csv_rows``,
-    so every refusal is the one ``read_csv`` gives over the whole text.  A
-    block, not a row: an export may quote most rows (the bundled fixture
-    quotes 28 of 40), and the csv reader reads a block at once faster than
-    row by row.
+    Rows are read by one regex scan per block of rows.  Per block, one ``in``
+    looks for a quote or NUL and one pass over the row lengths for a row
+    longer than the csv reader's largest cell; a block holding either, or one
+    the scan does not pass whole, goes through ``read_csv_rows``, so every
+    refusal is the one ``read_csv`` gives over the whole text.  The scan
+    passes a block whole when it gives one match per row, so none ran across
+    a line break, and every row is plain.  A block, not a row: an export may
+    quote most rows (the bundled fixture quotes 28 of 40), and the csv reader
+    reads a block at once faster than row by row.
     """
     lines = text.splitlines()
     header = read_csv(lines[:1], list, CaptureFormatError)
@@ -94,7 +104,10 @@ def parse_capture(text: str) -> tuple[Event, ...]:
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         joined = "\n".join(block)
-        scanned = [] if '"' in joined else _PLAIN_EVENT.findall(joined)
+        scannable = (
+            '"' not in joined and "\x00" not in joined and max(map(len, block)) <= _CELL_LIMIT
+        )
+        scanned = _PLAIN_EVENT.findall(joined) if scannable else []
         if len(scanned) == len(block) and all(process for process, _path in scanned):
             events += scanned
         else:

@@ -394,7 +394,7 @@ def categorize_matrix(
 
 # --- run-observation storage ----------------------------------------------
 
-_RUN_FILE = re.compile(r"run(\d{3})_(before|after)\.csv$")
+_RUN_FILE = re.compile(r"run(\d{3})_(before|after)\.csv$", re.ASCII)
 _SESSIONS_HEADER = ["run", "session", "launch_method"]
 
 

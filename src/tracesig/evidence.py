@@ -522,14 +522,18 @@ def parse_snapshot(text: str) -> Snapshot:
 # One row of a block of rows joined by "\n", as the one-pass check scans it
 # without the csv reader.  A plain row gives its kind cell (empty for a key),
 # its path cell, its three time cells and its precision cell: the kind in any
-# ASCII case; a path cell without a quote, comma or NUL and no longer than
-# Windows allows (the csv reader refuses a cell over 131,072); time cells
-# empty or canonical with the time of day in range, at least one of them set
-# and a key's accessed and created cells empty (``KIND_FIELDS``); a precision
-# in plain digits.  Any other row gives an empty path.
+# ASCII case; a path cell without a comma and no longer than Windows allows
+# (the csv reader refuses a cell over 131,072); time cells empty or canonical
+# with the time of day in range, at least one of them set and a key's
+# accessed and created cells empty (``KIND_FIELDS``); a precision in plain
+# digits.  Any other row gives an empty path.  The path is the one-character
+# class ``[^,]``, which ``re`` runs about twice as fast as a set of several
+# characters; so the scan leaves to ``_validated_rows`` the characters a
+# plain path also lacks: a quote or NUL, looked for once per block, and a
+# line break, across which a match may run.
 _TIME_CELL = r"(\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\dZ)?"
 _PLAIN_ROW = re.compile(
-    rf'^(?:(?i:(file)|regkey),([^",\x00\n]{{1,32767}})(?!,,,,),'
+    rf"^(?:(?i:(file)|regkey),([^,]{{1,32767}})(?!,,,,),"
     rf"{_TIME_CELL},(?(1){_TIME_CELL}),(?(1){_TIME_CELL}),([1-9]\d{{0,4}})?|.*)$",
     re.ASCII | re.MULTILINE,
 )
@@ -616,19 +620,30 @@ def _validated_rows(
     distinct day is checked once, and the bound is a text comparison with the
     canonical ``capture`` text, as canonical timestamps sort as text.  Any
     other row (a quoted path, say) is built now through ``_parse_row``, and
-    its refusal is the one ``read_csv`` gives over the whole text."""
+    its refusal is the one ``read_csv`` gives over the whole text.
+
+    Per block of rows, one ``in`` looks for a quote or NUL, and a count of
+    the scan's matches shows whether one ran across a line break, as from a
+    line such as ``file,C:\\a``, which is no plain row; the block's rows are
+    then scanned one at a time.  Per row, only in a block that holds a quote
+    or NUL, the path is searched for them."""
     days = _Days()
     keys, values, records = [], rows.copy(), []
     file_kind, key_kind = RecordKind.FILE, RecordKind.REGKEY
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        scanned = _PLAIN_ROW.findall("\n".join(block))
+        joined = "\n".join(block)
+        scanned = _PLAIN_ROW.findall(joined)
+        if len(scanned) != len(block):  # a match ran across a line break
+            scanned = [cells for row in block for cells in _PLAIN_ROW.findall(row)]
+        quote_or_nul = '"' in joined or "\x00" in joined
         folded = fold_path("\n".join([row[1] for row in scanned])).split("\n")
         for i, (is_file, path, modified, accessed, created, precision), folded_path in zip(
             range(start, start + len(block)), scanned, folded, strict=True
         ):
             if (
                 path
+                and (not quote_or_nul or '"' not in path and "\x00" not in path)
                 and (not precision or int(precision) <= _MAX_PRECISION_S)
                 and (not modified or modified <= capture and days[modified[:10]] is not None)
                 and (not accessed or accessed <= capture and days[accessed[:10]] is not None)

@@ -142,7 +142,7 @@ _BRACED_GUID = re.compile(
 
 # A rotation counter in a log-style file name: digits between a dash and the
 # final extension, where the extension says "log" somewhere.
-_LOG_COUNTER = re.compile(r"(?<=-)\d+(?=\.[^.]*log[^.]*$)", re.IGNORECASE)
+_LOG_COUNTER = re.compile(r"(?<=-)\d+(?=\.[^.]*log[^.]*$)", re.IGNORECASE | re.ASCII)
 
 
 class _MetaText:

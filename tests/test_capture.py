@@ -215,3 +215,24 @@ def test_a_cell_at_the_csv_limit_is_read_and_one_over_it_refused(length):
     if length > LIMIT:
         with pytest.raises(CaptureFormatError, match="line 2: .*field larger than field limit"):
             parse_capture(text)
+
+
+CLASS_ROWS = {
+    # a match from the first line runs on into the second
+    "line-break": ["junk", PLAIN],
+    "quoted": ['4:04 PM,app.exe,7,ReadFile,"C:\\q.txt",SUCCESS,D'],
+    "nul": [PLAIN.replace("a.txt", "n\x00l.txt")],
+    "long-row": [PLAIN + ",x" * (LIMIT // 2)],  # short cells, a row over the cell limit
+}
+
+
+@pytest.mark.parametrize("at", [254, 255, 256, 257, 1022, 1023, 1024, 1025])
+@pytest.mark.parametrize("lines", CLASS_ROWS.values(), ids=CLASS_ROWS)
+def test_rows_the_scan_classes_let_in_agree_with_one_read(lines, at):
+    """The scan's classes ``[^,]`` and ``.`` take a quote, a NUL and any
+    length of cell, and ``[^,]`` a line break: such rows, on either side of
+    a block edge, get the events or refusal of one ``read_csv``."""
+    rows = [PLAIN] * 1100
+    rows[at:at + len(lines)] = lines
+    text = "\n".join(rows) + "\n"
+    assert outcome(parse_capture, text) == outcome(reference_capture, text)

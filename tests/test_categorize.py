@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import logging
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -739,6 +740,20 @@ class TestObservationStorage:
         write_observations(tmp_path / "obs", obs)
         again = read_observations(tmp_path / "obs")
         assert again == obs
+
+    def test_a_run_number_in_other_digits_is_a_stray_file(self, tmp_path, monkeypatch):
+        """``run٠٠٠_after.csv`` (Arabic-Indic digits, which ``int`` reads as
+        0) beside ``run000_after.csv`` is ignored, whichever is listed last."""
+        obs = two_run_obs()
+        write_observations(tmp_path, obs)
+        run = tmp_path / "run000_after.csv"
+        decoy = tmp_path / "run\u0660\u0660\u0660_after.csv"
+        extra = "file,C:\\decoy,2010-04-01T10:00:00Z,,,1\n"
+        decoy.write_text(run.read_text(encoding="utf-8") + extra, encoding="utf-8")
+        listed = Path.iterdir
+        for order in (sorted, lambda paths: sorted(paths, reverse=True)):
+            monkeypatch.setattr(Path, "iterdir", lambda self, order=order: iter(order(listed(self))))
+            assert read_observations(tmp_path) == obs
 
     def test_launch_method_survives(self, tmp_path):
         obs = two_run_obs()

@@ -809,6 +809,13 @@ BLOCK_EDGE_ROWS = {
     "open-quote": 'file,"C:\\Dir\\open,2010-04-13T09:00:00Z,,,1',
     "quoted": 'file,"C:\\Dir\\a, b",2010-04-13T09:00:00Z,,,1',
     "blank": "",
+    # What the scan's path class ``[^,]`` takes and no plain path holds: a
+    # quote, a NUL, and a line break, across which a match runs from the
+    # first line of these two into the second.
+    "quoted-no-comma": 'file,"C:\\Dir\\q",2010-04-13T09:00:00Z,,,1',
+    "inner-quote": 'file,C:\\Dir\\say "hi",2010-04-13T09:00:00Z,,,1',
+    "nul": "file,C:\\Dir\\n\x00l,2010-04-13T09:00:00Z,,,1",
+    "line-break": "file,C:\\a\nC:\\b,2010-04-13T09:00:00Z,,,1",
 }
 
 
@@ -816,13 +823,14 @@ def body_text(rows):
     return SNAPSHOT_TEXT[: SNAPSHOT_TEXT.index(HEADER_ROW)] + HEADER_ROW + "\n" + "".join(rows)
 
 
-@pytest.mark.parametrize("at", [1022, 1023, 1024, 1025])
+@pytest.mark.parametrize("at", [254, 255, 256, 257, 1022, 1023, 1024, 1025])
 @pytest.mark.parametrize("row", BLOCK_EDGE_ROWS.values(), ids=BLOCK_EDGE_ROWS)
 def test_a_row_at_a_scan_block_edge_agrees_with_the_eager_parse(row, at):
-    """Rows are scanned in blocks, one of which ends after row 1,024: a row on
-    either side of that edge gets the eager parse's refusal, on its own line,
-    or the eager parse's record, as do the plain rows around it."""
-    assert 1024 % evidence._BLOCK_ROWS == 0
+    """Rows are scanned in blocks, two of which end after rows 256 and 1,024:
+    a row on either side of those edges gets the eager parse's refusal, on
+    its own line, or the eager parse's record, as do the plain rows around
+    it."""
+    assert 256 % evidence._BLOCK_ROWS == 0
     rows = [ROW.format(f"File{i}.txt") for i in range(1100)]
     rows[at] = row + "\n"
     assert_agrees(body_text(rows))

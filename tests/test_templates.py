@@ -397,7 +397,7 @@ PATH_SEGMENTS = hs.one_of(
     hs.sampled_from([
         SID, SID2.lower(), ODD_SID.lower(), "{01234567-89AB-cdef-0123-456789abcdef}",
         "0123abcd-ef01-2345-6789-abcdef012345", "app-12.log", "IEXPLORE.EXE-27122324.pf",
-        "Program Files", "App", "%s", "%SID%",
+        "app-\u0663.log", "app-\uff11\uff12.log", "Program Files", "App", "%s", "%SID%",
     ]),
 )
 PATH_PREFIXES = [
