@@ -207,12 +207,21 @@ def read_csv_rows(
         raise
 
 
+_INT_CELL = re.compile(r"-?[0-9]+")
+
+
 def int_cell(cell: str, column: str) -> int:
-    """The integer in a CSV cell; a ValueError naming ``column`` otherwise."""
+    """The integer in a CSV cell: ASCII digits after an optional ``-``.
+
+    ``int`` alone would also take ``6_0``, `` 60``, ``+60`` and other
+    scripts' digits.  A ValueError naming ``column`` otherwise.
+    """
     try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"{column} must be an integer, got {cell!r}") from None
+        if _INT_CELL.fullmatch(cell):
+            return int(cell)
+    except ValueError:  # more digits than ``int`` reads
+        pass
+    raise ValueError(f"{column} must be an integer, got {cell!r}")
 
 
 def fold_path(path: str) -> str:

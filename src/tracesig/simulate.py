@@ -549,9 +549,20 @@ def oracle_compare(
 # --- output tree ------------------------------------------------------------
 
 
+_OUTPUT_NAMES = ("final.csv", "planted.json", "steps", "obs")
+
+
 def write_scenario_outputs(result: ScenarioResult, directory: str | Path) -> None:
-    """Write final.csv, per-step snapshots, observations and planted.json."""
+    """Write final.csv, per-step snapshots, observations and planted.json.
+
+    A directory already holding one of those is refused before anything is
+    written, and nothing is deleted: the files of two scenarios mixed in one
+    tree would read as one set of runs.
+    """
     directory = Path(directory)
+    for name in _OUTPUT_NAMES:
+        if (directory / name).exists():
+            raise FileExistsError(f"{directory} already holds {name}; choose another directory")
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "final.csv").write_text(save_snapshot(result.snapshots[-1]), encoding="utf-8")
     steps = directory / "steps"

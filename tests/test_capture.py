@@ -208,6 +208,12 @@ def test_a_refusal_near_a_block_edge_is_the_whole_text_refusal(bad, message):
         parse_capture(text)
 
 
+def test_a_pid_is_ascii_digits_after_an_optional_minus():
+    with pytest.raises(CaptureFormatError, match=r"^line 1: PID must be an integer, got '\+7'$"):
+        parse_capture(PLAIN.replace(",7,", ",+7,"))
+    assert parse_capture(PLAIN.replace(",7,", ",-1,")) == (("app.exe", "C:\\a.txt"),)
+
+
 @pytest.mark.parametrize("length", [LIMIT, LIMIT + 1])
 def test_a_cell_at_the_csv_limit_is_read_and_one_over_it_refused(length):
     text = f"{ROW}\n4:04 PM,app.exe,7,ReadFile,C:\\a.txt,SUCCESS,{'x' * length}\n"

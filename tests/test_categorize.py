@@ -772,6 +772,7 @@ class TestObservationStorage:
         [
             ("x,0,", "line 2: run must be an integer, got 'x'"),
             ("0,s1,", "line 2: session must be an integer, got 's1'"),
+            ("٠,0,", "line 2: run must be an integer, got '٠'"),
             ("0,0", "line 2: row has 2 columns, expected 3"),
             ("1,5,", "line 3: run 1 is listed twice"),
         ],

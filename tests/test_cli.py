@@ -482,6 +482,11 @@ class TestSimulateDeriveRoundTrip:
         assert (sim_tree / "final.csv").exists()
         assert (sim_tree / "planted.json").exists()
 
+    def test_simulate_into_an_earlier_output_exits_2(self, sim_tree, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        assert main(["simulate", "--scenario", str(scenario), "-o", str(sim_tree)]) == 2
+        assert capsys.readouterr().err == f"error: {sim_tree} already holds final.csv; choose another directory\n"
+
     def test_derive_then_match_closes_the_loop(self, sim_tree, tmp_path, capsys):
         sig_file = tmp_path / "derived.sig"
         rc = main(

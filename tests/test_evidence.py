@@ -277,6 +277,14 @@ class TestSnapshotIO:
         with pytest.raises(SnapshotFormatError, match="precision"):
             parse_snapshot(broken)
 
+    @pytest.mark.parametrize("cell", ["6_0", " 60", "+60", "\u0666\u0660"])
+    def test_precision_takes_only_ascii_digits(self, cell):
+        """``int`` reads each of these as 60; a precision cell is ASCII digits."""
+        broken = SNAPSHOT_TEXT + f"file,C:\\x,2010-04-13T09:00:00Z,,,{cell}\n"
+        with pytest.raises(SnapshotFormatError) as info:
+            parse_snapshot(broken)
+        assert str(info.value) == f"line 10: precision_s must be an integer, got {cell!r}"
+
     @pytest.mark.parametrize(
         "old, new, message",
         [

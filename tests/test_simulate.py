@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,22 @@ class TestOutputTree:
             tree_digest(tmp_path / "one")
             == "02eff7206f641868414c7ff8d5fb737c4161efa26dd79f37d705b10341b0bd7c"
         )
+
+    def test_a_second_write_is_refused_and_changes_nothing(self, tmp_path):
+        sc = load_scenario(fixture_text("demo_scenario.json"))
+        write_scenario_outputs(run_scenario(sc), tmp_path)
+        before = tree_digest(tmp_path)
+        shorter = replace(sc, script=sc.script[:4])
+        with pytest.raises(FileExistsError, match="already holds final.csv"):
+            write_scenario_outputs(run_scenario(shorter), tmp_path)
+        assert tree_digest(tmp_path) == before
+
+    @pytest.mark.parametrize("name", ["final.csv", "planted.json", "steps", "obs"])
+    def test_each_earlier_output_is_refused(self, tmp_path, name):
+        (tmp_path / name).mkdir()
+        with pytest.raises(FileExistsError, match=f"already holds {name}"):
+            write_scenario_outputs(run_scenario(load_scenario(fixture_text("demo_scenario.json"))), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_tree_layout(self, tmp_path):
         sc = load_scenario(fixture_text("demo_scenario.json"))

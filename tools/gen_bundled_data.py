@@ -1,9 +1,19 @@
 """Regenerate the signatures and fixtures bundled under tracesig.data.
 
-Everything here is deterministic; run it after changing serialization or
-template code and commit the refreshed files.  The script verifies its own
-output: core templates are checked against hand-frozen expectations and each
-fixture is matched against its signature before anything is written.
+The three bundled signatures are what ``derive`` makes of seeded scenarios.
+Each action's published update behaviour is planted as scenario rules; one
+run of ``SESSIONS`` sessions of ``LAUNCHES`` launches each, one hour apart,
+under seed ``SEED`` gives the observations; ``build_update_matrix`` and
+``derive_signature`` turn them into the signature.  A derivation that planted
+truth contradicts fails the script: every trace must be classified as
+planted, and the derived core must be the planted core, generalized.
+
+The snapshot fixtures are still hand-timed from the published observations.
+Each is matched against its signature, and its interval checked, before
+anything is written.  Everything here is deterministic; run it after
+changing serialization, template or derivation code and commit the
+refreshed files.  ``ff36_open`` has a one-trace core, so its derivation logs
+a weak-core WARNING on stderr; that is expected.
 
     python3 tools/gen_bundled_data.py
 """
@@ -20,7 +30,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from tracesig.categorize import CategoryLabel, TraceCategory
+from tracesig.capture import TraceNameSet
+from tracesig.categorize import build_update_matrix
 from tracesig.evidence import (
     ArtifactRecord,
     RecordKind,
@@ -34,20 +45,27 @@ from tracesig.evidence import (
     save_snapshot,
 )
 from tracesig.matching import Verdict, match_signature
-from tracesig.signatures import (
-    CoreTrace,
-    Signature,
-    SupportingTrace,
-    load_signature,
-    save_signature,
+from tracesig.signatures import Signature, derive_signature, load_signature, save_signature
+from tracesig.simulate import (
+    Always,
+    FirstRunOfSession,
+    Probability,
+    Scenario,
+    ScriptStep,
+    UpdateMode,
+    UpdateRule,
+    UsageBased,
+    load_scenario,
+    oracle_compare,
+    run_scenario,
 )
-from tracesig.simulate import load_scenario, run_scenario
-from tracesig.templates import PathTemplate, generalize_path
+from tracesig.templates import generalize_path
 
 DATA = SRC / "tracesig" / "data"
 
 SID = "S-1-5-21-1417001333-573735546-682003330-500"
 HKU = f"HKEY_USERS\\{SID}"
+ADMIN = "C:\\Documents and Settings\\Administrator"
 
 META_KWARGS = dict(
     system_root="C:\\WINDOWS",
@@ -67,61 +85,93 @@ def tp(iso: str, precision: int = 1) -> TimePoint:
     return TimePoint(parse_timestamp(iso), precision)
 
 
+# --- deriving a signature from a seeded scenario ------------------------------
+
+SEED = 1
+SESSIONS, LAUNCHES = 12, 2  # one session a day, launches one hour apart
+FIRST_LAUNCH = "2010-04-01T09:00:00Z"
+SCENARIO_META = meta_at("2010-04-14T16:45:00Z")
+
+
+def rule(path: str, field: str, mode: UpdateMode) -> UpdateRule:
+    kind = RecordKind.REGKEY if path.startswith("HKEY_") else RecordKind.FILE
+    return UpdateRule(path, kind, field, mode)
+
+
+def derived_signature(
+    action: str, rules: list[UpdateRule], launches: tuple[str | None, ...] = (None,)
+) -> Signature:
+    """``derive``'s signature for ``action`` over the seeded scenario planting ``rules``.
+
+    The runs take their launch methods from ``launches`` in turn.  Asserts
+    that every planted trace is classified as planted and that the derived
+    core's template keys are those of the planted core traces, generalized.
+    """
+    start = parse_timestamp(FIRST_LAUNCH)
+    script = tuple(
+        ScriptStep(start + session * 86400 + launch * 3600, action, session,
+                   launches[(session * LAUNCHES + launch) % len(launches)])
+        for session in range(SESSIONS)
+        for launch in range(LAUNCHES)
+    )
+    result = run_scenario(Scenario(SEED, SCENARIO_META, {action: tuple(rules)}, script))
+    obs = result.observations[action]
+    matrix = build_update_matrix(obs, TraceNameSet.of(r.trace for r in rules))
+    sig = derive_signature(action, matrix, None, obs[0].before, platform="windows_xp")
+
+    planted = result.planted[action]
+    disagreements = oracle_compare(planted, sig, matrix).disagreements()
+    assert not disagreements, (action, disagreements)
+    planted_core = {
+        generalize_path(trace, SCENARIO_META, kind=matrix.kinds[fold_path(trace)]).key
+        for trace, category in planted.items()
+        if category.is_always and not category.confounded
+    }
+    derived_core = {c.template.key for c in sig.core}
+    assert derived_core == planted_core, (
+        f"{action}: derived core {sorted(derived_core)} is not the planted core "
+        f"{sorted(planted_core)}"
+    )
+    return sig
+
+
 # --- ie8_open ----------------------------------------------------------------
 
-IE8_CORE_CONCRETE = [
-    (RecordKind.FILE, "C:\\WINDOWS\\Prefetch\\IEXPLORE.EXE-27122324.pf"),
-    (
-        RecordKind.FILE,
-        "C:\\Documents and Settings\\Administrator\\Local Settings"
-        "\\Application Data\\Microsoft\\Feeds Cache\\index.dat",
-    ),
-    (RecordKind.REGKEY, f"{HKU}\\Software\\Microsoft\\CTF\\TIP"),
-    (
-        RecordKind.REGKEY,
-        f"{HKU}\\Software\\Microsoft\\Internet Explorer\\Security"
-        "\\AntiPhishing\\2CEDBFBC-DBA8-43AA-B1FD-CC8E6316E3E2",
-    ),
-    (
-        RecordKind.REGKEY,
-        f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion"
-        "\\Ext\\Stats\\{E2E2DD38-D088-4134-82B7-F2BA38496583}\\iexplore",
-    ),
-    (
-        RecordKind.REGKEY,
-        f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion"
-        "\\Ext\\Stats\\{FB5F1910-F110-11D2-BB9E-00C04F795683}\\iexplore",
-    ),
-]
+PF = "C:\\WINDOWS\\Prefetch\\IEXPLORE.EXE-27122324.pf"
+INDEX = f"{ADMIN}\\Local Settings\\Application Data\\Microsoft\\Feeds Cache\\index.dat"
+CTF = f"{HKU}\\Software\\Microsoft\\CTF\\TIP"
+PHISH = (f"{HKU}\\Software\\Microsoft\\Internet Explorer\\Security"
+         "\\AntiPhishing\\2CEDBFBC-DBA8-43AA-B1FD-CC8E6316E3E2")
+EXT1 = (f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion\\Ext\\Stats"
+        "\\{E2E2DD38-D088-4134-82B7-F2BA38496583}\\iexplore")
+EXT2 = (f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion\\Ext\\Stats"
+        "\\{FB5F1910-F110-11D2-BB9E-00C04F795683}\\iexplore")
+IE8_CORE_CONCRETE = [PF, INDEX, CTF, PHISH, EXT1, EXT2]
 
-IE8_CORE_EXPECTED = {
-    "%SystemRoot%\\Prefetch\\IEXPLORE.EXE-%s.pf",
-    "%HomeDrive%\\%HomePath%\\Local Settings\\Application Data"
-    "\\Microsoft\\Feeds Cache\\index.dat",
-    "HKEY_USERS\\%SID%\\Software\\Microsoft\\CTF\\TIP",
-    "HKEY_USERS\\%SID%\\Software\\Microsoft\\Internet Explorer"
-    "\\Security\\AntiPhishing\\%s",
-    "HKEY_USERS\\%SID%\\Software\\Microsoft\\Windows\\CurrentVersion"
-    "\\Ext\\Stats\\{%s}\\iexplore",
-}
+COOKIE = f"{ADMIN}\\Cookies\\administrator@live[1].txt"
+COOKIE_MSN = f"{ADMIN}\\Cookies\\administrator@msn[1].txt"
+URLMON = "C:\\WINDOWS\\system32\\urlmon.dll"
+IERTUTIL = "C:\\WINDOWS\\system32\\iertutil.dll"
+IEFRAME = "C:\\WINDOWS\\system32\\ieframe.dll"
+MSHTML = "C:\\WINDOWS\\system32\\mshtml.dll"
 
 # Irregularly accessed traces observed around IE8 launches.  The two entries
 # ending in a bare 32-hex name cover per-download cache content; they
 # generalize to a %s tail.
 IE8_IRREGULAR = [
-    "C:\\Documents and Settings\\Administrator\\Cookies",
+    f"{ADMIN}\\Cookies",
     "C:\\WINDOWS\\system32\\ieapfltr.dat",
-    "C:\\Documents and Settings\\Administrator\\Application Data\\Microsoft"
+    f"{ADMIN}\\Application Data\\Microsoft"
     "\\CryptnetUrlCache\\MetaData\\7B2238AACCEDC3F1FFE8E7EB5F575EC9",
     "C:\\Documents and Settings\\All Users\\Application Data\\Microsoft"
     "\\CryptnetUrlCache\\production\\perlconfig.dll",
     "C:\\WINDOWS\\system32\\xmlite.dll",
-    "C:\\Documents and Settings\\Administrator\\Application Data\\Microsoft"
+    f"{ADMIN}\\Application Data\\Microsoft"
     "\\CryptnetUrlCache\\Content\\7B2238AACCEDC3F1FFE8E7EB5F575EC9",
-    "C:\\Documents and Settings\\Administrator\\Local Settings"
+    f"{ADMIN}\\Local Settings"
     "\\Application Data\\Microsoft\\Internet Explorer\\frameiconcache.dat",
-    "C:\\Documents and Settings\\Administrator\\Favorites\\Links\\desktop.ini",
-    "C:\\Documents and Settings\\Administrator\\Favorites\\Desktop.ini",
+    f"{ADMIN}\\Favorites\\Links\\desktop.ini",
+    f"{ADMIN}\\Favorites\\Desktop.ini",
     "C:\\WINDOWS\\system32\\winhttp.dll",
     "C:\\Program Files\\Common Files\\Microsoft Shared\\Windows Live"
     "\\WindowsLiveLogin.dll",
@@ -131,7 +181,7 @@ IE8_IRREGULAR = [
     "C:\\WINDOWS\\system32\\msls31.dll",
     "C:\\WINDOWS\\system32\\ieapfltr.dll",
     "C:\\Program Files\\Internet Explorer\\xpshims.dll",
-    "C:\\WINDOWS\\system32\\mshtml.dll",
+    MSHTML,
     "C:\\WINDOWS\\system32\\msfeeds.dll",
     "C:\\WINDOWS\\system32\\activeds.dll",
     "C:\\WINDOWS\\system32\\adslrpc.dll",
@@ -169,10 +219,10 @@ IE8_IRREGULAR = [
     "C:\\Program Files\\Internet Explorer\\sqmapi.dll",
     "C:\\WINDOWS\\system32\\schannel.dll",
     "C:\\WINDOWS\\AppPatch\\aclayers.dll",
-    "C:\\WINDOWS\\system32\\urlmon.dll",
+    URLMON,
     "C:\\Program Files\\Internet Explorer\\ieproxy.dll",
-    "C:\\WINDOWS\\system32\\iertutil.dll",
-    "C:\\WINDOWS\\system32\\ieframe.dll",
+    IERTUTIL,
+    IEFRAME,
     "C:\\WINDOWS\\system32\\actxprxy.dll",
     "C:\\WINDOWS\\system32\\apphelp.dll",
     "C:\\WINDOWS\\system32\\crypt32.dll",
@@ -206,66 +256,28 @@ IE8_IRREGULAR = [
     "C:\\WINDOWS\\system32\\msasn1.dll",
     "C:\\WINDOWS\\system32\\wshex.dll",
     "C:\\WINDOWS\\system32\\dnsapi.dll",
-    "C:\\Documents and Settings\\Administrator\\Cookies\\administrator@live[1].txt",
-    "C:\\Documents and Settings\\Administrator\\Cookies\\administrator@msn[1].txt",
+    COOKIE,
+    COOKIE_MSN,
 ]
 
+QUICK_LAUNCH = (f"{ADMIN}\\Application Data\\Microsoft\\Internet Explorer"
+                "\\Quick Launch\\Launch Internet Explorer Browser.lnk")
+LNK = f"{ADMIN}\\Desktop\\Internet Explorer.lnk"
 IE8_SHORTCUTS = [
-    "%HomeDrive%\\%HomePath%\\Application Data\\Microsoft\\Internet Explorer"
-    "\\Quick Launch\\Launch Internet Explorer Browser.lnk",
-    "%HomeDrive%\\%HomePath%\\Desktop\\Internet Explorer.lnk",
-    "%HomeDrive%\\%HomePath%\\Start Menu\\Programs\\Internet Explorer.lnk",
-    "C:\\Documents and Settings\\All Users\\Start Menu\\Programs"
-    "\\Internet Explorer.lnk",
+    QUICK_LAUNCH,
+    LNK,
+    f"{ADMIN}\\Start Menu\\Programs\\Internet Explorer.lnk",
+    "C:\\Documents and Settings\\All Users\\Start Menu\\Programs\\Internet Explorer.lnk",
 ]
 
-IE8_FIRST_RUN_KEY = "HKEY_USERS\\%SID%\\Software\\Microsoft\\Internet Explorer\\Main"
+IE8_FIRST_RUN_KEY = f"{HKU}\\Software\\Microsoft\\Internet Explorer\\Main"
 
-
-def build_ie8_signature(meta: SnapshotMeta) -> Signature:
-    core: dict[str, CoreTrace] = {}
-    for kind, path in IE8_CORE_CONCRETE:
-        template = generalize_path(path, meta, kind=kind)
-        core.setdefault(fold_path(template.text), CoreTrace(template=template, field="modified"))
-    assert {c.template.text for c in core.values()} == IE8_CORE_EXPECTED, sorted(
-        c.template.text for c in core.values()
-    )
-
-    supporting: list[SupportingTrace] = []
-    seen: set[str] = set()
-    for path in IE8_IRREGULAR:
-        template = generalize_path(path, meta, kind=RecordKind.FILE)
-        assert fold_path(template.text) not in seen, template.text
-        seen.add(fold_path(template.text))
-        supporting.append(
-            SupportingTrace(
-                template=template,
-                field="accessed",
-                category=TraceCategory(CategoryLabel.IU),
-            )
-        )
-    assert len(supporting) == 93, len(supporting)
-    for text in IE8_SHORTCUTS:
-        supporting.append(
-            SupportingTrace(
-                template=PathTemplate(text, RecordKind.FILE),
-                field="accessed",
-                category=TraceCategory(CategoryLabel.UB),
-            )
-        )
-    supporting.append(
-        SupportingTrace(
-            template=PathTemplate(IE8_FIRST_RUN_KEY, RecordKind.REGKEY),
-            field="modified",
-            category=TraceCategory(CategoryLabel.FRO),
-        )
-    )
-    return Signature(
-        action="ie8_open",
-        platform="windows_xp",
-        core=tuple(core.values()),
-        supporting=tuple(supporting),
-    )
+IE8_RULES = [
+    *(rule(path, "modified", Always()) for path in IE8_CORE_CONCRETE),
+    *(rule(path, "accessed", Probability(0.5)) for path in IE8_IRREGULAR),
+    *(rule(path, "accessed", UsageBased(path)) for path in IE8_SHORTCUTS),
+    rule(IE8_FIRST_RUN_KEY, "modified", FirstRunOfSession()),
+]
 
 
 def file_record(path: str, m: str | None, a: str | None, c: str | None) -> ArtifactRecord:
@@ -282,44 +294,36 @@ def key_record(path: str, m: str) -> ArtifactRecord:
     return ArtifactRecord(kind=RecordKind.REGKEY, path=path, modified=tp(m, 60))
 
 
-ADMIN = "C:\\Documents and Settings\\Administrator"
 DLL_M = "2009-03-08T04:31:09Z"
 DLL_C = "2008-04-14T05:42:00Z"
+NOTEPAD = "C:\\WINDOWS\\system32\\notepad.exe"
+RUN_KEY = "HKEY_LOCAL_MACHINE\\SOFTWARE\\Microsoft\\Windows\\CurrentVersion\\Run"
 
 
 def ie8_records(pf_t, index_t, key_minute, lnk_t, cookie_live_t, urlmon_t, ieframe_t, main_minute):
     """One IE8 evidence set; times vary between the two analysis fixtures."""
     return [
-        file_record("C:\\WINDOWS\\Prefetch\\IEXPLORE.EXE-27122324.pf", pf_t, pf_t,
-                    "2010-02-20T11:08:15Z"),
-        file_record(f"{ADMIN}\\Local Settings\\Application Data\\Microsoft"
-                    "\\Feeds Cache\\index.dat", index_t, index_t, "2010-02-20T11:05:02Z"),
-        key_record(f"{HKU}\\Software\\Microsoft\\CTF\\TIP", key_minute),
-        key_record(f"{HKU}\\Software\\Microsoft\\Internet Explorer\\Security"
-                   "\\AntiPhishing\\2CEDBFBC-DBA8-43AA-B1FD-CC8E6316E3E2", key_minute),
-        key_record(f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion\\Ext\\Stats"
-                   "\\{E2E2DD38-D088-4134-82B7-F2BA38496583}\\iexplore", key_minute),
-        key_record(f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion\\Ext\\Stats"
-                   "\\{FB5F1910-F110-11D2-BB9E-00C04F795683}\\iexplore", key_minute),
+        file_record(PF, pf_t, pf_t, "2010-02-20T11:08:15Z"),
+        file_record(INDEX, index_t, index_t, "2010-02-20T11:05:02Z"),
+        key_record(CTF, key_minute),
+        key_record(PHISH, key_minute),
+        key_record(EXT1, key_minute),
+        key_record(EXT2, key_minute),
         # supporting evidence
-        file_record(f"{ADMIN}\\Cookies\\administrator@live[1].txt",
-                    cookie_live_t, cookie_live_t, "2010-03-01T16:22:05Z"),
-        file_record(f"{ADMIN}\\Cookies\\administrator@msn[1].txt",
+        file_record(COOKIE, cookie_live_t, cookie_live_t, "2010-03-01T16:22:05Z"),
+        file_record(COOKIE_MSN,
                     "2010-04-14T11:02:13Z", "2010-04-14T11:02:13Z", "2010-03-01T16:25:44Z"),
-        file_record("C:\\WINDOWS\\system32\\urlmon.dll", DLL_M, urlmon_t, DLL_C),
-        file_record("C:\\WINDOWS\\system32\\ieframe.dll", DLL_M, ieframe_t, DLL_C),
-        file_record("C:\\WINDOWS\\system32\\iertutil.dll", DLL_M, "2010-04-14T16:40:00Z", DLL_C),
-        file_record("C:\\WINDOWS\\system32\\mshtml.dll", DLL_M, "2010-04-13T10:15:30Z", DLL_C),
-        file_record(f"{ADMIN}\\Desktop\\Internet Explorer.lnk", lnk_t, lnk_t,
-                    "2009-11-03T09:12:44Z"),
-        file_record(f"{ADMIN}\\Application Data\\Microsoft\\Internet Explorer"
-                    "\\Quick Launch\\Launch Internet Explorer Browser.lnk",
+        file_record(URLMON, DLL_M, urlmon_t, DLL_C),
+        file_record(IEFRAME, DLL_M, ieframe_t, DLL_C),
+        file_record(IERTUTIL, DLL_M, "2010-04-14T16:40:00Z", DLL_C),
+        file_record(MSHTML, DLL_M, "2010-04-13T10:15:30Z", DLL_C),
+        file_record(LNK, lnk_t, lnk_t, "2009-11-03T09:12:44Z"),
+        file_record(QUICK_LAUNCH,
                     "2010-04-09T08:00:00Z", "2010-04-09T08:00:00Z", "2009-11-03T09:12:44Z"),
-        key_record(f"{HKU}\\Software\\Microsoft\\Internet Explorer\\Main", main_minute),
+        key_record(IE8_FIRST_RUN_KEY, main_minute),
         # unrelated records
-        file_record("C:\\WINDOWS\\system32\\notepad.exe", DLL_C, "2010-04-13T09:00:00Z", DLL_C),
-        key_record("HKEY_LOCAL_MACHINE\\SOFTWARE\\Microsoft\\Windows"
-                   "\\CurrentVersion\\Run", "2010-04-01T12:00:00Z"),
+        file_record(NOTEPAD, DLL_C, "2010-04-13T09:00:00Z", DLL_C),
+        key_record(RUN_KEY, "2010-04-01T12:00:00Z"),
     ]
 
 
@@ -353,43 +357,21 @@ def build_ie8_fixture_apr14() -> Snapshot:
 
 # --- msn2009_open ------------------------------------------------------------
 
-MSN_CORE_CONCRETE = [
-    (RecordKind.FILE, f"{ADMIN}\\Tracing\\WindowsLiveMessenger-uccapi-0.uccapilog"),
-    (RecordKind.FILE, "C:\\WINDOWS\\Prefetch\\MSNMSGGR.EXE-030AB647.pf"),
-    (RecordKind.REGKEY, f"{HKU}\\Software\\Microsoft\\Tracing\\WPPMedia"),
-]
-
-MSN_CORE_EXPECTED = {
-    "%HomeDrive%\\%HomePath%\\Tracing\\WindowsLiveMessenger-uccapi-%i.uccapilog",
-    "%SystemRoot%\\Prefetch\\MSNMSGGR.EXE-%s.pf",
-    "HKEY_USERS\\%SID%\\Software\\Microsoft\\Tracing\\WPPMedia",
-}
-
-
-def build_msn_signature(meta: SnapshotMeta) -> Signature:
-    core = []
-    for kind, path in MSN_CORE_CONCRETE:
-        template = generalize_path(path, meta, kind=kind)
-        core.append(CoreTrace(template=template, field="modified"))
-    assert {c.template.text for c in core} == MSN_CORE_EXPECTED, sorted(
-        c.template.text for c in core
-    )
-    return Signature(action="msn2009_open", platform="windows_xp", core=tuple(core))
+MSN_LOG = f"{ADMIN}\\Tracing\\WindowsLiveMessenger-uccapi-0.uccapilog"
+MSN_PF = "C:\\WINDOWS\\Prefetch\\MSNMSGGR.EXE-030AB647.pf"
+MSN_KEY = f"{HKU}\\Software\\Microsoft\\Tracing\\WPPMedia"
+MSN_RULES = [rule(path, "modified", Always()) for path in (MSN_LOG, MSN_PF, MSN_KEY)]
 
 
 def msn_records(log_t: str, key_minute: str) -> list[ArtifactRecord]:
     return [
-        file_record(f"{ADMIN}\\Tracing\\WindowsLiveMessenger-uccapi-0.uccapilog",
-                    log_t, log_t, "2010-04-10T08:12:30Z"),
-        file_record("C:\\WINDOWS\\Prefetch\\MSNMSGGR.EXE-030AB647.pf",
-                    log_t, log_t, "2010-03-15T10:22:41Z"),
-        key_record(f"{HKU}\\Software\\Microsoft\\Tracing\\WPPMedia", key_minute),
+        file_record(MSN_LOG, log_t, log_t, "2010-04-10T08:12:30Z"),
+        file_record(MSN_PF, log_t, log_t, "2010-03-15T10:22:41Z"),
+        key_record(MSN_KEY, key_minute),
         # IE8 and friends were used afterwards; partial IE8 evidence only
-        file_record(f"{ADMIN}\\Local Settings\\Application Data\\Microsoft"
-                    "\\Feeds Cache\\index.dat",
-                    "2010-04-14T19:45:12Z", "2010-04-14T19:45:12Z", "2010-02-20T11:05:02Z"),
-        file_record("C:\\WINDOWS\\system32\\urlmon.dll", DLL_M, "2010-04-14T19:45:12Z", DLL_C),
-        file_record("C:\\WINDOWS\\system32\\notepad.exe", DLL_C, "2010-04-13T09:00:00Z", DLL_C),
+        file_record(INDEX, "2010-04-14T19:45:12Z", "2010-04-14T19:45:12Z", "2010-02-20T11:05:02Z"),
+        file_record(URLMON, DLL_M, "2010-04-14T19:45:12Z", DLL_C),
+        file_record(NOTEPAD, DLL_C, "2010-04-13T09:00:00Z", DLL_C),
     ]
 
 
@@ -409,46 +391,22 @@ def build_msn_fixture_1958() -> Snapshot:
 
 # --- ff36_open ---------------------------------------------------------------
 
-
-def build_ff36_signature(meta: SnapshotMeta) -> Signature:
-    template = generalize_path(
-        "C:\\WINDOWS\\Prefetch\\FIREFOX.EXE-28641590.pf", meta, kind=RecordKind.FILE
-    )
-    assert template.text == "%SystemRoot%\\Prefetch\\FIREFOX.EXE-%s.pf", template.text
-    return Signature(
-        action="ff36_open",
-        platform="windows_xp",
-        core=(CoreTrace(template=template, field="modified"),),
-    )
+FF36_PF = "C:\\WINDOWS\\Prefetch\\FIREFOX.EXE-28641590.pf"
+FF36_RULES = [rule(FF36_PF, "modified", Always())]
 
 
 def build_ff36_fixture() -> Snapshot:
     records = [
-        file_record("C:\\WINDOWS\\Prefetch\\FIREFOX.EXE-28641590.pf",
+        file_record(FF36_PF,
                     "2010-04-14T12:05:03Z", "2010-04-14T12:05:03Z", "2010-03-01T09:30:00Z"),
-        file_record("C:\\WINDOWS\\system32\\notepad.exe", DLL_C, "2010-04-13T09:00:00Z", DLL_C),
-        key_record("HKEY_LOCAL_MACHINE\\SOFTWARE\\Microsoft\\Windows"
-                   "\\CurrentVersion\\Run", "2010-04-01T12:00:00Z"),
+        file_record(NOTEPAD, DLL_C, "2010-04-13T09:00:00Z", DLL_C),
+        key_record(RUN_KEY, "2010-04-01T12:00:00Z"),
     ]
     return Snapshot.build(meta_at("2010-04-14T12:30:00Z"), records)
 
 
 # --- capture fixture ----------------------------------------------------------
 
-PF = "C:\\WINDOWS\\Prefetch\\IEXPLORE.EXE-27122324.pf"
-INDEX = f"{ADMIN}\\Local Settings\\Application Data\\Microsoft\\Feeds Cache\\index.dat"
-CTF = f"{HKU}\\Software\\Microsoft\\CTF\\TIP"
-PHISH = (f"{HKU}\\Software\\Microsoft\\Internet Explorer\\Security"
-         "\\AntiPhishing\\2CEDBFBC-DBA8-43AA-B1FD-CC8E6316E3E2")
-EXT1 = (f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion\\Ext\\Stats"
-        "\\{E2E2DD38-D088-4134-82B7-F2BA38496583}\\iexplore")
-EXT2 = (f"{HKU}\\Software\\Microsoft\\Windows\\CurrentVersion\\Ext\\Stats"
-        "\\{FB5F1910-F110-11D2-BB9E-00C04F795683}\\iexplore")
-URLMON = "C:\\WINDOWS\\system32\\urlmon.dll"
-IERTUTIL = "C:\\WINDOWS\\system32\\iertutil.dll"
-IEFRAME = "C:\\WINDOWS\\system32\\ieframe.dll"
-COOKIE = f"{ADMIN}\\Cookies\\administrator@live[1].txt"
-LNK = f"{ADMIN}\\Desktop\\Internet Explorer.lnk"
 IEXE = "C:\\Program Files\\Internet Explorer\\iexplore.exe"
 SVCHOST = "C:\\WINDOWS\\system32\\svchost.exe"
 SVCKEY = "HKEY_LOCAL_MACHINE\\SOFTWARE\\Microsoft\\Windows NT\\CurrentVersion\\Svchost"
@@ -612,10 +570,9 @@ def verify_match(sig: Signature, snap: Snapshot, lo_iso: str, hi_iso: str) -> No
 
 def build_all() -> dict[str, str]:
     """Every bundled file's text, keyed by its path relative to tracesig.data."""
-    meta = meta_at("2010-04-14T16:45:00Z")
-    ie8 = build_ie8_signature(meta)
-    msn = build_msn_signature(meta)
-    ff36 = build_ff36_signature(meta)
+    ie8 = derived_signature("ie8_open", IE8_RULES, launches=(*IE8_SHORTCUTS, None))
+    msn = derived_signature("msn2009_open", MSN_RULES)
+    ff36 = derived_signature("ff36_open", FF36_RULES)
 
     fixtures = {
         "ie8_2010-04-12.csv": build_ie8_fixture_apr12(),
