@@ -167,11 +167,14 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     before snapshot does not (the trace appeared), or carries another time
     text or precision.  A name is looked up as a file, else as a registry key,
     in the values ``Snapshot.stored`` holds: the validated row text of a
-    parsed snapshot, so no record is built.  A run whose after value equals
-    its before value updated no field; each distinct value of a trace is
-    split into its cells (``stored_cells``) once, and only the runs whose
-    values differ compare cells.  ``kinds`` and ``display`` come from the
-    first record seen, the before snapshot of run 0 first.
+    parsed snapshot, so no record is built.  The lookups go one snapshot
+    column at a time, once per distinct snapshot object (a run's before is
+    often the previous run's after), and each name's values across the
+    snapshots are that column's entries.  A run whose after value equals its
+    before value updated no field; each distinct value of a trace is split
+    into its cells (``stored_cells``) once, and only the runs whose values
+    differ compare their three cells.  ``kinds`` and ``display`` come from
+    the first record seen, the before snapshot of run 0 first.
 
     A run is the first of its session when no lower run index shares its
     session id.  Every snapshot must describe the same system; only its
@@ -183,8 +186,9 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     if [o.run_index for o in ordered] != list(range(len(ordered))):
         raise ValueError("run indexes must be exactly 0..n-1")
     snaps = [s for o in ordered for s in (o.before, o.after)]
+    distinct = {id(snap): snap for snap in snaps}
     meta0 = snaps[0].meta
-    for snap in snaps:
+    for snap in distinct.values():
         if replace(snap.meta, capture_time=meta0.capture_time) != meta0:
             raise ValueError("observations use inconsistent snapshot metadata")
     sessions: set[int] = set()
@@ -192,27 +196,35 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     for o in ordered:
         runs.append(RunInfo(o.session_id, o.session_id not in sessions, o.launch_method))
         sessions.add(o.session_id)
+
     vectors: dict[str, dict[str, tuple[bool, ...]]] = {}
     kinds: dict[str, RecordKind] = {}
     display: dict[str, str] = {}
-    gets = [snap.stored.get for snap in snaps]
-
-    for name in names:
-        file_key, key_key = (RecordKind.FILE, name), (RecordKind.REGKEY, name)
-        values = [get(file_key) or get(key_key) for get in gets]
-        first = next((i for i, value in enumerate(values) if value is not None), None)
-        if first is None:
+    names = list(names)
+    file_keys = [(RecordKind.FILE, name) for name in names]
+    columns = {}  # per snapshot id, each name's value in it, or None
+    for key, snap in distinct.items():
+        get = snap.stored.get
+        columns[key] = [get(fk) or get((RecordKind.REGKEY, n)) for fk, n in zip(file_keys, names)]
+    rows = zip(*[columns[id(snap)] for snap in snaps])
+    for name, file_key, values in zip(names, file_keys, rows):
+        split = {value: stored_cells(value) for value in dict.fromkeys(values) if value is not None}
+        if not split:
             continue  # never present in any snapshot
-        split = {value: stored_cells(value) for value in set(values) - {None}}
-        kinds[name] = RecordKind.FILE if gets[first](file_key) is not None else RecordKind.REGKEY
-        display[name] = split[values[first]][0]
-        updated = [
-            _UNCHANGED if after is None or after == before else tuple(
-                a is not None and a != b
-                for a, b in zip(split[after][1], _NO_RECORD if before is None else split[before][1])
+        first = next(iter(split))
+        held_as_file = file_key in snaps[values.index(first)].stored
+        kinds[name] = RecordKind.FILE if held_as_file else RecordKind.REGKEY
+        display[name] = split[first][0]
+        updated = []
+        for before, after in zip(values[::2], values[1::2]):
+            if after is None or after == before:
+                updated.append(_UNCHANGED)
+                continue
+            m, a, c = split[after][1]
+            bm, ba, bc = _NO_RECORD if before is None else split[before][1]
+            updated.append(
+                (m is not None and m != bm, a is not None and a != ba, c is not None and c != bc)
             )
-            for before, after in zip(values[::2], values[1::2])
-        ]
         carried = zip(*[cells for _, cells in split.values()])  # per field, None if absent
         vectors[name] = {
             f: vector for f, vector, times in zip(FIELDS, zip(*updated), carried) if any(times)
@@ -398,12 +410,22 @@ _RUN_FILE = re.compile(r"run(\d{3})_(before|after)\.csv$", re.ASCII)
 _SESSIONS_HEADER = ["run", "session", "launch_method"]
 
 
-def read_observations(directory: str | Path) -> list[RunObservation]:
+def read_observations(
+    directory: str | Path, parsed: dict[str, Snapshot] | None = None
+) -> list[RunObservation]:
     """Load an observation directory.
 
     Layout: ``runNNN_before.csv`` and ``runNNN_after.csv`` snapshot pairs plus
     a ``sessions.csv`` with columns run, session, launch_method (empty launch
     cell means the launch method was not recorded).
+
+    Each distinct run-file text is parsed once, and every run file holding it
+    gets the same ``Snapshot``: a scenario's run starts from the state the
+    previous one ended in, so one run's after file is often the next one's
+    before file, byte for byte.  ``parsed`` maps each text parsed so far to
+    its snapshot; pass one dict to several calls to share their parses, and
+    drop it once they are done, as it holds every text.  Files are read in
+    run order, before then after, and the first malformed one is named.
     """
     directory = Path(directory)
     pairs: dict[int, dict[str, Path]] = {}
@@ -438,23 +460,28 @@ def read_observations(directory: str | Path) -> list[RunObservation]:
     if set(sessions) != set(pairs):
         raise ValueError("sessions.csv rows do not match the run files")
 
+    parsed = {} if parsed is None else parsed
     return [
         RunObservation(
             run_index=run,
             session_id=sessions[run][0],
             launch_method=sessions[run][1],
-            before=_read_run(pairs[run]["before"]),
-            after=_read_run(pairs[run]["after"]),
+            before=_read_run(pairs[run]["before"], parsed),
+            after=_read_run(pairs[run]["after"], parsed),
         )
         for run in sorted(pairs)
     ]
 
 
-def _read_run(path: Path) -> Snapshot:
-    """Parse one run snapshot; an error names the file among the 2N of the directory."""
+def _read_run(path: Path, parsed: dict[str, Snapshot]) -> Snapshot:
+    """The snapshot of one run file, parsed unless ``parsed`` holds its text's;
+    an error names the file among the 2N of the directory."""
     text = read_utf8(path)
-    with reraise_as(SnapshotFormatError, str(path)):
-        return parse_snapshot(text)
+    snap = parsed.get(text)
+    if snap is None:
+        with reraise_as(SnapshotFormatError, str(path)):
+            snap = parsed[text] = parse_snapshot(text)
+    return snap
 
 
 def _parse_session(row: list[str]) -> tuple[int, tuple[int, str | None]]:

@@ -22,6 +22,7 @@ import io
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -64,8 +65,8 @@ def _trace_names(args: argparse.Namespace, observations: list[RunObservation]) -
     if args.traces:
         lines = read_utf8(args.traces).splitlines()
         return TraceNameSet.of(line.strip() for line in lines if line.strip())
-    snaps = [snap for obs in observations for snap in (obs.before, obs.after)]
-    return TraceNameSet.of(path for snap in snaps for _, path in snap.records)
+    snaps = {id(snap): snap for obs in observations for snap in (obs.before, obs.after)}
+    return TraceNameSet.of(path for snap in snaps.values() for _, path in snap.records)
 
 
 # --- traces -----------------------------------------------------------------
@@ -91,13 +92,36 @@ def cmd_traces(args: argparse.Namespace) -> int:
 # --- derive -----------------------------------------------------------------
 
 
+def _read_runs(args: argparse.Namespace) -> tuple[list[RunObservation], list[RunObservation]]:
+    """The ``--obs`` runs and the ``--background`` runs (none without it).
+
+    A run-file text in either directory is parsed once.  Background runs must
+    observe the system the action runs did: their snapshot metadata must
+    equal the action runs' but for the capture time, the rule
+    ``build_update_matrix`` applies within one directory."""
+    parsed: dict = {}  # dropped on return: it holds every text read
+    observations = read_observations(args.obs, parsed)
+    if not args.background:
+        return observations, []
+    background = read_observations(args.background, parsed)
+    ours, theirs = observations[0].before.meta, background[0].before.meta
+    differ = [
+        f.name
+        for f in fields(ours)
+        if f.name != "capture_time" and getattr(ours, f.name) != getattr(theirs, f.name)
+    ]
+    if differ:
+        raise ValueError(
+            f"--background snapshots describe another system than --obs: {', '.join(differ)} differ"
+        )
+    return observations, background
+
+
 def cmd_derive(args: argparse.Namespace) -> int:
-    observations = read_observations(args.obs)
+    observations, ambient = _read_runs(args)
     names = _trace_names(args, observations)
     matrix = build_update_matrix(observations, names)
-    background = (
-        build_update_matrix(read_observations(args.background), names) if args.background else None
-    )
+    background = build_update_matrix(ambient, names) if ambient else None
     sig = derive_signature(
         args.action, matrix, background, observations[0].before, platform=args.platform
     )

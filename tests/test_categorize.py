@@ -662,8 +662,15 @@ def reference_matrix(obs, names):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(data=hs.data())
 def test_update_matrix_agrees_with_time_points(data):
+    """Also where snapshot objects are shared, as ``read_observations`` shares
+    byte-equal run files: a run may start from the very snapshot the run
+    before it ended in, and a background set may hold one of the action's
+    snapshots, looked up in part between the two matrices."""
     count = data.draw(hs.integers(1, 3))
     pairs = [(data.draw(oracle_snapshot()), data.draw(oracle_snapshot())) for _ in range(count)]
+    for i in range(1, count):
+        if data.draw(hs.booleans()):
+            pairs[i] = (pairs[i - 1][1], pairs[i][1])
     sessions = data.draw(hs.lists(hs.integers(0, 1), min_size=count, max_size=count))
     traced = data.draw(hs.lists(hs.sampled_from([p for _, p in ORACLE_PATHS] + ["C:\\ghost"])))
     names = TraceNameSet.of(traced)
@@ -671,6 +678,16 @@ def test_update_matrix_agrees_with_time_points(data):
     obs, eager = [
         [RunObservation(i, s, None, b[side], a[side]) for i, (s, (b, a)) in runs] for side in (0, 1)
     ]
+    assert build_update_matrix(obs, names) == reference_matrix(eager, names)
+
+    shared = data.draw(hs.sampled_from([snap for pair in pairs for snap in pair]))
+    ambient = data.draw(hs.permutations([shared, data.draw(oracle_snapshot())]))
+    for kind, path in data.draw(hs.lists(hs.sampled_from(ORACLE_PATHS))):
+        shared[0].get(kind, path)
+    background, eager_background = [
+        [RunObservation(0, 0, None, ambient[0][side], ambient[1][side])] for side in (0, 1)
+    ]
+    assert build_update_matrix(background, names) == reference_matrix(eager_background, names)
     assert build_update_matrix(obs, names) == reference_matrix(eager, names)
 
 
@@ -684,13 +701,15 @@ def test_derive_over_parsed_observations_builds_no_record(tmp_path, monkeypatch)
     record_check, point_check = ArtifactRecord.__post_init__, TimePoint.__post_init__
     monkeypatch.setattr(ArtifactRecord, "__post_init__", lambda r: built.append(r) or record_check(r))
     monkeypatch.setattr(TimePoint, "__post_init__", lambda p: points.append(p) or point_check(p))
-    obs = read_observations(tmp_path / "obs" / "app.open")
-    assert len(points) == 2 * len(obs)
+    directory = tmp_path / "obs" / "app.open"
+    texts = {path.read_bytes() for path in directory.glob("run*.csv")}
+    obs = read_observations(directory)
+    assert len(points) == len(texts) < 2 * len(obs)  # one parse per distinct text
     names = TraceNameSet.of(path for o in obs for _, path in o.before.records)
     matrix = build_update_matrix(obs, names)
     sig = derive_signature("app.open", matrix, None, obs[0].before)
     assert sig.core and matrix.vectors
-    assert built == [] and len(points) == 2 * len(obs)
+    assert built == [] and len(points) == len(texts)
 
 
 class TestCategorizeMatrix:
@@ -795,6 +814,24 @@ class TestObservationStorage:
         with pytest.raises(SnapshotFormatError) as info:
             read_observations(tmp_path)
         assert str(info.value) == f"{run}: line 8: unknown record kind 'fiel'"
+
+    def test_byte_equal_run_files_share_one_snapshot(self, tmp_path):
+        """One ``parsed`` dict across two directories: run files with equal
+        bytes, in one directory or across both, get one ``Snapshot`` object,
+        and unequal files separate ones."""
+        write_scenario_outputs(run_scenario(load_scenario(fixture_text("demo_scenario.json"))), tmp_path)
+        parsed = {}
+        files = [
+            (tmp_path / "obs" / name / f"run{o.run_index:03d}_{side}.csv", getattr(o, side))
+            for name in ("app.open", "web.browse")
+            for o in read_observations(tmp_path / "obs" / name, parsed)
+            for side in ("before", "after")
+        ]
+        shared = 0
+        for (path_a, snap_a), (path_b, snap_b) in itertools.combinations(files, 2):
+            assert (snap_a is snap_b) == (path_a.read_bytes() == path_b.read_bytes())
+            shared += snap_a is snap_b and path_a.parent != path_b.parent
+        assert shared and len(parsed) == len({path.read_bytes() for path, _ in files})
 
     def test_non_utf8_run_file_is_named(self, tmp_path):
         write_observations(tmp_path, two_run_obs())

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 from conftest import FROZEN_FILTERED_TRACES
 import tracesig
-from tracesig import cli
+from tracesig import categorize, cli
 from tracesig.cli import main
 from tracesig.data import fixture_text, signature_text
 from tracesig.evidence import ArtifactRecord
@@ -531,6 +533,55 @@ class TestSimulateDeriveRoundTrip:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {run}: line ")
         assert err.endswith(": unknown record kind 'fiel'\n")
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("app.open/run001_after.csv", "app.open/run002_before.csv"),
+            ("app.open/run000_after.csv", "web.browse/run000_before.csv"),
+        ],
+    )
+    def test_derive_names_the_first_of_two_equal_bad_run_files(self, sim_tree, first, second, capsys):
+        obs = sim_tree / "obs"
+        first, second = obs / first, obs / second
+        assert first.read_bytes() == second.read_bytes()
+        bad = first.read_text(encoding="utf-8").replace("\nfile,", "\nfiel,", 1)
+        for path in (second, first):
+            path.write_text(bad, encoding="utf-8")
+        rc = main(["derive", "--obs", str(obs / "app.open"), "--background", str(obs / "web.browse"),
+                   "--action", "app.open"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {first}: line ")
+        assert err.endswith(": unknown record kind 'fiel'\n")
+
+    def test_derive_parses_each_distinct_run_text_once(self, sim_tree, monkeypatch, capsys):
+        """``--obs`` and ``--background`` share their parses."""
+        obs = sim_tree / "obs"
+        runs = list(obs.glob("*/run*.csv"))
+        texts = []
+        parse = categorize.parse_snapshot
+        monkeypatch.setattr(categorize, "parse_snapshot", lambda text: texts.append(text) or parse(text))
+        rc = main(["derive", "--obs", str(obs / "app.open"), "--background", str(obs / "web.browse"),
+                   "--action", "app.open"])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(texts) == len({path.read_bytes() for path in runs}) < len(runs)
+
+    def test_derive_refuses_background_runs_of_another_system(self, sim_tree, tmp_path, capsys):
+        ambient = tmp_path / "ambient"
+        shutil.copytree(sim_tree / "obs" / "web.browse", ambient)
+        for path in ambient.glob("run*.csv"):
+            text = path.read_text(encoding="utf-8")
+            text = re.sub("(?m)^#home_path=.*$", r"#home_path=\\Documents and Settings\\other", text)
+            text = re.sub("(?m)^#sid=.*$", "#sid=S-1-5-21-1-2-3-1004", text)
+            path.write_text(text, encoding="utf-8")
+        derive = ["derive", "--obs", str(sim_tree / "obs" / "app.open"), "--action", "app.open"]
+        assert main(derive + ["--background", str(ambient)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --background snapshots describe another system than --obs: "
+            "home_path, sids differ\n"
+        )
 
     def test_derive_names_a_non_utf8_run_file(self, sim_tree, capsys):
         run = sim_tree / "obs" / "app.open" / "run000_after.csv"
