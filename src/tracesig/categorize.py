@@ -33,7 +33,7 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -189,8 +189,10 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     distinct = {id(snap): snap for snap in snaps}
     meta0 = snaps[0].meta
     for snap in distinct.values():
-        if replace(snap.meta, capture_time=meta0.capture_time) != meta0:
-            raise ValueError("observations use inconsistent snapshot metadata")
+        if differ := meta0.differences(snap.meta):
+            raise ValueError(
+                f"observations use inconsistent snapshot metadata: {', '.join(differ)} differ"
+            )
     sessions: set[int] = set()
     runs = []
     for o in ordered:

@@ -22,7 +22,6 @@ import io
 import json
 import logging
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -104,13 +103,7 @@ def _read_runs(args: argparse.Namespace) -> tuple[list[RunObservation], list[Run
     if not args.background:
         return observations, []
     background = read_observations(args.background, parsed)
-    ours, theirs = observations[0].before.meta, background[0].before.meta
-    differ = [
-        f.name
-        for f in fields(ours)
-        if f.name != "capture_time" and getattr(ours, f.name) != getattr(theirs, f.name)
-    ]
-    if differ:
+    if differ := observations[0].before.meta.differences(background[0].before.meta):
         raise ValueError(
             f"--background snapshots describe another system than --obs: {', '.join(differ)} differ"
         )

@@ -20,7 +20,7 @@ import re
 import string
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import AbstractContextManager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -398,6 +398,11 @@ class SnapshotMeta:
                 )
         if self.capture_time.precision_s != 1:
             raise ValueError("capture_time must be to the second")
+
+    def differences(self, other: SnapshotMeta) -> list[str]:
+        """Names of the fields, the capture time aside, in which ``other`` differs."""
+        return [f.name for f in fields(self)
+                if f.name != "capture_time" and getattr(self, f.name) != getattr(other, f.name)]
 
 
 @dataclass(frozen=True)

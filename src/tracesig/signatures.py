@@ -24,6 +24,7 @@ from importlib.resources import files
 from typing import Any, Iterable
 
 from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
+from .data import signature_text
 from .evidence import JsonObject, RecordKind, Snapshot, check_field, fold_path, read_json
 from .evidence import reraise_as
 from .templates import PathTemplate, TemplateSyntaxError, generalize_path
@@ -292,9 +293,8 @@ def bundled_signature_names() -> list[str]:
 
 def bundled_signature(name: str) -> Signature:
     """Load one of the signatures shipped with the package by bare name."""
-    resource = files("tracesig.data") / "signatures" / f"{name}.sig"
     try:
-        text = resource.read_text(encoding="utf-8")
+        text = signature_text(name)
     except FileNotFoundError:
         raise KeyError(f"no bundled signature named {name!r}; have {bundled_signature_names()}")
     return load_signature(text)

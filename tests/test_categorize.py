@@ -516,7 +516,12 @@ class TestBuildUpdateMatrix:
         later = two_run_obs(meta=xp_meta(capture="2010-04-14T17:19:00Z"))
         build_update_matrix([obs[0], later[1]], names)  # only the capture time differs
         other = two_run_obs(meta=xp_meta(home_path="\\Documents and Settings\\Other"))
-        with pytest.raises(ValueError, match="metadata"):
+        with pytest.raises(ValueError, match="metadata: home_path differ$"):
+            build_update_matrix([obs[0], other[1]], names)
+        # the fields are named in declaration order, and the capture time never
+        other = two_run_obs(meta=xp_meta(capture="2010-04-14T17:19:00Z", sids=("S-1-5-18",),
+                                          system_root="D:\\WINNT"))
+        with pytest.raises(ValueError, match="metadata: system_root, sids differ$"):
             build_update_matrix([obs[0], other[1]], names)
 
     def test_first_of_session_follows_run_order(self):
