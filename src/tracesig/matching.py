@@ -10,7 +10,11 @@ and reports one of four verdicts: Detected (some combination of one record
 per core template is consistent), Inconsistent (all core evidence present
 but nothing lines up), Missing (a core template resolves to no record), or
 Inapplicable (the signature needs last-access timestamps and the system had
-them disabled, so absence of agreement proves nothing).
+them disabled, so absence of agreement proves nothing).  Before any search,
+the precedence is: a core template with no record at all makes it Missing,
+listing only those templates; else an ``accessed`` core on a system with
+last-access disabled makes it Inapplicable; else a core template whose
+records all lack its timestamp field makes it Missing.
 
 The core search never enumerates combinations.  It sorts the N candidate
 records of one SID by ``hi`` and sweeps them once, so it costs O(N log N).
@@ -24,7 +28,7 @@ each template's candidates in ``instantiate``'s folded-path order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -81,77 +85,65 @@ class SupportingHit:
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """A signature's verdict on a snapshot, and also each SID's evaluation in
+    ``match_signature``; the fields after ``window_s`` default where a verdict
+    has no such fact, and only the reported Detected result has supporting hits."""
+
     action: str
     verdict: Verdict
-    event_interval: tuple[int, int] | None
-    core_span_s: int
-    resolved_core: tuple[ResolvedCore, ...]
-    missing: tuple[str, ...]
-    supporting_hits: tuple[SupportingHit, ...]
-    launch_hint: str | None
     weak: bool
     sid: str | None
     window_s: int
+    event_interval: tuple[int, int] | None = None
+    core_span_s: int = 0
+    resolved_core: tuple[ResolvedCore, ...] = ()
+    missing: tuple[str, ...] = ()
+    supporting_hits: tuple[SupportingHit, ...] = ()
+    launch_hint: str | None = None
 
     def supporting_counts(self) -> dict[str, int]:
         """Distinct supporting templates with a hit, per category label."""
         return templates_per_label(hit.trace for hit in self.supporting_hits)
 
 
-@dataclass(frozen=True)
-class _Evaluation:
-    verdict: Verdict
-    sid: str | None
-    missing: tuple[str, ...] = ()
-    interval: tuple[int, int] | None = None
-    span: int = 0
-    combo: tuple[ResolvedCore, ...] = ()
-
-
 _VERDICT_STRENGTH = (Verdict.MISSING, Verdict.INAPPLICABLE, Verdict.INCONSISTENT, Verdict.DETECTED)
 
 
-def _strength(ev: _Evaluation) -> tuple:
+def _strength(res: DetectionResult) -> tuple:
     """Verdict first; then the most recent interval, or the fewest missing templates."""
-    latest = (ev.interval[1], ev.interval[0]) if ev.interval is not None else ()
-    return (_VERDICT_STRENGTH.index(ev.verdict), latest, -len(ev.missing))
+    latest = res.event_interval[::-1] if res.event_interval is not None else ()
+    return (_VERDICT_STRENGTH.index(res.verdict), latest, -len(res.missing))
 
 
-def _evaluate(sig: Signature, snap: Snapshot, sid: str | None, window: int) -> _Evaluation:
-    fixed = Binding(sid=sid) if sid is not None else None
-
-    matches = []
-    missing = []
+def _evaluate(sig: Signature, snap: Snapshot, base: DetectionResult) -> DetectionResult:
+    """The verdict for ``base.sid``, in the precedence the module docstring gives."""
+    fixed = Binding(sid=base.sid) if base.sid is not None else None
+    resolved: list[list[ResolvedCore]] = []
+    unmatched, fieldless = [], []
     for trace in sig.core:
         found = instantiate(trace.template, snap, fixed=fixed)
-        if not found:
-            missing.append(trace.template.text)
-        matches.append(found)
-    if missing:
-        return _Evaluation(Verdict.MISSING, sid, missing=tuple(missing))
-
-    if not snap.meta.last_access_enabled and any(t.field == "accessed" for t in sig.core):
-        return _Evaluation(Verdict.INAPPLICABLE, sid)
-
-    resolved: list[list[ResolvedCore]] = []
-    for trace, found in zip(sig.core, matches):
         with_field = [
             ResolvedCore(trace, rec, point)
             for rec, _binding in found
             if (point := rec.timestamp(trace.field)) is not None
         ]
-        if not with_field:
-            missing.append(trace.template.text)
+        if not found:
+            unmatched.append(trace.template.text)
+        elif not with_field:
+            fieldless.append(trace.template.text)
         resolved.append(with_field)
-    if missing:
-        return _Evaluation(Verdict.MISSING, sid, missing=tuple(missing))
-
-    return _core_search(resolved, sid, window)
+    if unmatched:
+        return replace(base, verdict=Verdict.MISSING, missing=tuple(unmatched))
+    if not snap.meta.last_access_enabled and any(t.field == "accessed" for t in sig.core):
+        return replace(base, verdict=Verdict.INAPPLICABLE)
+    if fieldless:
+        return replace(base, verdict=Verdict.MISSING, missing=tuple(fieldless))
+    return _core_search(resolved, base)
 
 
 def _core_search(
-    resolved: Sequence[Sequence[ResolvedCore]], sid: str | None, window: int
-) -> _Evaluation:
+    resolved: Sequence[Sequence[ResolvedCore]], base: DetectionResult
+) -> DetectionResult:
     """The consistent combination with the most recent interval, or the smallest span.
 
     A combination whose smallest ``hi`` is h is consistent iff its largest
@@ -161,6 +153,7 @@ def _core_search(
     smallest span of any combination drawn from them.  The first h where that
     fits the window is the latest achievable ``min(hi)``.
     """
+    window = base.window_s
     by_hi = sorted(
         ((rc.timestamp.hi, rc.timestamp.lo, j) for j, found in enumerate(resolved) for rc in found),
         reverse=True,
@@ -184,7 +177,7 @@ def _core_search(
             break
         spans.append(span)
     if top is None:
-        return _Evaluation(Verdict.INCONSISTENT, sid, span=min(spans))
+        return replace(base, verdict=Verdict.INCONSISTENT, core_span_s=min(spans))
 
     latest = max(
         rc.timestamp.lo
@@ -206,8 +199,9 @@ def _core_search(
     if all(rc.timestamp.lo < latest for rc in combo):
         combo[last] = next(rc for rc in pools[last] if rc.timestamp.lo == latest)
     interval = infer_event_interval([rc.timestamp for rc in combo], window)
-    return _Evaluation(
-        Verdict.DETECTED, sid, interval=interval, span=max(latest - top, 0), combo=tuple(combo)
+    return replace(
+        base, verdict=Verdict.DETECTED, event_interval=interval,
+        core_span_s=max(latest - top, 0), resolved_core=tuple(combo),
     )
 
 
@@ -249,33 +243,16 @@ def match_signature(sig: Signature, snap: Snapshot, window_s: int | None = None)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
-    def result(ev: _Evaluation) -> DetectionResult:
-        hits: tuple[SupportingHit, ...] = ()
-        launch = None
-        if ev.verdict is Verdict.DETECTED:
-            hits, launch = _supporting_hits(sig, snap, ev.sid, ev.interval, window)
-        return DetectionResult(
-            action=sig.action,
-            verdict=ev.verdict,
-            event_interval=ev.interval,
-            core_span_s=ev.span,
-            resolved_core=ev.combo,
-            missing=ev.missing,
-            supporting_hits=hits,
-            launch_hint=launch,
-            weak=sig.weak,
-            sid=ev.sid,
-            window_s=window,
-        )
-
-    if not sig.core:
-        return result(_Evaluation(Verdict.MISSING, None))
-
+    base = DetectionResult(sig.action, Verdict.MISSING, sig.weak, None, window)
     core_needs_sid = any(t.template.uses_sid for t in sig.core)
-    if core_needs_sid and not snap.meta.sids:
-        missing = tuple(t.template.text for t in sig.core if t.template.uses_sid)
-        return result(_Evaluation(Verdict.MISSING, None, missing=missing))
+    if not sig.core or (core_needs_sid and not snap.meta.sids):
+        needs = tuple(t.template.text for t in sig.core if t.template.uses_sid)
+        return replace(base, missing=needs)
     candidates: Iterable[str | None] = snap.meta.sids if core_needs_sid else (None,)
 
     # max keeps the first of equally strong evaluations
-    return result(max((_evaluate(sig, snap, sid, window) for sid in candidates), key=_strength))
+    best = max((_evaluate(sig, snap, replace(base, sid=sid)) for sid in candidates), key=_strength)
+    if best.verdict is not Verdict.DETECTED:
+        return best
+    hits, launch = _supporting_hits(sig, snap, best.sid, best.event_interval, window)
+    return replace(best, supporting_hits=hits, launch_hint=launch)

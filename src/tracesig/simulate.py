@@ -502,11 +502,11 @@ class OracleReport:
 
     @property
     def clean(self) -> bool:
-        """No disagreement beyond documented sampling artifacts."""
-        return (
-            all(e.agrees or e.sampling_artifact for e in self.entries)
-            and self.core_expected == self.core_actual
-        )
+        """No disagreement beyond documented sampling artifacts.
+
+        The core counts are not compared: several planted core traces may
+        rightly share one derived template."""
+        return all(e.agrees or e.sampling_artifact for e in self.entries)
 
 
 def oracle_compare(

@@ -109,6 +109,29 @@ class TestMatch:
         assert rc == 1
         assert "verdict: Missing" in out
 
+    def test_inapplicable_exits_one_with_its_note(self, tmp_path, capsys):
+        sig_file = tmp_path / "ff.sig"
+        sig_file.write_text(
+            signature_text("ff36_open").replace('"modified"', '"accessed"'), encoding="utf-8"
+        )
+        snap = tmp_path / "ff.csv"
+        snap.write_text(
+            fixture_text("ff36_2010-04-14.csv").replace(
+                "#last_access_enabled=true", "#last_access_enabled=false"
+            ),
+            encoding="utf-8",
+        )
+        rc = main(["match", "--signature", str(sig_file), "--snapshot", str(snap)])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "action: ff36_open\n"
+            "platform: windows_xp\n"
+            "verdict: Inapplicable\n"
+            "window: 60s\n"
+            "weak: yes\n"
+            "note: core relies on accessed times, which the source system did not maintain\n"
+        )
+
     def test_signature_file_and_bundled_mix(self, ie8_snapshot, tmp_path, capsys):
         sig_file = tmp_path / "msn.sig"
         sig_file.write_text(signature_text("msn2009_open"), encoding="utf-8")
@@ -515,6 +538,11 @@ class TestSimulateDeriveRoundTrip:
         rc = main(["derive", "--obs", str(sessions.parent), "--action", "app.open"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {sessions}: line 2: run must be an integer, got 'x'\n"
+
+    def test_inspect_refuses_a_directory_without_run_files(self, tmp_path, capsys):
+        (tmp_path / "sessions.csv").write_text("run,session,launch_method\n", encoding="utf-8")
+        assert main(["inspect", "--obs", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: no runNNN_before/after.csv pairs in {tmp_path}\n"
 
     def test_inspect_refuses_an_oversized_sessions_cell(self, sim_tree, capsys):
         sessions = sim_tree / "obs" / "app.open" / "sessions.csv"

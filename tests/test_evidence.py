@@ -2,6 +2,7 @@ import csv
 import io
 import re
 import string
+import sys
 from calendar import timegm
 from datetime import datetime
 
@@ -284,6 +285,16 @@ class TestSnapshotIO:
         with pytest.raises(SnapshotFormatError) as info:
             parse_snapshot(broken)
         assert str(info.value) == f"line 10: precision_s must be an integer, got {cell!r}"
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+        reason="this interpreter's int reads any number of digits",
+    )
+    def test_an_integer_cell_longer_than_int_reads_is_refused(self):
+        cell = "6" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError) as info:
+            evidence.int_cell(cell, "precision_s")
+        assert str(info.value) == f"precision_s must be an integer, got {cell!r}"
 
     @pytest.mark.parametrize(
         "old, new, message",

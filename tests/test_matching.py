@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -10,8 +11,8 @@ from tracesig import matching
 from tracesig.categorize import CategoryLabel, TraceCategory
 from tracesig.evidence import ArtifactRecord, RecordKind, TimePoint
 from tracesig.matching import (
+    DetectionResult,
     Verdict,
-    _Evaluation,
     _strength,
     check_consistency,
     infer_event_interval,
@@ -127,6 +128,32 @@ class TestVerdicts:
             meta=xp_meta(last_access_enabled=False),
         )
         assert match_signature(sig, snap).verdict is Verdict.MISSING
+
+    def test_missing_names_only_templates_with_no_record(self):
+        # a template with no record outranks one whose record lacks the field
+        sig = Signature(
+            "app.open", "xp", (ct("C:\\core\\b.dat", field="created"), ct("C:\\core\\a.dat"))
+        )
+        snap = snap_of([frec("C:\\core\\b.dat", m="2010-04-01T10:00:00Z")])
+        got = match_signature(sig, snap)
+        assert got.verdict is Verdict.MISSING
+        assert got.missing == ("C:\\core\\a.dat",)
+
+    def test_inapplicable_outranks_a_record_lacking_the_field(self):
+        sig = Signature(
+            "app.open", "xp",
+            (ct("C:\\core\\a.dat", field="accessed"), ct("C:\\core\\b.dat", field="created")),
+        )
+        snap = snap_of(
+            [
+                frec("C:\\core\\a.dat", a="2010-04-01T10:00:00Z"),
+                frec("C:\\core\\b.dat", m="2010-04-01T10:00:00Z"),
+            ],
+            meta=xp_meta(last_access_enabled=False),
+        )
+        got = match_signature(sig, snap)
+        assert got.verdict is Verdict.INAPPLICABLE
+        assert got.missing == ()
 
     def test_empty_core_never_detects(self):
         sig = Signature("app.open", "xp", ())
@@ -287,7 +314,9 @@ def first_strongest(evaluations):
         if rank[ev.verdict] > rank[best.verdict]:
             best = ev
         elif ev.verdict is best.verdict is Verdict.DETECTED:
-            if (ev.interval[1], ev.interval[0]) > (best.interval[1], best.interval[0]):
+            if (ev.event_interval[1], ev.event_interval[0]) > (
+                best.event_interval[1], best.event_interval[0]
+            ):
                 best = ev
         elif ev.verdict is best.verdict is Verdict.MISSING:
             if len(ev.missing) < len(best.missing):
@@ -298,12 +327,13 @@ def first_strongest(evaluations):
 @hs.composite
 def evaluations(draw, sid):
     verdict = draw(hs.sampled_from(Verdict))
+    base = DetectionResult("app.open", verdict, False, sid, 60)
     if verdict is Verdict.DETECTED:
         lo = draw(hs.integers(0, 3))
-        return _Evaluation(verdict, sid, interval=(lo, lo + draw(hs.integers(0, 3))))
+        return replace(base, event_interval=(lo, lo + draw(hs.integers(0, 3))))
     if verdict is Verdict.MISSING:
-        return _Evaluation(verdict, sid, missing=("x",) * draw(hs.integers(1, 3)))
-    return _Evaluation(verdict, sid)
+        return replace(base, missing=("x",) * draw(hs.integers(1, 3)))
+    return base
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -312,10 +342,11 @@ def test_sid_choice_keeps_the_first_of_equals(evs):
     assert max(evs, key=_strength) is first_strongest(evs)
 
 
-def product_search(resolved, sid, window):
+def product_search(resolved, base):
     """The combination loop the sorted search replaced, kept as its oracle:
     it tries every combination in product order and keeps the first with the
     most recent interval, or else the smallest span."""
+    window = base.window_s
     best = None
     min_span = None
     for combo in itertools.product(*resolved):
@@ -326,13 +357,16 @@ def product_search(resolved, sid, window):
         if span > window:
             continue
         interval = (max(p.lo for p in points) - window, min(p.hi for p in points))
-        if best is None or (interval[1], interval[0]) > (best.interval[1], best.interval[0]):
-            best = _Evaluation(
-                Verdict.DETECTED, sid, interval=interval, span=max(span, 0), combo=tuple(combo)
+        if best is None or (interval[1], interval[0]) > (
+            best.event_interval[1], best.event_interval[0]
+        ):
+            best = replace(
+                base, verdict=Verdict.DETECTED, event_interval=interval,
+                core_span_s=max(span, 0), resolved_core=tuple(combo),
             )
     if best is not None:
         return best
-    return _Evaluation(Verdict.INCONSISTENT, sid, span=min_span)
+    return replace(base, verdict=Verdict.INCONSISTENT, core_span_s=min_span)
 
 
 CASE_BASE = t("2010-04-01T10:00:00Z")
@@ -414,6 +448,39 @@ class TestSupportingEvidence:
     def test_launch_hint_prefers_latest_usage(self):
         got = match_signature(SUPPORTED, supported_snapshot())
         assert got.launch_hint == f"{ADMIN}\\Start Menu\\App.lnk"
+
+    def test_a_supporting_record_without_its_field_is_no_hit(self):
+        sig = Signature(
+            "app.open", "xp",
+            (ct("C:\\core\\a.dat"),),
+            (st("C:\\logs\\%s.log", CategoryLabel.FRO),),
+        )
+        snap = snap_of(
+            [
+                frec("C:\\core\\a.dat", m="2010-04-01T10:00:00Z"),
+                frec("C:\\logs\\first.log", a="2010-04-01T10:00:05Z"),
+                frec("C:\\logs\\second.log", m="2010-04-01T10:00:05Z"),
+            ]
+        )
+        got = match_signature(sig, snap)
+        assert [h.record.path for h in got.supporting_hits] == ["C:\\logs\\second.log"]
+
+    def test_a_sid_supporting_template_resolves_nothing_without_listed_sids(self):
+        sig = Signature(
+            "app.open", "xp",
+            (ct("C:\\core\\a.dat"),),
+            (st("C:\\profiles\\%SID%\\app.ini", CategoryLabel.FRO),),
+        )
+        snap = snap_of(
+            [
+                frec("C:\\core\\a.dat", m="2010-04-01T10:00:00Z"),
+                frec(f"C:\\profiles\\{SID}\\app.ini", m="2010-04-01T10:00:00Z"),
+            ],
+            meta=xp_meta(sids=()),
+        )
+        got = match_signature(sig, snap)
+        assert got.verdict is Verdict.DETECTED and got.sid is None
+        assert got.supporting_hits == () and got.launch_hint is None
 
     def test_access_supporting_skipped_when_disabled(self):
         got = match_signature(SUPPORTED, supported_snapshot(xp_meta(last_access_enabled=False)))

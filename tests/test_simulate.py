@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pt, t, xp_meta
+from conftest import SID, pt, t, xp_meta
 from tracesig.capture import TraceNameSet
 from tracesig.categorize import CategoryLabel, build_update_matrix
 from tracesig.data import fixture_text
@@ -304,6 +304,33 @@ class TestOracleCompare:
         assert entry.trace == cookie and entry.planted.label is CategoryLabel.IU
         assert entry.classified.label is CategoryLabel.IUI
         assert report.artifacts() == [entry]
+        assert report.clean
+
+    def test_core_keys_sharing_one_template_leave_the_report_clean(self):
+        # two GUID-named keys generalize to one {%s} template: two planted
+        # core traces, one derived core template, and nothing disagrees
+        keys = [
+            f"HKEY_USERS\\{SID}\\Software\\App\\Ext\\{{{guid}}}"
+            for guid in ("2CEDBFBC-DBA8-43AA-B1FD-CC8E6316E3E2", "E2E2DD38-D088-4134-82B7-F2BA38496583")
+        ]
+        model = {
+            "app.open": tuple(UpdateRule(key, RecordKind.REGKEY, "modified", Always()) for key in keys)
+        }
+        script = tuple(
+            ScriptStep(t(f"2010-05-01T{hour:02d}:00:00Z"), "app.open", session)
+            for hour, session in ((9, 0), (10, 0), (14, 1), (15, 1))
+        )
+        sc = Scenario(seed=0, meta=xp_meta(capture="2010-05-01T23:00:00Z"), model=model, script=script)
+        result = run_scenario(sc)
+        obs = result.observations["app.open"]
+        matrix = build_update_matrix(obs, TraceNameSet.of(keys))
+        sig = derive_signature("app.open", matrix, None, obs[0].before)
+        assert [c.template.text for c in sig.core] == [
+            "HKEY_USERS\\%SID%\\Software\\App\\Ext\\{%s}"
+        ]
+        report = oracle_compare(result.planted["app.open"], sig, matrix)
+        assert (report.core_expected, report.core_actual) == (2, 1)
+        assert report.disagreements() == []
         assert report.clean
 
 

@@ -94,6 +94,12 @@ class TestGeneralize:
         other = "S-1-5-21-9-9-9-999"
         assert gen(f"HKEY_USERS\\{other}\\Software") == f"HKEY_USERS\\{other}\\Software"
 
+    def test_a_second_different_sid_stays_literal(self):
+        meta = xp_meta(sids=(SID, SID2))
+        assert gen(f"{HKU}\\Software\\{SID2}\\{SID.lower()}", meta) == (
+            f"HKEY_USERS\\%SID%\\Software\\{SID2}\\%SID%"
+        )
+
     def test_braced_guid_any_segment(self):
         path = f"{HKU}\\Software\\{{A8ECF8E4-795C-4552-B5A4-024AE3036EAB}}\\iexplore"
         assert gen(path) == "HKEY_USERS\\%SID%\\Software\\{%s}\\iexplore"
