@@ -2,7 +2,8 @@
 
 Given before/after snapshot pairs for several runs, ``build_update_matrix``
 reduces each candidate trace to boolean vectors saying whether each timestamp
-field changed on each run.  ``classify_field`` names the per-field pattern
+field changed on each run; ``build_update_matrices`` does so for several sets
+of runs in one pass.  ``classify_field`` names the per-field pattern
 and ``category_of`` maps the combination onto a trace category and the
 timestamp field that carries it, the one place the category lattice is
 written down:
@@ -64,6 +65,7 @@ __all__ = [
     "TraceCategory",
     "UpdateMatrix",
     "build_update_matrix",
+    "build_update_matrices",
     "categorize_matrix",
     "category_of",
     "classify_field",
@@ -161,34 +163,95 @@ _UNCHANGED = (False,) * len(FIELDS)
 
 
 def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> UpdateMatrix:
-    """Diff each run's snapshot pair into per-trace, per-field update vectors.
+    """The update matrix of one set of runs: ``build_update_matrices([obs],
+    names)[0]``."""
+    return build_update_matrices([obs], names)[0]
+
+
+def build_update_matrices(
+    groups: Sequence[Sequence[RunObservation]], names: TraceNameSet
+) -> list[UpdateMatrix]:
+    """Diff each group's snapshot pairs into per-trace, per-field update
+    vectors, one matrix per group (``derive`` passes the action runs and the
+    background runs).
 
     A field updated on a run when the after snapshot carries its time and the
     before snapshot does not (the trace appeared), or carries another time
     text or precision.  A name is looked up as a file, else as a registry key,
     in the values ``Snapshot.stored`` holds: the validated row text of a
     parsed snapshot, so no record is built.  The lookups go one snapshot
-    column at a time, once per distinct snapshot object (a run's before is
-    often the previous run's after), and each name's values across the
+    column at a time, once per distinct snapshot object across all groups (a
+    run's before is often the previous run's after, and background runs may
+    hold the action runs' snapshots), and each name's values across the
     snapshots are that column's entries.  A run whose after value equals its
-    before value updated no field; each distinct value of a trace is split
-    into its cells (``stored_cells``) once, and only the runs whose values
-    differ compare their three cells.  ``kinds`` and ``display`` come from
-    the first record seen, the before snapshot of run 0 first.
+    before value updated no field.  Name by name, each distinct value is split
+    into its cells (``stored_cells``) once for all groups, and the splits are
+    dropped before the next name; only the runs whose values differ compare
+    their three cells.  A group's ``kinds`` and ``display`` come from the
+    first record it holds, the before snapshot of its run 0 first.
 
     A run is the first of its session when no lower run index shares its
-    session id.  Every snapshot must describe the same system; only its
-    capture time may differ.
+    session id.  Every group is checked before any lookup: its run indexes
+    must be exactly 0..n-1, and its snapshots must describe the same system,
+    only their capture times differing.
     """
+    checked = [_checked_group(obs) for obs in groups]
+    distinct = {id(snap): snap for _, snaps in checked for snap in snaps}
+    names = list(names)
+    file_keys = [(RecordKind.FILE, name) for name in names]
+    columns = {}  # per snapshot id, each name's value in it, or None
+    for key, snap in distinct.items():
+        get = snap.stored.get
+        columns[key] = [get(fk) or get((RecordKind.REGKEY, n)) for fk, n in zip(file_keys, names)]
+    tables = [({}, {}, {}) for _ in checked]  # per group: vectors, kinds, display
+    rows = [zip(*[columns[id(snap)] for snap in snaps]) for _, snaps in checked]
+    for name, file_key, *group_values in zip(names, file_keys, *rows):
+        split = {}  # each distinct value of this name, split into its cells
+        for (_, snaps), values, (vectors, kinds, display) in zip(checked, group_values, tables):
+            present = dict.fromkeys(values)
+            present.pop(None, None)
+            if not present:
+                continue  # never present in any of this group's snapshots
+            for value in present:
+                if value not in split:
+                    split[value] = stored_cells(value)
+            first = next(iter(present))
+            held_as_file = file_key in snaps[values.index(first)].stored
+            kinds[name] = RecordKind.FILE if held_as_file else RecordKind.REGKEY
+            display[name] = split[first][0]
+            updated = []
+            for before, after in zip(values[::2], values[1::2]):
+                if after is None or after == before:
+                    updated.append(_UNCHANGED)
+                    continue
+                m, a, c = split[after][1]
+                bm, ba, bc = _NO_RECORD if before is None else split[before][1]
+                updated.append((
+                    m is not None and m != bm, a is not None and a != ba, c is not None and c != bc
+                ))
+            carried = zip(*[split[value][1] for value in present])  # per field, None if absent
+            vectors[name] = {
+                f: vector for f, vector, times in zip(FIELDS, zip(*updated), carried) if any(times)
+            }
+    return [
+        UpdateMatrix(runs=runs, vectors=vectors, kinds=kinds, display=display)
+        for (runs, _), (vectors, kinds, display) in zip(checked, tables)
+    ]
+
+
+def _checked_group(
+    obs: Sequence[RunObservation],
+) -> tuple[tuple[RunInfo, ...], list[Snapshot]]:
+    """One group's run facts and its snapshots, before then after of each run
+    in run order, once its run indexes and metadata pass."""
     if not obs:
         raise ValueError("at least one run observation is required")
     ordered = sorted(obs, key=lambda o: o.run_index)
     if [o.run_index for o in ordered] != list(range(len(ordered))):
         raise ValueError("run indexes must be exactly 0..n-1")
     snaps = [s for o in ordered for s in (o.before, o.after)]
-    distinct = {id(snap): snap for snap in snaps}
     meta0 = snaps[0].meta
-    for snap in distinct.values():
+    for snap in {id(snap): snap for snap in snaps}.values():
         if differ := meta0.differences(snap.meta):
             raise ValueError(
                 f"observations use inconsistent snapshot metadata: {', '.join(differ)} differ"
@@ -198,40 +261,7 @@ def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> U
     for o in ordered:
         runs.append(RunInfo(o.session_id, o.session_id not in sessions, o.launch_method))
         sessions.add(o.session_id)
-
-    vectors: dict[str, dict[str, tuple[bool, ...]]] = {}
-    kinds: dict[str, RecordKind] = {}
-    display: dict[str, str] = {}
-    names = list(names)
-    file_keys = [(RecordKind.FILE, name) for name in names]
-    columns = {}  # per snapshot id, each name's value in it, or None
-    for key, snap in distinct.items():
-        get = snap.stored.get
-        columns[key] = [get(fk) or get((RecordKind.REGKEY, n)) for fk, n in zip(file_keys, names)]
-    rows = zip(*[columns[id(snap)] for snap in snaps])
-    for name, file_key, values in zip(names, file_keys, rows):
-        split = {value: stored_cells(value) for value in dict.fromkeys(values) if value is not None}
-        if not split:
-            continue  # never present in any snapshot
-        first = next(iter(split))
-        held_as_file = file_key in snaps[values.index(first)].stored
-        kinds[name] = RecordKind.FILE if held_as_file else RecordKind.REGKEY
-        display[name] = split[first][0]
-        updated = []
-        for before, after in zip(values[::2], values[1::2]):
-            if after is None or after == before:
-                updated.append(_UNCHANGED)
-                continue
-            m, a, c = split[after][1]
-            bm, ba, bc = _NO_RECORD if before is None else split[before][1]
-            updated.append(
-                (m is not None and m != bm, a is not None and a != ba, c is not None and c != bc)
-            )
-        carried = zip(*[cells for _, cells in split.values()])  # per field, None if absent
-        vectors[name] = {
-            f: vector for f, vector, times in zip(FIELDS, zip(*updated), carried) if any(times)
-        }
-    return UpdateMatrix(runs=tuple(runs), vectors=vectors, kinds=kinds, display=display)
+    return tuple(runs), snaps
 
 
 def classify_field(vector: Sequence[bool], runs: Sequence[RunInfo], trace_path: str) -> FieldPattern:

@@ -29,7 +29,8 @@ logger = logging.getLogger(__name__)
 from . import __version__
 from .capture import filter_by_process, intersect_runs, parse_capture, unique_traces
 from .capture import CaptureFormatError, TraceNameSet
-from .categorize import RunObservation, build_update_matrix, read_observations
+from .categorize import RunObservation, build_update_matrices, build_update_matrix
+from .categorize import read_observations
 from .evidence import format_timestamp, parse_snapshot, parse_timestamp, read_utf8, reraise_as
 from .matching import DetectionResult, Verdict, match_signature
 from .signatures import (
@@ -59,11 +60,11 @@ def _load_signatures(args: argparse.Namespace) -> list[Signature]:
 
 
 def _trace_names(args: argparse.Namespace, observations: list[RunObservation]) -> TraceNameSet:
-    """The names in the ``--traces`` file, else every name the observations
-    hold, read from the snapshots' (kind, folded path) keys."""
+    """The names in the ``--traces`` file, one per non-empty line and kept as
+    written (a name may start or end with a space), else every name the
+    observations hold, read from the snapshots' (kind, folded path) keys."""
     if args.traces:
-        lines = read_utf8(args.traces).splitlines()
-        return TraceNameSet.of(line.strip() for line in lines if line.strip())
+        return TraceNameSet.of(line for line in read_utf8(args.traces).splitlines() if line)
     snaps = {id(snap): snap for obs in observations for snap in (obs.before, obs.after)}
     return TraceNameSet.of(path for snap in snaps.values() for _, path in snap.records)
 
@@ -97,7 +98,7 @@ def _read_runs(args: argparse.Namespace) -> tuple[list[RunObservation], list[Run
     A run-file text in either directory is parsed once.  Background runs must
     observe the system the action runs did: their snapshot metadata must
     equal the action runs' but for the capture time, the rule
-    ``build_update_matrix`` applies within one directory."""
+    ``build_update_matrices`` applies within each directory."""
     parsed: dict = {}  # dropped on return: it holds every text read
     observations = read_observations(args.obs, parsed)
     if not args.background:
@@ -113,10 +114,14 @@ def _read_runs(args: argparse.Namespace) -> tuple[list[RunObservation], list[Run
 def cmd_derive(args: argparse.Namespace) -> int:
     observations, ambient = _read_runs(args)
     names = _trace_names(args, observations)
-    matrix = build_update_matrix(observations, names)
-    background = build_update_matrix(ambient, names) if ambient else None
+    groups = [observations, ambient] if ambient else [observations]
+    matrix, *background = build_update_matrices(groups, names)
     sig = derive_signature(
-        args.action, matrix, background, observations[0].before, platform=args.platform
+        args.action,
+        matrix,
+        background[0] if background else None,
+        observations[0].before,
+        platform=args.platform,
     )
     _write_output(save_signature(sig), args.output)
     return 0
@@ -303,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", required=True, metavar="NAME")
     p.add_argument("--platform", default="unknown", metavar="NAME")
     p.add_argument("--traces", metavar="FILE",
-                   help="restrict to these trace names, one per line")
+                   help="restrict to these trace names, one per line, as written")
     p.add_argument("-o", "--output", metavar="FILE", help="default: standard output")
     p.set_defaults(func=cmd_derive)
 
@@ -328,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="dump an observation update matrix as CSV")
     p.add_argument("--obs", required=True, metavar="DIR")
     p.add_argument("--traces", metavar="FILE",
-                   help="restrict to these trace names, one per line")
+                   help="restrict to these trace names, one per line, as written")
     p.add_argument("-o", "--output", metavar="FILE", help="default: standard output")
     p.set_defaults(func=cmd_inspect)
     return parser

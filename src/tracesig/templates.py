@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .evidence import ArtifactRecord, RecordKind, Snapshot, SnapshotMeta, fold_path
@@ -50,6 +51,10 @@ class Var:
 
 Token = Union[str, Var]
 
+# One shared ``Var`` per variable name for the templates parsed; bounded, as
+# install-path names come from the signature files read.
+_var = lru_cache(maxsize=256)(Var)
+
 # One variable at a percent sign, or, through the empty last branch, a percent
 # sign that starts none.
 _VAR = re.compile(r"%(?:(SystemRoot|HomeDrive|HomePath|SID)%|(InstallPath\.[^%]+)%|([si])|)")
@@ -61,6 +66,7 @@ def parse_template(text: str) -> tuple[Token, ...]:
     Raises TemplateSyntaxError on an unknown variable, a stray percent sign,
     or two variables with no literal separator between them; a corrupted
     template must fail loudly rather than quietly match something else.
+    Every variable token of one name is the same frozen ``Var``.
     """
     if not text:
         raise TemplateSyntaxError("empty template")
@@ -80,7 +86,7 @@ def parse_template(text: str) -> tuple[Token, ...]:
             raise TemplateSyntaxError(
                 f"adjacent variables without a separator in template {text!r}"
             )
-        tokens.append(Var(match[match.lastindex]))
+        tokens.append(_var(match[match.lastindex]))
         end = match.end()
     if end < len(text):
         tokens.append(text[end:])
@@ -152,7 +158,10 @@ class _MetaText:
     an install path the snapshot does not publish has no entry.  ``_compile``
     expands a template with it.  ``generalize_path`` replaces the first of
     ``prefixes`` (text, folded text, variable; longest first) that a path
-    starts with, and the segments in ``folded_sids``.
+    starts with, and the segments in ``folded_sids``.  ``directories`` is its
+    memo: each directory text it has walked under this metadata, mapped to
+    that directory's generalized text and the folded SID %SID% stands for in
+    it (None if it holds none).
     """
 
     def __init__(self, meta: SnapshotMeta) -> None:
@@ -171,7 +180,9 @@ class _MetaText:
         prefixes.sort(key=lambda c: len(c[0]), reverse=True)
         self.text = text
         self.prefixes = [(prefix, fold_path(prefix), variable) for prefix, variable in prefixes]
+        self.folded_prefixes = frozenset(fp for _, fp, _ in self.prefixes)
         self.folded_sids = frozenset(map(fold_path, meta.sids))
+        self.directories: dict[str, tuple[str, str | None]] = {}
 
 
 _last_meta: tuple[SnapshotMeta | None, _MetaText | None] = (None, None)
@@ -205,6 +216,38 @@ def _segment_text(segment: str, last: bool) -> str:
     return "".join(parts)
 
 
+def _segment(
+    segment: str, last: bool, sid: str | None, pieces: _MetaText
+) -> tuple[str, str | None]:
+    """One segment's template text, and the folded SID %SID% stands for once
+    it is read: ``sid``, the one bound before it, or this segment if it is the
+    first listed SID of the path."""
+    folded = fold_path(segment)
+    if folded not in pieces.folded_sids:
+        return _segment_text(segment, last), sid
+    if sid in (None, folded):
+        return "%SID%", folded
+    return segment, sid
+
+
+def _walk(path: str, pieces: _MetaText, last: bool) -> tuple[str, str | None]:
+    """``path`` generalized, its final segment as a name when ``last`` and as a
+    directory otherwise, and the folded SID %SID% stands for in it."""
+    parts: list[str] = []
+    segments = path.split("\\")
+    folded = fold_path(path)
+    for prefix, fp, replacement in pieces.prefixes:
+        if folded.startswith(fp) and (len(path) == len(prefix) or path[len(prefix)] == "\\"):
+            parts, segments = [replacement], path[len(prefix):].split("\\")[1:]
+            break
+    sid = None
+    final = len(segments) - 1 if last else -1
+    for pos, segment in enumerate(segments):
+        text, sid = _segment(segment, pos == final, sid, pieces)
+        parts.append(text)
+    return "\\".join(parts), sid
+
+
 def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = None) -> PathTemplate:
     """Replace the machine-specific pieces of a concrete path with variables.
 
@@ -218,6 +261,12 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
     becomes %s.  Paths with nothing machine-specific come back as
     all-literal templates.
 
+    Each directory is walked once per metadata object: the part of a path
+    before its last backslash is looked up in the memo ``_MetaText`` keeps,
+    and only the final segment is read anew.  A path with no backslash has no
+    directory, and one equal to a prefix becomes that prefix's variable as a
+    whole; both are walked in full.
+
     A path holding a percent sign is refused with TemplateSyntaxError: a
     template cannot hold one literally, and read as template text it would
     name variables the path never had.
@@ -226,29 +275,15 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
         raise TemplateSyntaxError(f"a path holding a percent sign has no template: {path!r}")
     if kind is None:
         kind = RecordKind.REGKEY if fold_path(path).startswith("hkey_") else RecordKind.FILE
-
-    parts: list[str] = []
-    segments = path.split("\\")
-    folded = fold_path(path)
     pieces = _meta_text(meta)
-    for prefix, fp, replacement in pieces.prefixes:
-        if folded.startswith(fp) and (len(path) == len(prefix) or path[len(prefix)] == "\\"):
-            parts, segments = [replacement], path[len(prefix):].split("\\")[1:]
-            break
-
-    folded_sids = pieces.folded_sids
-    sid = None  # the folded SID %SID% stands for: the first one the path holds
-    last = len(segments) - 1
-    for pos, segment in enumerate(segments):
-        folded_segment = fold_path(segment)
-        if folded_segment not in folded_sids:
-            parts.append(_segment_text(segment, pos == last))
-        elif sid in (None, folded_segment):
-            sid = folded_segment
-            parts.append("%SID%")
-        else:
-            parts.append(segment)
-    return PathTemplate("\\".join(parts), kind)
+    directory, backslash, name = path.rpartition("\\")
+    if not backslash or fold_path(path) in pieces.folded_prefixes:
+        return PathTemplate(_walk(path, pieces, last=True)[0], kind)
+    head = pieces.directories.get(directory)
+    if head is None:
+        head = pieces.directories[directory] = _walk(directory, pieces, last=False)
+    text, sid = head
+    return PathTemplate(f"{text}\\{_segment(name, True, sid, pieces)[0]}", kind)
 
 
 # --- instantiation --------------------------------------------------------

@@ -2,8 +2,9 @@
 
 ``perfbench/`` imports names from the package root and patches functions at
 the names their callers look them up by.  Renaming or dropping one of those
-breaks the benchmark, not the package, so it is checked here.  One small
-``derive-pipeline`` op also runs end to end, to keep its stderr free of
+breaks the benchmark, not the package, so it is checked here.  Small
+``derive-pipeline`` ops also run end to end: one traced, to check which
+layers its spans cover, and one untraced, to keep its stderr free of
 per-trace warnings.
 """
 
@@ -63,6 +64,29 @@ def test_tracer_wraps_a_match_and_restores_the_originals(tmp_path, capsys):
     for owner, before in zip(HOOKED, originals):
         after = vars(owner)
         assert all(after[attr] is value for attr, value in before.items()), owner
+
+
+def test_tracer_wraps_a_derive_pipeline_op(tmp_path, capsys):
+    """The derive layers the benchmark reports fire; both update matrices are
+    built in one call that no span wraps, so that time counts as the CLI's."""
+    manifest = load_bench_module("gen").generate("derive-pipeline", 3, tmp_path, 0.02)
+    workload = load_bench_module("workloads").make("derive-pipeline", tmp_path, manifest)
+    tracer = load_bench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        with tracer.op():
+            codes = [tracesig.cli.main(call) for call in workload.calls]
+    finally:
+        tracer.uninstall()
+
+    assert codes == workload.codes
+    spans, counts = tracer.summary(), tracer.counts()
+    assert spans["categorize.read_observations"]["calls"] == 2  # --obs and --background
+    for name in ("signatures.derive_signature", "categorize.categorize_matrix"):
+        assert spans[name]["calls"] == 1, name
+    assert counts["categorize.traces_categorized"] > 0
+    assert spans["templates.generalize_path"]["calls"] == counts["categorize.traces_categorized"]
+    assert "categorize.build_update_matrix" not in spans
 
 
 def test_derive_pipeline_logs_no_lattice_warnings(tmp_path, capsys):

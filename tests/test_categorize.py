@@ -19,6 +19,7 @@ from tracesig.categorize import (
     TraceAnalysis,
     TraceCategory,
     UpdateMatrix,
+    build_update_matrices,
     build_update_matrix,
     categorize_matrix,
     category_of,
@@ -694,6 +695,90 @@ def test_update_matrix_agrees_with_time_points(data):
     ]
     assert build_update_matrix(background, names) == reference_matrix(eager_background, names)
     assert build_update_matrix(obs, names) == reference_matrix(eager, names)
+
+
+def outcome(build):
+    """What ``build()`` returns, or the text of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=hs.data())
+def test_update_matrices_agree_with_one_matrix_per_group(data):
+    """One pass over the action and background groups gives each group the
+    matrix it gets alone, where the groups share snapshot objects: each action
+    run starts from the snapshot the run before it ended in, background runs
+    hold action snapshots, a name may be held by background snapshots only,
+    and each snapshot spells a path in its own case.  A group whose metadata
+    is inconsistent raises the same error either way."""
+    chain = [data.draw(oracle_snapshot()) for _ in range(data.draw(hs.integers(2, 4)))]
+    own = data.draw(oracle_snapshot())  # a snapshot only the background holds
+    pool = chain + [own]
+    if data.draw(hs.booleans()):
+        other = snap_of([], meta=xp_meta(system_root="D:\\WINNT"))
+        pool.append((other, other))
+    count = len(chain) - 1
+    sessions = data.draw(hs.lists(hs.integers(0, 1), min_size=count, max_size=count))
+    background_pairs = data.draw(
+        hs.lists(hs.tuples(hs.sampled_from(pool), hs.sampled_from(pool)), min_size=1, max_size=3)
+    )
+    traced = data.draw(hs.lists(hs.sampled_from([p for _, p in ORACLE_PATHS] + ["C:\\ghost"])))
+    names = TraceNameSet.of(traced)
+    obs, eager = [
+        [
+            RunObservation(i, session, None, chain[i][side], chain[i + 1][side])
+            for i, session in enumerate(sessions)
+        ]
+        for side in (0, 1)
+    ]
+    background, eager_background = [
+        [RunObservation(i, 0, None, b[side], a[side]) for i, (b, a) in enumerate(background_pairs)]
+        for side in (0, 1)
+    ]
+
+    both = outcome(lambda: build_update_matrices([obs, background], names))
+    alone = outcome(lambda: [build_update_matrix(runs, names) for runs in (obs, background)])
+    assert both == alone
+    if isinstance(both, list):
+        assert both == [reference_matrix(eager, names), reference_matrix(eager_background, names)]
+
+
+class TestUpdateMatrices:
+    """The cases the property above draws, each pinned once."""
+
+    def test_a_name_only_the_background_holds(self):
+        quiet = parsed(f"file,C:\\a,{T1},,,")
+        busy = parsed(f"file,C:\\a,{T1},,,", f"file,C:\\bg,{T2},,,")
+        obs = [RunObservation(0, 0, None, quiet, quiet)]
+        background = [RunObservation(0, 0, None, quiet, busy)]
+        names = TraceNameSet.of(["C:\\a", "C:\\bg"])
+        action, ambient = build_update_matrices([obs, background], names)
+        assert action.traces() == ["c:\\a"]
+        assert ambient.vectors["c:\\bg"] == {"modified": (True,)}
+
+    def test_each_group_keeps_its_own_first_spelling(self):
+        shared = parsed(f"file,C:\\App\\X.dat,{T1},,,")
+        other = parsed(f"file,c:\\APP\\x.DAT,{T2},,,")
+        obs = [RunObservation(0, 0, None, shared, other)]
+        background = [RunObservation(0, 0, None, other, shared)]
+        names = TraceNameSet.of(["C:\\App\\X.dat"])
+        action, ambient = build_update_matrices([obs, background], names)
+        assert action.display == {"c:\\app\\x.dat": "C:\\App\\X.dat"}
+        assert ambient.display == {"c:\\app\\x.dat": "c:\\APP\\x.DAT"}
+        assert action.vectors == ambient.vectors == {"c:\\app\\x.dat": {"modified": (True,)}}
+
+    def test_a_group_with_inconsistent_metadata_is_refused_as_alone(self):
+        obs, names = two_run_obs(), TraceNameSet.of(["C:\\alpha.dat"])
+        other = two_run_obs(meta=xp_meta(home_path="\\Documents and Settings\\Other"))
+        mixed = [RunObservation(0, 0, None, obs[0].before, other[0].after)]
+        with pytest.raises(ValueError, match="metadata: home_path differ$"):
+            build_update_matrices([obs, mixed], names)
+        late = [RunObservation(1, 0, None, obs[1].before, obs[1].after)]
+        with pytest.raises(ValueError, match="0..n-1"):
+            build_update_matrices([obs, late], names)
 
 
 def test_derive_over_parsed_observations_builds_no_record(tmp_path, monkeypatch):

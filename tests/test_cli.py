@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FROZEN_FILTERED_TRACES
+from conftest import FROZEN_FILTERED_TRACES, frec, snap_of
 import tracesig
 from tracesig import categorize, cli
+from tracesig.categorize import RunObservation, write_observations
 from tracesig.cli import main
 from tracesig.data import fixture_text, signature_text
 from tracesig.evidence import ArtifactRecord
+from tracesig.signatures import load_signature
 
 
 @pytest.fixture
@@ -89,6 +91,33 @@ class TestTraces:
         bad.write_text("t,x.exe,1,Op,C:\\x,OK,d\nt,x.exe,notapid,Op,C:\\y,OK,d\n", encoding="utf-8")
         assert main(["traces", "--capture", capture_file, "--capture", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: line 2: PID must be an integer, got 'notapid'\n"
+
+    def test_names_with_outer_spaces_reach_derive_and_inspect(self, tmp_path, capsys):
+        """NTFS allows a name to start or end with a space; ``traces`` writes it
+        as it is, and ``--traces`` reads it back as written."""
+        evil = "C:\\a\\evil.exe "
+        times = ["2010-04-01T10:00:00Z", "2010-04-01T11:00:00Z", "2010-04-01T12:00:00Z"]
+        snaps = [snap_of([frec(evil, m=t), frec("C:\\a\\calm.exe", m=times[0])]) for t in times]
+        obs = tmp_path / "obs"
+        write_observations(obs, [RunObservation(i, i, None, snaps[i], snaps[i + 1]) for i in range(2)])
+        capture, names = tmp_path / "capture.csv", tmp_path / "names.txt"
+        capture.write_text(
+            "Time of Day,Process Name,PID,Operation,Path,Result,Detail\n"
+            f"14:30:01.0,app.exe,1,CreateFile,{evil},SUCCESS,\n"
+            "14:30:01.1,app.exe,1,CreateFile,C:\\a\\calm.exe,SUCCESS,\n",
+            encoding="utf-8",
+        )
+        assert main(["traces", "--capture", str(capture), "-o", str(names)]) == 0
+        assert names.read_text(encoding="utf-8") == "c:\\a\\calm.exe\nc:\\a\\evil.exe \n"
+        derive = ["derive", "--obs", str(obs), "--action", "a"]
+        assert main(derive + ["-o", str(tmp_path / "all.sig")]) == 0
+        assert main(derive + ["--traces", str(names), "-o", str(tmp_path / "named.sig")]) == 0
+        sig = (tmp_path / "named.sig").read_text(encoding="utf-8")
+        assert sig == (tmp_path / "all.sig").read_text(encoding="utf-8")
+        assert [t.template.text for t in load_signature(sig).core] == [evil]
+        capsys.readouterr()
+        assert main(["inspect", "--obs", str(obs), "--traces", str(names)]) == 0
+        assert f"{evil},modified,1,1" in capsys.readouterr().out.splitlines()
 
     def test_missing_capture_file(self, capsys):
         assert main(["traces", "--capture", "/nonexistent/x.csv"]) == 2

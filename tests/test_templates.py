@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from conftest import ADMIN, HKU, SID, frec, krec, snap_of, xp_meta
+from tracesig import templates
 from tracesig.evidence import RecordKind, Snapshot, fold_path
 from tracesig.templates import (
     Binding,
@@ -31,6 +33,11 @@ class TestParseTemplate:
         assert tokens[1] == "\\Prefetch\\APP-"
         assert tokens[2].name == "s"
         assert tokens[3] == ".pf"
+
+    def test_templates_share_one_var_per_name(self):
+        first = parse_template("%SystemRoot%\\%s-%s.pf")
+        second = parse_template("%SystemRoot%\\Prefetch\\%s.pf")
+        assert first[0] is second[0] and first[2] is first[4] is second[2]
 
     def test_install_path_variable(self):
         (var,) = [t for t in parse_template("%InstallPath.Office%\\x") if not isinstance(t, str)]
@@ -443,6 +450,57 @@ def test_generalized_template_finds_its_path(prefix, segments, meta):
         rec = krec(path, "2010-04-12T14:30:00Z")
     hits = instantiate(tpl, Snapshot.build(meta, [rec]))
     assert [r for r, _ in hits] == [rec]
+
+
+# Directories ``generalize_path`` walks once per metadata object, among them
+# the empty one, a prefix, one in two spellings and a SID under another SID;
+# and the paths whose split into directory and name needs care: no
+# backslash, a leading or trailing backslash, a path equal to a prefix.
+MEMO_DIRS = [
+    "", "C:", "C:\\a", "c:\\A", "C:\\WINDOWS", "c:\\windows\\", ADMIN, "C:\\Program Files\\App",
+    f"HKEY_USERS\\{SID2}", f"HKEY_USERS\\{SID}\\{{01234567-89AB-cdef-0123-456789abcdef}}",
+]
+MEMO_PATHS = hs.one_of(
+    hs.builds("{}\\{}".format, hs.sampled_from(MEMO_DIRS), PATH_SEGMENTS),
+    hs.sampled_from([
+        "x", "\\x", "\\", "", "C:\\a\\", "C:\\WINDOWS", "c:\\Windows", ADMIN,
+        "C:\\Program Files\\App", f"HKEY_USERS\\{SID2}\\{SID}", f"HKEY_USERS\\{SID}\\{SID2}",
+    ]),
+    hs.builds("".join, hs.tuples(
+        hs.sampled_from(PATH_PREFIXES), hs.lists(PATH_SEGMENTS, max_size=4).map("\\".join)
+    )),
+)
+
+
+def generalized_text(path, meta):
+    try:
+        return generalize_path(path, meta).text
+    except TemplateSyntaxError:
+        return None
+
+
+def walked_text(path, meta):
+    """The text of a walk of every segment of ``path``, as a template."""
+    if "%" in path:
+        return None
+    try:
+        text, _sid = templates._walk(path, templates._MetaText(meta), last=True)
+        return PathTemplate(text, RecordKind.FILE).text
+    except TemplateSyntaxError:
+        return None
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(hs.lists(MEMO_PATHS, min_size=1, max_size=8), generalize_metas())
+def test_directory_memo_gives_the_text_of_a_full_walk(paths, meta):
+    """Under one metadata object every directory is walked once; each later
+    path in it reads the memo.  Its text is the one a copy of the metadata
+    gives, whose fresh ``_MetaText`` has an empty memo, and the one a walk of
+    every segment of the path gives."""
+    fresh = [generalized_text(path, dataclasses.replace(meta)) for path in paths]
+    assert fresh == [walked_text(path, meta) for path in paths]
+    assert [generalized_text(path, meta) for path in paths] == fresh  # warming the memo
+    assert [generalized_text(path, meta) for path in paths] == fresh  # memo warm
 
 
 def test_generalized_text_and_tokens():
