@@ -147,10 +147,6 @@ class UpdateMatrix:
     kinds: Mapping[str, RecordKind]
     display: Mapping[str, str]
 
-    @property
-    def run_count(self) -> int:
-        return len(self.runs)
-
     def traces(self) -> list[str]:
         return sorted(self.kinds)
 
@@ -438,7 +434,8 @@ def categorize_matrix(
 
 # --- run-observation storage ----------------------------------------------
 
-_RUN_FILE = re.compile(r"run(\d{3})_(before|after)\.csv$", re.ASCII)
+# the names write_observations gives: at least three digits, no padding past three
+_RUN_FILE = re.compile(r"run(\d{3}|[1-9]\d{3,})_(before|after)\.csv$", re.ASCII)
 _SESSIONS_HEADER = ["run", "session", "launch_method"]
 
 
@@ -447,9 +444,10 @@ def read_observations(
 ) -> list[RunObservation]:
     """Load an observation directory.
 
-    Layout: ``runNNN_before.csv`` and ``runNNN_after.csv`` snapshot pairs plus
-    a ``sessions.csv`` with columns run, session, launch_method (empty launch
-    cell means the launch method was not recorded).
+    Layout: ``runNNN_before.csv`` and ``runNNN_after.csv`` snapshot pairs
+    (``run1000_before.csv`` past run 999) plus a ``sessions.csv`` with
+    columns run, session, launch_method (empty launch cell means the launch
+    method was not recorded).
 
     Each distinct run-file text is parsed once, and every run file holding it
     gets the same ``Snapshot``: a scenario's run starts from the state the

@@ -273,7 +273,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     matrix = build_update_matrix(observations, _trace_names(args, observations))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trace", "field"] + [f"run{i}" for i in range(matrix.run_count)])
+    writer.writerow(["trace", "field"] + [f"run{i}" for i in range(len(matrix.runs))])
     for trace in matrix.traces():
         for field, vec in matrix.vectors[trace].items():
             writer.writerow([matrix.display[trace], field] + ["1" if v else "0" for v in vec])

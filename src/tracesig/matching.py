@@ -39,8 +39,7 @@ from .templates import Binding, instantiate
 
 __all__ = [
     "DetectionResult",
-    "ResolvedCore",
-    "SupportingHit",
+    "ResolvedTrace",
     "Verdict",
     "check_consistency",
     "infer_event_interval",
@@ -70,15 +69,10 @@ def infer_event_interval(points: Sequence[TimePoint], window_s: int) -> tuple[in
 
 
 @dataclass(frozen=True)
-class ResolvedCore:
-    trace: CoreTrace
-    record: ArtifactRecord
-    timestamp: TimePoint
+class ResolvedTrace:
+    """A core or supporting trace, a record it resolved to, and that record's time."""
 
-
-@dataclass(frozen=True)
-class SupportingHit:
-    trace: SupportingTrace
+    trace: CoreTrace | SupportingTrace
     record: ArtifactRecord
     timestamp: TimePoint
 
@@ -96,9 +90,9 @@ class DetectionResult:
     window_s: int
     event_interval: tuple[int, int] | None = None
     core_span_s: int = 0
-    resolved_core: tuple[ResolvedCore, ...] = ()
+    resolved_core: tuple[ResolvedTrace, ...] = ()
     missing: tuple[str, ...] = ()
-    supporting_hits: tuple[SupportingHit, ...] = ()
+    supporting_hits: tuple[ResolvedTrace, ...] = ()
     launch_hint: str | None = None
 
     def supporting_counts(self) -> dict[str, int]:
@@ -115,18 +109,25 @@ def _strength(res: DetectionResult) -> tuple:
     return (_VERDICT_STRENGTH.index(res.verdict), latest, -len(res.missing))
 
 
+def _resolve(
+    trace: CoreTrace | SupportingTrace, snap: Snapshot, sid: str | None
+) -> tuple[bool, list[ResolvedTrace]]:
+    """Whether the trace's template matched any record under ``sid``, and the
+    matched records that carry the trace's field."""
+    found = instantiate(trace.template, snap, fixed=Binding(sid=sid) if sid is not None else None)
+    return bool(found), [
+        ResolvedTrace(trace, rec, point)
+        for rec, _binding in found
+        if (point := rec.timestamp(trace.field)) is not None
+    ]
+
+
 def _evaluate(sig: Signature, snap: Snapshot, base: DetectionResult) -> DetectionResult:
     """The verdict for ``base.sid``, in the precedence the module docstring gives."""
-    fixed = Binding(sid=base.sid) if base.sid is not None else None
-    resolved: list[list[ResolvedCore]] = []
+    resolved: list[list[ResolvedTrace]] = []
     unmatched, fieldless = [], []
     for trace in sig.core:
-        found = instantiate(trace.template, snap, fixed=fixed)
-        with_field = [
-            ResolvedCore(trace, rec, point)
-            for rec, _binding in found
-            if (point := rec.timestamp(trace.field)) is not None
-        ]
+        found, with_field = _resolve(trace, snap, base.sid)
         if not found:
             unmatched.append(trace.template.text)
         elif not with_field:
@@ -142,7 +143,7 @@ def _evaluate(sig: Signature, snap: Snapshot, base: DetectionResult) -> Detectio
 
 
 def _core_search(
-    resolved: Sequence[Sequence[ResolvedCore]], base: DetectionResult
+    resolved: Sequence[Sequence[ResolvedTrace]], base: DetectionResult
 ) -> DetectionResult:
     """The consistent combination with the most recent interval, or the smallest span.
 
@@ -207,21 +208,16 @@ def _core_search(
 
 def _supporting_hits(
     sig: Signature, snap: Snapshot, sid: str | None, interval: tuple[int, int], window: int
-) -> tuple[tuple[SupportingHit, ...], str | None]:
-    fixed = Binding(sid=sid) if sid is not None else None
+) -> tuple[tuple[ResolvedTrace, ...], str | None]:
     lo, hi = interval
     hi_bound = hi + window
-    hits = []
-    for trace in sig.supporting:
-        if trace.field == "accessed" and not snap.meta.last_access_enabled:
-            continue
-        for rec, _binding in instantiate(trace.template, snap, fixed=fixed):
-            point = rec.timestamp(trace.field)
-            if point is None:
-                continue
-            if point.hi < lo or point.lo > hi_bound:
-                continue
-            hits.append(SupportingHit(trace, rec, point))
+    hits = [
+        hit
+        for trace in sig.supporting
+        if trace.field != "accessed" or snap.meta.last_access_enabled
+        for hit in _resolve(trace, snap, sid)[1]
+        if hit.timestamp.hi >= lo and hit.timestamp.lo <= hi_bound
+    ]
     launch = None
     usage_hits = [h for h in hits if h.trace.category.label is CategoryLabel.UB]
     if usage_hits:

@@ -8,9 +8,14 @@ seeds give byte-identical output.
 
 Randomness is a counter-based construction over the splitmix64 finalizer:
 every draw hashes (seed, folded trace name, run index, purpose) through
-``_mix64`` chaining, with purpose 0 reserved for latencies and purpose 1 for
-probability draws.  The test suite pins exact vectors so independent builds
-agree bit for bit.
+``_mix64`` chaining, with purpose 0 reserved for latencies, purpose 1 for
+probability draws and purpose 2 for baselines.  The test suite pins exact
+vectors so independent builds agree bit for bit.
+
+Every planted trace exists before the first step, each with its own
+baseline: all its fields hold one time drawn from [first step - 1 day,
+first step - 1 h].  A shared baseline would put the core traces of an
+untouched machine at one instant, which reads as a span-0 action.
 
 Rule modes:
 
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -116,6 +121,7 @@ def _fnv1a64(data: bytes) -> int:
 
 _PURPOSE_LATENCY = 0
 _PURPOSE_PROBABILITY = 1
+_PURPOSE_BASELINE = 2
 
 
 def _draw(seed: int, trace: str, run: int, purpose: int) -> int:
@@ -202,7 +208,8 @@ class ScriptStep:
 
 
 _ACTION_NAME = re.compile(r"[A-Za-z0-9._-]+")
-_BASELINE_LEAD_S = 86400  # planted traces start with timestamps this long before the first step
+_BASELINE_LEAD_S = 86400  # the earliest a planted trace's baseline lies before the first step
+_BASELINE_SPREAD_S = _BASELINE_LEAD_S - 3600  # so every baseline lies an hour or more before it
 
 
 @dataclass(frozen=True)
@@ -323,21 +330,16 @@ class ScenarioResult:
     planted: Mapping[str, Mapping[str, TraceCategory]]
 
 
-def _baseline_state(sc: Scenario) -> dict[str, dict]:
-    baseline = TimePoint(min(s.time for s in sc.script) - _BASELINE_LEAD_S)
-    state: dict[str, dict] = {}
+def _baseline_state(sc: Scenario) -> dict[str, ArtifactRecord]:
+    earliest = min(s.time for s in sc.script) - _BASELINE_LEAD_S
+    state: dict[str, ArtifactRecord] = {}
     for rules in sc.model.values():
         for rule in rules:
-            folded = fold_path(rule.trace)
-            if folded not in state:
-                fields = {f: baseline for f in KIND_FIELDS[rule.kind]}
-                state[folded] = {"kind": rule.kind, "path": rule.trace, "fields": fields}
+            if (folded := fold_path(rule.trace)) not in state:
+                drawn = _draw(sc.seed, rule.trace, 0, _PURPOSE_BASELINE) % _BASELINE_SPREAD_S
+                fields = {f: TimePoint(earliest + drawn) for f in KIND_FIELDS[rule.kind]}
+                state[folded] = ArtifactRecord(rule.kind, rule.trace, **fields)
     return state
-
-
-def _snapshot(state: Mapping[str, dict], meta: SnapshotMeta) -> Snapshot:
-    records = [ArtifactRecord(e["kind"], e["path"], **e["fields"]) for e in state.values()]
-    return Snapshot.build(meta, records)
 
 
 def _background_rules(sc: Scenario) -> list[UpdateRule]:
@@ -352,8 +354,9 @@ def _background_rules(sc: Scenario) -> list[UpdateRule]:
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Replay the script, returning snapshots, observations and planted truth.
 
-    Every planted trace pre-exists with baseline timestamps one day before the
-    first step, so diffs see timestamp changes rather than record creation.
+    Every planted trace pre-exists with its own baseline timestamps, between
+    a day and an hour before the first step, so diffs see timestamp changes
+    rather than record creation.
     Identical scenarios produce identical results, byte for byte once written.
     """
     state = _baseline_state(sc)
@@ -363,7 +366,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     snapshots: list[Snapshot] = []
     observations: dict[str, list[RunObservation]] = {action: [] for action in sc.model}
 
-    before = _snapshot(state, sc.meta)
+    before = Snapshot.build(sc.meta, state.values())
     for step_index, step in enumerate(sc.script):
         run = run_counter[step.action]
         first = (step.action, step.session_id) not in session_started
@@ -395,9 +398,10 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
                 if rule.latency_s is not None
                 else draw_latency(sc.seed, rule.trace, draw_index)
             )
-            state[fold_path(rule.trace)]["fields"][rule.field] = TimePoint(step.time + latency)
+            folded = fold_path(rule.trace)
+            state[folded] = replace(state[folded], **{rule.field: TimePoint(step.time + latency)})
 
-        after = _snapshot(state, sc.meta)
+        after = Snapshot.build(sc.meta, state.values())
         snapshots.append(after)
         run_counter[step.action] += 1
         observations[step.action].append(
@@ -455,24 +459,20 @@ def planted_categories(sc: Scenario) -> dict[str, dict[str, TraceCategory]]:
     background = _background_rules(sc)
 
     planted: dict[str, dict[str, TraceCategory]] = {}
-    for action in sc.model:
-        entries: dict[str, TraceCategory] = {}
-        rule_sets: dict[str, list[UpdateRule]] = {}
-        for rule in sc.model[action]:
-            rule_sets.setdefault(fold_path(rule.trace), []).append(rule)
-        for rule in background:
-            rule_sets.setdefault(fold_path(rule.trace), [])
-            if all(r.field != rule.field for r in rule_sets[fold_path(rule.trace)]):
-                rule_sets[fold_path(rule.trace)].append(rule)
-        for folded, rules in rule_sets.items():
-            modes = {rule.field: rule.mode for rule in rules}
-            kind = rules[0].kind
-            confounded = any(isinstance(r.mode, Background) for r in rules) or len(
-                actions_of.get(folded, set())
-            ) > 1
-            label = _planted_label(kind, modes, rules[0].trace)
-            entries[rules[0].trace] = TraceCategory(label, confounded)
-        planted[action] = entries
+    for action, rules in sc.model.items():
+        # per trace, its first rule and each field's mode; the action's own rules win
+        merged: dict[str, tuple[UpdateRule, dict[str, UpdateMode]]] = {}
+        for rule in (*rules, *background):
+            first, modes = merged.setdefault(fold_path(rule.trace), (rule, {}))
+            modes.setdefault(rule.field, rule.mode)
+        planted[action] = {
+            first.trace: TraceCategory(
+                _planted_label(first.kind, modes, first.trace),
+                len(actions_of[folded]) > 1
+                or any(isinstance(mode, Background) for mode in modes.values()),
+            )
+            for folded, (first, modes) in merged.items()
+        }
     return planted
 
 

@@ -107,12 +107,9 @@ class PathTemplate:
     def tokens(self) -> tuple[Token, ...]:
         return self._tokens  # type: ignore[attr-defined]
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tokens if isinstance(t, Var))
-
     @property
     def uses_sid(self) -> bool:
-        return "SID" in self.variables()
+        return any(isinstance(t, Var) and t.name == "SID" for t in self.tokens)
 
     @property
     def key(self) -> tuple[RecordKind, str]:

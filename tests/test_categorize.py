@@ -850,6 +850,16 @@ class TestObservationStorage:
         again = read_observations(tmp_path / "obs")
         assert again == obs
 
+    def test_round_trip_past_run_999(self, tmp_path):
+        """Run 1000 is written as ``run1000_*.csv`` and read back; a name
+        padded past three digits, which no run is written as, is a stray file."""
+        snap = two_run_obs()[0].before
+        obs = [RunObservation(i, i // 2, None, snap, snap) for i in range(1001)]
+        write_observations(tmp_path, obs)
+        assert (tmp_path / "run1000_after.csv").exists()
+        (tmp_path / "run0001_before.csv").write_text("not a snapshot\n", encoding="utf-8")
+        assert read_observations(tmp_path) == obs
+
     def test_a_run_number_in_other_digits_is_a_stray_file(self, tmp_path, monkeypatch):
         """``run٠٠٠_after.csv`` (Arabic-Indic digits, which ``int`` reads as
         0) beside ``run000_after.csv`` is ignored, whichever is listed last."""

@@ -7,9 +7,15 @@ import pytest
 
 from conftest import SID, pt, t, xp_meta
 from tracesig.capture import TraceNameSet
-from tracesig.categorize import CategoryLabel, build_update_matrix
+from tracesig.categorize import (
+    CategoryLabel,
+    TraceCategory,
+    build_update_matrices,
+    build_update_matrix,
+)
 from tracesig.data import fixture_text
-from tracesig.evidence import RecordKind
+from tracesig.evidence import KIND_FIELDS, RecordKind
+from tracesig.matching import Verdict, match_signature
 from tracesig.signatures import derive_signature
 from tracesig.simulate import (
     Always,
@@ -173,14 +179,18 @@ class TestRunScenario:
         assert all(b.before is a.after for a, b in zip(obs, obs[1:]))
 
     def test_baseline_preseeds_every_trace(self):
-        sc = tiny_scenario()
-        result = run_scenario(sc)
+        result = run_scenario(tiny_scenario())
         first_before = result.observations["app.open"][0].before
-        baseline = t("2010-05-01T09:00:00Z") - 86400
-        pf = first_before.get(RecordKind.FILE, "C:\\WINDOWS\\Prefetch\\APP.EXE-0BADF00D.pf")
-        assert pf.modified.epoch_s == baseline
-        assert pf.accessed.epoch_s == baseline
-        assert pf.created.epoch_s == baseline
+        first_step = t("2010-05-01T09:00:00Z")
+        baselines = []
+        for rec in first_before:
+            times = {rec.timestamp(f) for f in KIND_FIELDS[rec.kind]}
+            assert len(times) == 1  # every field of a trace holds its one baseline
+            baseline = times.pop().epoch_s
+            assert first_step - 86400 <= baseline <= first_step - 3600
+            baselines.append(baseline)
+        assert len(baselines) == 2
+        assert len(set(baselines)) == 2  # each trace draws its own
 
     def test_fixed_latency_is_honored(self):
         model = {
@@ -275,6 +285,39 @@ class TestPlantedTruth:
         planted = planted_categories(tiny_scenario(model=model, script=script))
         assert planted["a.one"]["C:\\shared"].confounded
         assert planted["a.two"]["C:\\shared"].confounded
+
+    @pytest.mark.parametrize(
+        "own, other, label",
+        [
+            # on another field, the two modes merge
+            (("modified", Always()), ("accessed", Background()), CategoryLabel.AU1),
+            # on the same field, the action's own mode wins
+            (("modified", Always()), ("modified", Background()), CategoryLabel.AU5),
+            (("modified", Probability(0.5)), ("modified", Background()), CategoryLabel.IU),
+        ],
+    )
+    def test_background_rule_of_another_action_on_a_planted_trace(self, own, other, label):
+        rule = lambda field, mode: UpdateRule("C:\\shared", RecordKind.FILE, field, mode)
+        model = {"a.one": (rule(*own),), "a.two": (rule(*other),)}
+        script = (ScriptStep(t("2010-05-01T09:00:00Z"), "a.one", 0),)
+        planted = planted_categories(tiny_scenario(model=model, script=script))
+        assert planted["a.one"]["C:\\shared"] == TraceCategory(label, confounded=True)
+
+
+class TestBackgroundTwin:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_background_only_twin_is_not_detected(self, seed):
+        """A signature derived for app.open, with web.browse as background,
+        detects app.open but not the same machine where only web.browse ran."""
+        sc = replace(load_scenario(fixture_text("demo_scenario.json")), seed=seed)
+        result = run_scenario(sc)
+        obs, ambient = result.observations["app.open"], result.observations["web.browse"]
+        names = TraceNameSet.of(path for _, path in obs[0].before.records)
+        matrix, background = build_update_matrices([obs, ambient], names)
+        sig = derive_signature("app.open", matrix, background, obs[0].before)
+        assert match_signature(sig, result.snapshots[-1]).verdict is Verdict.DETECTED
+        twin = replace(sc, script=tuple(s for s in sc.script if s.action == "web.browse"))
+        assert match_signature(sig, run_scenario(twin).snapshots[-1]).verdict is not Verdict.DETECTED
 
 
 class TestOracleCompare:
@@ -468,7 +511,7 @@ class TestOutputTree:
         # snapshot serialization or output layout must be deliberate
         assert (
             tree_digest(tmp_path / "one")
-            == "02eff7206f641868414c7ff8d5fb737c4161efa26dd79f37d705b10341b0bd7c"
+            == "4c45cd98c49ecee8f41ec4346e65184bbe17ef3839e81c935a92516c8a46757c"
         )
 
     def test_a_second_write_is_refused_and_changes_nothing(self, tmp_path):

@@ -65,7 +65,7 @@ class TestParseTemplate:
     def test_path_template_properties(self):
         tpl = PathTemplate(f"HKEY_USERS\\%SID%\\Software\\%s", RecordKind.REGKEY)
         assert tpl.uses_sid
-        assert tpl.variables() == ("SID", "s")
+        assert [tok.name for tok in tpl.tokens if isinstance(tok, Var)] == ["SID", "s"]
 
 
 class TestGeneralize:
