@@ -36,8 +36,10 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress, count, repeat
+from operator import and_, gt, ne, not_, truth
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .evidence import (
     FIELDS,
@@ -53,6 +55,7 @@ from .evidence import (
     reraise_as,
     save_snapshot,
     stored_cells,
+    stored_row_cells,
 )
 from .capture import TraceNameSet
 
@@ -154,10 +157,6 @@ class UpdateMatrix:
         return any(any(vec) for vec in self.vectors.get(fold_path(trace), {}).values())
 
 
-_NO_RECORD = (None,) * len(FIELDS)
-_UNCHANGED = (False,) * len(FIELDS)
-
-
 def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> UpdateMatrix:
     """The update matrix of one set of runs: ``build_update_matrices([obs],
     names)[0]``."""
@@ -173,18 +172,28 @@ def build_update_matrices(
 
     A field updated on a run when the after snapshot carries its time and the
     before snapshot does not (the trace appeared), or carries another time
-    text or precision.  A name is looked up as a file, else as a registry key,
-    in the values ``Snapshot.stored`` holds: the validated row text of a
-    parsed snapshot, so no record is built.  The lookups go one snapshot
-    column at a time, once per distinct snapshot object across all groups (a
-    run's before is often the previous run's after, and background runs may
-    hold the action runs' snapshots), and each name's values across the
-    snapshots are that column's entries.  A run whose after value equals its
-    before value updated no field.  Name by name, each distinct value is split
-    into its cells (``stored_cells``) once for all groups, and the splits are
-    dropped before the next name; only the runs whose values differ compare
-    their three cells.  A group's ``kinds`` and ``display`` come from the
-    first record it holds, the before snapshot of its run 0 first.
+    text or precision.  The work goes a column at a time, over all names:
+
+    - Per snapshot, once per distinct object across all groups (a run's
+      before is often the previous run's after, and background runs may hold
+      the action runs' snapshots): each name's value, looked up as a file,
+      else as a registry key, among the values ``Snapshot.stored`` holds, so
+      no record is built.
+    - Per distinct value across those columns: one key per field (see
+      ``_cell_keys``), from a split of its row text or, for a built record,
+      from ``stored_cells``; each snapshot column of values becomes one
+      column of keys per field.
+    - Per group, run and field: the update column, true where the after key
+      is set and differs from the before key; and per field, whether any of
+      the group's snapshots sets it.  Only the ``{field: vector}`` dict of
+      each name, carried fields in ``FIELDS`` order, is built name by name.
+      A group's ``kinds`` and ``display`` come from the first record it
+      holds, the before snapshot of its run 0 first.
+
+    Memory stays flat: what is held per name and snapshot is an index or a
+    key, never a cell list; rows are split a block at a time; equal cell
+    texts share one string and equal vectors one tuple; and the update
+    columns stream into the vectors, never held whole.
 
     A run is the first of its session when no lower run index shares its
     session id.  Every group is checked before any lookup: its run indexes
@@ -192,47 +201,90 @@ def build_update_matrices(
     only their capture times differing.
     """
     checked = [_checked_group(obs) for obs in groups]
-    distinct = {id(snap): snap for _, snaps in checked for snap in snaps}
     names = list(names)
     file_keys = [(RecordKind.FILE, name) for name in names]
-    columns = {}  # per snapshot id, each name's value in it, or None
-    for key, snap in distinct.items():
+    values, files = {}, {}  # per snapshot id, each name's value, and its value as a file, or None
+    for snap in {id(snap): snap for _, snaps in checked for snap in snaps}.values():
         get = snap.stored.get
-        columns[key] = [get(fk) or get((RecordKind.REGKEY, n)) for fk, n in zip(file_keys, names)]
-    tables = [({}, {}, {}) for _ in checked]  # per group: vectors, kinds, display
-    rows = [zip(*[columns[id(snap)] for snap in snaps]) for _, snaps in checked]
-    for name, file_key, *group_values in zip(names, file_keys, *rows):
-        split = {}  # each distinct value of this name, split into its cells
-        for (_, snaps), values, (vectors, kinds, display) in zip(checked, group_values, tables):
-            present = dict.fromkeys(values)
-            present.pop(None, None)
-            if not present:
-                continue  # never present in any of this group's snapshots
-            for value in present:
-                if value not in split:
-                    split[value] = stored_cells(value)
-            first = next(iter(present))
-            held_as_file = file_key in snaps[values.index(first)].stored
-            kinds[name] = RecordKind.FILE if held_as_file else RecordKind.REGKEY
-            display[name] = split[first][0]
-            updated = []
-            for before, after in zip(values[::2], values[1::2]):
-                if after is None or after == before:
-                    updated.append(_UNCHANGED)
-                    continue
-                m, a, c = split[after][1]
-                bm, ba, bc = _NO_RECORD if before is None else split[before][1]
-                updated.append((
-                    m is not None and m != bm, a is not None and a != ba, c is not None and c != bc
-                ))
-            carried = zip(*[split[value][1] for value in present])  # per field, None if absent
-            vectors[name] = {
-                f: vector for f, vector, times in zip(FIELDS, zip(*updated), carried) if any(times)
-            }
-    return [
-        UpdateMatrix(runs=runs, vectors=vectors, kinds=kinds, display=display)
-        for (runs, _), (vectors, kinds, display) in zip(checked, tables)
-    ]
+        files[id(snap)] = held = list(map(get, file_keys))
+        values[id(snap)] = [
+            value or get((RecordKind.REGKEY, name)) for value, name in zip(held, names)
+        ]
+    del file_keys
+    index, keys, paths = _cell_keys(values.values())
+    positions = {key: list(map(index.__getitem__, column)) for key, column in values.items()}
+    del index, values  # a name's position is 0 where its value is None
+    columns = {  # per snapshot id, per field, each name's key
+        key: [list(map(column.__getitem__, at)) for column in keys] for key, at in positions.items()
+    }
+    del keys
+
+    matrices, shared_vector = [], _Shared().__getitem__
+    for runs, snaps in checked:
+        order = list(dict.fromkeys(map(id, snaps)))  # each snapshot once, first seen first
+        kinds, display = {}, {}
+        for key in reversed(order):  # the first snapshot holding a name is written last
+            at = positions[key]
+            kinds.update(zip(compress(names, at), repeat(RecordKind.REGKEY)))
+            kinds.update(zip(compress(names, files[key]), repeat(RecordKind.FILE)))
+            display.update(zip(compress(names, at), map(paths.__getitem__, compress(at, at))))
+        pairs = [(columns[id(b)], columns[id(a)]) for b, a in zip(snaps[::2], snaps[1::2])]
+        per_field = [  # per name, the field's vector over the runs
+            map(shared_vector, zip(*[_updated(before[f], after[f]) for before, after in pairs]))
+            for f in range(len(FIELDS))
+        ]
+        carried = [map(any, zip(*[columns[key][f] for key in order])) for f in range(len(FIELDS))]
+        pairs_of = map(zip, repeat(FIELDS), zip(*per_field))  # per name, (field, vector) pairs
+        per_name = list(map(dict, map(compress, pairs_of, zip(*carried))))
+        vectors = dict(compress(zip(names, per_name), per_name))  # names never held have {}
+        matrices.append(UpdateMatrix(runs=runs, vectors=vectors, kinds=kinds, display=display))
+    return matrices
+
+
+def _cell_keys(columns: Iterable[list]) -> tuple[dict, tuple[list, ...], list[str | None]]:
+    """Each distinct value of ``columns`` (values ``Snapshot.stored`` holds,
+    or None) by its position in the lists that follow, None at 0; then per
+    field of ``FIELDS`` each value's key, and each value's path.  A key is
+    "" where the field carries no time, its time text at precision 1, else
+    (time text, precision), so equal keys mean equal ``TimePoint``s.  Rows go
+    through ``stored_row_cells`` once each, equal cell texts sharing one
+    string, and built records through ``stored_cells``."""
+    distinct = dict.fromkeys(chain.from_iterable(columns))
+    distinct.pop(None, None)
+    is_row = list(map(isinstance, distinct, repeat(str)))
+    rows = list(compress(distinct, is_row))
+    records = list(compress(distinct, map(not_, is_row)))
+    del distinct, is_row
+    keys, paths, shared = ([""], [""], [""]), [None], {}
+    for cells in stored_row_cells(rows):
+        offset = len(paths)
+        for column, texts in zip((paths, *keys), (cells[i::6] for i in range(1, 5))):
+            column += map(shared.setdefault, texts, texts)
+        precisions = cells[5::6]
+        for i in compress(count(), map(gt, precisions, repeat("1"))):  # neither empty nor 1
+            for column in keys:
+                if column[offset + i]:
+                    column[offset + i] = (column[offset + i], int(precisions[i]))
+    for record in records:
+        path, cells = stored_cells(record)
+        paths.append(path)
+        for column, cell in zip(keys, cells):
+            column.append("" if cell is None else cell[0] if cell[1] == 1 else cell)
+    return dict(zip(chain((None,), rows, records), count())), keys, paths
+
+
+def _updated(before: list, after: list) -> Iterator[bool]:
+    """Per name, whether the after key is set and differs from the before key."""
+    return map(and_, map(truth, after), map(ne, after, before))
+
+
+class _Shared(dict):
+    """``map(shared.__getitem__, items)`` gives each item as the first equal
+    item it gave, so equal items share one object."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
 
 
 def _checked_group(

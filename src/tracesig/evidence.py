@@ -48,6 +48,7 @@ __all__ = [
     "reraise_as",
     "save_snapshot",
     "stored_cells",
+    "stored_row_cells",
 ]
 
 
@@ -551,7 +552,7 @@ _PLAIN_ROW = re.compile(
     rf"{_TIME_CELL},(?(1){_TIME_CELL}),(?(1){_TIME_CELL}),([1-9]\d{{0,4}})?|.*)$",
     re.ASCII | re.MULTILINE,
 )
-# Rows per scan.  The scan's results for a block are held at once, so a larger
+# Rows per scan, and per split in ``stored_row_cells``.  The scan's results for a block are held at once, so a larger
 # block raises the parse's peak memory: one scan of a whole 20k-row body more
 # than doubled it, and blocks of 1,024 rows added a third on a 3k-row
 # snapshot, for no speed over 256.
@@ -672,24 +673,26 @@ def _validated_rows(
     return _RowRecords(_checked_table(meta, keys, values, records), days)
 
 
-def stored_cells(value: str | ArtifactRecord) -> tuple[str, _Cells]:
-    """The path of a record ``Snapshot.stored`` holds and, per field of
-    ``FIELDS``, its canonical time text and precision, or None where it
+def stored_cells(record: ArtifactRecord) -> tuple[str, _Cells]:
+    """The path of a record ``Snapshot.stored`` holds as built and, per field
+    of ``FIELDS``, its canonical time text and precision, or None where it
     carries no time.  Canonical time text maps one to one onto epoch seconds,
-    so equal cells mean equal ``TimePoint``s.  A row is read from its text
-    and stays unbuilt; a built record's times are formatted."""
-    if type(value) is str:
-        return _row_cells(value)
-    points = (value.modified, value.accessed, value.created)
-    return value.path, tuple(None if p is None else (p.iso(), p.precision_s) for p in points)
+    so equal cells mean equal ``TimePoint``s, and equal time text in a row
+    (``stored_row_cells``) means the same time."""
+    points = (record.modified, record.accessed, record.created)
+    return record.path, tuple(None if p is None else (p.iso(), p.precision_s) for p in points)
 
 
-def _row_cells(line: str) -> tuple[str, _Cells]:
-    """``stored_cells`` of one row ``_validated_rows`` kept: an empty
-    precision cell means 1."""
-    _, path, *cells, precision_text = line.split(",")
-    precision = int(precision_text) if precision_text else 1
-    return path, tuple((cell, precision) if cell else None for cell in cells)
+def stored_row_cells(rows: list[str]) -> Iterator[list[str]]:
+    """The cells of rows ``Snapshot.stored`` holds as text, per block of
+    ``_BLOCK_ROWS`` rows: six per row, in row order, the kind, path, three
+    time and precision cells as the row spells them.  A time cell is empty
+    where the field carries no time, else canonical; a precision cell is
+    empty, meaning 1, or digits with no leading zero.  ``_PLAIN_ROW`` keeps
+    every cell free of commas, so one split of a block joined by commas finds
+    them; the block bounds the cells held at once."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
 
 
 def _build_record(kind: RecordKind, line: str, days: _Days) -> ArtifactRecord:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields as dc_fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -124,9 +125,16 @@ _PURPOSE_PROBABILITY = 1
 _PURPOSE_BASELINE = 2
 
 
+@lru_cache(maxsize=1 << 14)
+def _name_hash(trace: str) -> int:
+    """The hash of a trace's folded name, which every draw on the trace
+    repeats: a scenario draws on each trace per run and purpose."""
+    return _fnv1a64(fold_path(trace).encode("utf-8"))
+
+
 def _draw(seed: int, trace: str, run: int, purpose: int) -> int:
     v = _mix64(seed & _M64)
-    v = _mix64(v ^ _fnv1a64(fold_path(trace).encode("utf-8")))
+    v = _mix64(v ^ _name_hash(trace))
     v = _mix64(v ^ (run & _M64))
     v = _mix64(v ^ purpose)
     return v

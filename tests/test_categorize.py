@@ -582,6 +582,79 @@ class TestDiffOfRowText:
         assert matrix.vectors["c:\\app\\x.dat"] == {"modified": (True, True)}
 
 
+def checked_matrix(obs, names):
+    """``build_update_matrix`` of ``obs``, checked against ``reference_matrix``
+    (run after it: the reference builds every record it reads)."""
+    matrix = build_update_matrix(obs, TraceNameSet.of(names))
+    assert matrix == reference_matrix(obs, TraceNameSet.of(names))
+    return matrix
+
+
+class TestColumnBuild:
+    """Pinned cases of values that reach the update columns in different
+    forms: rows kept as text, records built at parse or by a lookup, and
+    dict-backed snapshots."""
+
+    def test_a_quoted_row_beside_its_plain_spelling(self):
+        quoted = parsed(f'"file","C:\\x","{T1}","","",""')
+        assert not isinstance(quoted.stored[(RecordKind.FILE, "c:\\x")], str)  # built at parse
+        plain, later = parsed(f"file,C:\\x,{T1},,,1"), parsed(f'file,"C:\\x",{T2},,,1')
+        obs = [RunObservation(0, 0, None, quoted, plain), RunObservation(1, 0, None, plain, later)]
+        matrix = checked_matrix(obs, ["C:\\x"])
+        assert matrix.vectors == {"c:\\x": {"modified": (False, True)}}
+
+    def test_a_built_record_whose_fields_mix_precisions(self):
+        mixed = snap_of([ArtifactRecord(
+            RecordKind.FILE, "C:\\x", TimePoint(t(T1), 1), TimePoint(t(T1), 60), None
+        )])
+        row = parsed(f"file,C:\\x,{T1},{T1},,")
+        obs = [RunObservation(0, 0, None, row, mixed), RunObservation(1, 0, None, mixed, row)]
+        matrix = checked_matrix(obs, ["C:\\x"])
+        assert matrix.vectors == {"c:\\x": {"modified": (False, False), "accessed": (True, True)}}
+
+    def test_an_empty_precision_cell_against_a_record_at_1(self):
+        row, record = parsed(f"file,C:\\x,{T1},,,"), snap_of([frec("C:\\x", m=T1)])
+        obs = [RunObservation(0, 0, None, row, record), RunObservation(1, 0, None, record, row)]
+        matrix = checked_matrix(obs, ["C:\\x"])
+        assert matrix.vectors == {"c:\\x": {"modified": (False, False)}}
+
+    def test_a_name_absent_from_some_snapshots(self):
+        empty, first, second = parsed(), parsed(f"file,C:\\x,{T1},,,1"), parsed(f"file,C:\\x,{T2},,,1")
+        obs = [
+            RunObservation(0, 0, None, empty, first),
+            RunObservation(1, 0, None, first, empty),
+            RunObservation(2, 1, None, empty, second),
+            RunObservation(3, 1, None, second, second),
+        ]
+        matrix = checked_matrix(obs, ["C:\\x", "C:\\ghost"])
+        assert matrix.vectors == {"c:\\x": {"modified": (True, False, True, False)}}
+
+    def test_a_name_held_as_a_file_and_as_a_key(self):
+        """Where a snapshot holds both, the file is read; the kind is that of
+        the first record the runs hold."""
+        path = "HKEY_LOCAL_MACHINE\\Both"
+        both = parsed(f"file,{path},{T1},,,1", f"regkey,{path},{T2},,,1")
+        key = parsed(f"regkey,{path},{T2},,,1")
+        forward = checked_matrix([RunObservation(0, 0, None, both, key)], [path])
+        assert forward.vectors == {path.lower(): {"modified": (True,)}}
+        assert forward.kinds == {path.lower(): RecordKind.FILE}
+        backward = checked_matrix([RunObservation(0, 0, None, key, both)], [path])
+        assert backward.vectors == {path.lower(): {"modified": (True,)}}
+        assert backward.kinds == {path.lower(): RecordKind.REGKEY}
+
+    def test_spellings_that_differ_in_case(self):
+        """``display`` is the path of the first record, whatever its form."""
+        quoted = parsed(f'file,"C:\\App\\X.dat",{T1},,,1')
+        lower, upper = parsed(f"file,c:\\app\\x.dat,{T1},,,"), parsed(f"FILE,C:\\APP\\X.DAT,{T2},,,1")
+        upper.get(RecordKind.FILE, "C:\\App\\X.dat")  # built by a lookup
+        for snaps, first in [((quoted, lower, upper), "C:\\App\\X.dat"),
+                             ((upper, quoted, lower), "C:\\APP\\X.DAT"),
+                             ((lower, upper, quoted), "c:\\app\\x.dat")]:
+            obs = [RunObservation(i, 0, None, b, a) for i, (b, a) in enumerate(zip(snaps, snaps[1:]))]
+            matrix = checked_matrix(obs, ["C:\\App\\X.dat"])
+            assert matrix.display == {"c:\\app\\x.dat": first}
+
+
 # The records the oracle below draws from: a path whose row must be quoted, a
 # file named like a registry key beside that key (the file is looked up
 # first), and a key under HKEY_USERS.
@@ -1080,18 +1153,35 @@ def test_categorize_matrix_agrees_with_one_classification_per_trace(data):
     assert details == [text for level, text in reference_messages if level == logging.DEBUG]
 
 
-def test_update_matrix_splits_each_distinct_row_of_a_trace_once(tmp_path, monkeypatch):
+def test_update_matrices_split_each_distinct_row_and_record_once(tmp_path, monkeypatch):
+    """The demo scenario's action and background runs, which share run files,
+    with some records built by lookups first: each distinct row text the
+    names hold goes through ``stored_row_cells`` once in one call, and each
+    distinct built record through ``stored_cells`` once."""
     write_scenario_outputs(run_scenario(load_scenario(fixture_text("demo_scenario.json"))), tmp_path)
-    obs = read_observations(tmp_path / "obs" / "app.open")
-    rows = {}  # per folded path, the distinct row texts of its records
-    for path in (tmp_path / "obs" / "app.open").glob("run*.csv"):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for line in lines[lines.index(evidence._HEADER_ROW) + 1:]:
-            rows.setdefault(fold_path(line.split(",")[1]), set()).add(line)
-    split, row_cells = [], evidence._row_cells
-    monkeypatch.setattr(evidence, "_row_cells", lambda line: split.append(line) or row_cells(line))
-    matrix = build_update_matrix(obs, TraceNameSet.of(rows))
-    assert matrix.vectors and len(split) <= sum(len(texts) for texts in rows.values())
+    texts = {}
+    groups = [read_observations(tmp_path / "obs" / name, texts) for name in ("app.open", "web.browse")]
+    snaps = list({id(s): s for obs in groups for o in obs for s in (o.before, o.after)}.values())
+    for snap in snaps[::2]:
+        for kind, path in list(snap.stored)[::3]:
+            snap.records[(kind, path)]
+    names = TraceNameSet.of(path for snap in snaps for _, path in snap.stored)
+    held = [
+        snap.stored.get((RecordKind.FILE, name)) or snap.stored.get((RecordKind.REGKEY, name))
+        for snap in snaps
+        for name in names
+    ]
+    rows = {value for value in held if isinstance(value, str)}
+    records = {value for value in held if isinstance(value, ArtifactRecord)}
+    assert rows and records
+    split, read = [], []
+    row_cells, cells = categorize.stored_row_cells, categorize.stored_cells
+    monkeypatch.setattr(categorize, "stored_row_cells", lambda rs: split.extend(rs) or row_cells(rs))
+    monkeypatch.setattr(categorize, "stored_cells", lambda rec: read.append(rec) or cells(rec))
+    action, background = build_update_matrices(groups, names)
+    assert action.vectors and background.vectors
+    assert sorted(split) == sorted(rows)
+    assert len(read) == len(records) and set(read) == records
 
 
 def test_categorize_matrix_classifies_each_distinct_input_once(monkeypatch):
