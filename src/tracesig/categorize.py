@@ -36,8 +36,8 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, count, repeat
-from operator import and_, gt, ne, not_, truth
+from itertools import chain, compress, repeat
+from operator import and_, ne, truth
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -54,8 +54,7 @@ from .evidence import (
     read_utf8,
     reraise_as,
     save_snapshot,
-    stored_cells,
-    stored_row_cells,
+    time_keys,
 )
 from .capture import TraceNameSet
 
@@ -179,10 +178,9 @@ def build_update_matrices(
       the action runs' snapshots): each name's value, looked up as a file,
       else as a registry key, among the values ``Snapshot.stored`` holds, so
       no record is built.
-    - Per distinct value across those columns: one key per field (see
-      ``_cell_keys``), from a split of its row text or, for a built record,
-      from ``stored_cells``; each snapshot column of values becomes one
-      column of keys per field.
+    - Per distinct value across those columns: one key per field, from one
+      call of ``time_keys`` over all of them; each snapshot column of values
+      becomes one column of keys per field.
     - Per group, run and field: the update column, true where the after key
       is set and differs from the before key; and per field, whether any of
       the group's snapshots sets it.  Only the ``{field: vector}`` dict of
@@ -191,8 +189,8 @@ def build_update_matrices(
       holds, the before snapshot of its run 0 first.
 
     Memory stays flat: what is held per name and snapshot is an index or a
-    key, never a cell list; rows are split a block at a time; equal cell
-    texts share one string and equal vectors one tuple; and the update
+    key, never a cell list; ``time_keys`` splits rows a block at a time and
+    shares equal cell texts; equal vectors share one tuple; and the update
     columns stream into the vectors, never held whole.
 
     A run is the first of its session when no lower run index shares its
@@ -211,7 +209,7 @@ def build_update_matrices(
             value or get((RecordKind.REGKEY, name)) for value, name in zip(held, names)
         ]
     del file_keys
-    index, keys, paths = _cell_keys(values.values())
+    index, keys, paths = time_keys(chain.from_iterable(values.values()))
     positions = {key: list(map(index.__getitem__, column)) for key, column in values.items()}
     del index, values  # a name's position is 0 where its value is None
     columns = {  # per snapshot id, per field, each name's key
@@ -239,38 +237,6 @@ def build_update_matrices(
         vectors = dict(compress(zip(names, per_name), per_name))  # names never held have {}
         matrices.append(UpdateMatrix(runs=runs, vectors=vectors, kinds=kinds, display=display))
     return matrices
-
-
-def _cell_keys(columns: Iterable[list]) -> tuple[dict, tuple[list, ...], list[str | None]]:
-    """Each distinct value of ``columns`` (values ``Snapshot.stored`` holds,
-    or None) by its position in the lists that follow, None at 0; then per
-    field of ``FIELDS`` each value's key, and each value's path.  A key is
-    "" where the field carries no time, its time text at precision 1, else
-    (time text, precision), so equal keys mean equal ``TimePoint``s.  Rows go
-    through ``stored_row_cells`` once each, equal cell texts sharing one
-    string, and built records through ``stored_cells``."""
-    distinct = dict.fromkeys(chain.from_iterable(columns))
-    distinct.pop(None, None)
-    is_row = list(map(isinstance, distinct, repeat(str)))
-    rows = list(compress(distinct, is_row))
-    records = list(compress(distinct, map(not_, is_row)))
-    del distinct, is_row
-    keys, paths, shared = ([""], [""], [""]), [None], {}
-    for cells in stored_row_cells(rows):
-        offset = len(paths)
-        for column, texts in zip((paths, *keys), (cells[i::6] for i in range(1, 5))):
-            column += map(shared.setdefault, texts, texts)
-        precisions = cells[5::6]
-        for i in compress(count(), map(gt, precisions, repeat("1"))):  # neither empty nor 1
-            for column in keys:
-                if column[offset + i]:
-                    column[offset + i] = (column[offset + i], int(precisions[i]))
-    for record in records:
-        path, cells = stored_cells(record)
-        paths.append(path)
-        for column, cell in zip(keys, cells):
-            column.append("" if cell is None else cell[0] if cell[1] == 1 else cell)
-    return dict(zip(chain((None,), rows, records), count())), keys, paths
 
 
 def _updated(before: list, after: list) -> Iterator[bool]:

@@ -21,8 +21,10 @@ import string
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field as dc_field, fields
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta
 from enum import Enum
+from itertools import chain, compress, count, repeat
+from operator import gt
 from pathlib import Path
 
 __all__ = [
@@ -47,8 +49,7 @@ __all__ = [
     "read_utf8",
     "reraise_as",
     "save_snapshot",
-    "stored_cells",
-    "stored_row_cells",
+    "time_keys",
 ]
 
 
@@ -234,9 +235,9 @@ def fold_path(path: str) -> str:
     return path.lower() if path.isascii() else path.translate(_ASCII_FOLD)
 
 
-_TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _TS_TEXT = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 _EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
+_EPOCH = datetime(1970, 1, 1)
 
 
 def parse_timestamp(text: str) -> int:
@@ -258,7 +259,7 @@ def parse_timestamp(text: str) -> int:
 
 
 def format_timestamp(epoch_s: int) -> str:
-    return datetime.fromtimestamp(epoch_s, tz=timezone.utc).strftime(_TS_FORMAT)
+    return f"{(_EPOCH + timedelta(seconds=epoch_s)).isoformat()}Z"
 
 
 _EARLIEST_S = -11644473600  # 1601-01-01T00:00:00Z, where NTFS FILETIME starts
@@ -351,11 +352,6 @@ class ArtifactRecord:
     @property
     def key(self) -> tuple[RecordKind, str]:
         return (self.kind, fold_path(self.path))
-
-
-# A record's times as ``stored_cells`` gives them: per field of ``FIELDS``,
-# the canonical time text and the precision, or None.
-_Cells = tuple[tuple[str, int] | None, ...]
 
 
 # The characters str.splitlines breaks a line at, and NUL, which the csv
@@ -552,10 +548,10 @@ _PLAIN_ROW = re.compile(
     rf"{_TIME_CELL},(?(1){_TIME_CELL}),(?(1){_TIME_CELL}),([1-9]\d{{0,4}})?|.*)$",
     re.ASCII | re.MULTILINE,
 )
-# Rows per scan, and per split in ``stored_row_cells``.  The scan's results for a block are held at once, so a larger
-# block raises the parse's peak memory: one scan of a whole 20k-row body more
-# than doubled it, and blocks of 1,024 rows added a third on a 3k-row
-# snapshot, for no speed over 256.
+# Rows per scan, and per split in ``time_keys``.  The scan's results for a
+# block are held at once, so a larger block raises the parse's peak memory:
+# one scan of a whole 20k-row body more than doubled it, and blocks of 1,024
+# rows added a third on a 3k-row snapshot, for no speed over 256.
 _BLOCK_ROWS = 256
 
 
@@ -673,26 +669,37 @@ def _validated_rows(
     return _RowRecords(_checked_table(meta, keys, values, records), days)
 
 
-def stored_cells(record: ArtifactRecord) -> tuple[str, _Cells]:
-    """The path of a record ``Snapshot.stored`` holds as built and, per field
-    of ``FIELDS``, its canonical time text and precision, or None where it
-    carries no time.  Canonical time text maps one to one onto epoch seconds,
-    so equal cells mean equal ``TimePoint``s, and equal time text in a row
-    (``stored_row_cells``) means the same time."""
-    points = (record.modified, record.accessed, record.created)
-    return record.path, tuple(None if p is None else (p.iso(), p.precision_s) for p in points)
-
-
-def stored_row_cells(rows: list[str]) -> Iterator[list[str]]:
-    """The cells of rows ``Snapshot.stored`` holds as text, per block of
-    ``_BLOCK_ROWS`` rows: six per row, in row order, the kind, path, three
-    time and precision cells as the row spells them.  A time cell is empty
-    where the field carries no time, else canonical; a precision cell is
-    empty, meaning 1, or digits with no leading zero.  ``_PLAIN_ROW`` keeps
-    every cell free of commas, so one split of a block joined by commas finds
-    them; the block bounds the cells held at once."""
+def time_keys(values: Iterable) -> tuple[dict, tuple[list, ...], list[str | None]]:
+    """Each distinct one of ``values`` (values ``Snapshot.stored`` holds, or
+    None) by its position in the lists that follow, None at 0; then per field
+    of ``FIELDS`` each value's key, and each value's path.  A key is "" where
+    the field carries no time, its canonical time text at precision 1, else
+    (time text, precision), so equal keys mean equal ``TimePoint``s whether a
+    row or a built record holds them.  ``_PLAIN_ROW`` keeps a row's six cells
+    free of commas, so rows are split a block of ``_BLOCK_ROWS`` at a time,
+    joined by commas; equal cell texts share one string."""
+    distinct = dict.fromkeys(values)
+    distinct.pop(None, None)
+    rows = [value for value in distinct if type(value) is str]
+    records = [value for value in distinct if type(value) is not str]
+    del distinct
+    keys, paths, shared = ([""], [""], [""]), [None], {}
     for start in range(0, len(rows), _BLOCK_ROWS):
-        yield ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
+        cells = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
+        offset = len(paths)
+        for column, texts in zip((paths, *keys), (cells[i::6] for i in range(1, 5))):
+            column += map(shared.setdefault, texts, texts)
+        precisions = cells[5::6]
+        for i in compress(count(), map(gt, precisions, repeat("1"))):  # neither empty nor 1
+            for column in keys:
+                if column[offset + i]:
+                    column[offset + i] = (column[offset + i], int(precisions[i]))
+    for record in records:
+        paths.append(record.path)
+        for column, point in zip(keys, (record.modified, record.accessed, record.created)):
+            text = "" if point is None else point.iso()
+            column.append(text if not text or point.precision_s == 1 else (text, point.precision_s))
+    return dict(zip(chain((None,), rows, records), count())), keys, paths
 
 
 def _build_record(kind: RecordKind, line: str, days: _Days) -> ArtifactRecord:

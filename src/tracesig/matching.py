@@ -3,7 +3,8 @@
 The consistency test: a set of observed timestamp intervals can have been
 produced by a single action iff ``max(lo) - min(hi) <= window``.  When it
 holds, the action time t lies in ``[max(lo) - window, min(hi)]``, exactly the
-t for which every true update time can fall within [t, t + window].
+t for which every true update time can fall within [t, t + window]; its lower
+end is clipped at 1601-01-01T00:00:00Z, before which no timestamp lies.
 
 ``match_signature`` resolves a signature's core templates against a snapshot
 and reports one of four verdicts: Detected (some combination of one record
@@ -33,7 +34,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .categorize import CategoryLabel
-from .evidence import ArtifactRecord, Snapshot, TimePoint, fold_path
+from .evidence import _EARLIEST_S, ArtifactRecord, Snapshot, TimePoint, fold_path
 from .signatures import CoreTrace, Signature, SupportingTrace, templates_per_label
 from .templates import Binding, instantiate
 
@@ -62,10 +63,11 @@ def check_consistency(points: Sequence[TimePoint], window_s: int) -> bool:
 
 
 def infer_event_interval(points: Sequence[TimePoint], window_s: int) -> tuple[int, int]:
-    """The closed interval of action times that explain all timestamps."""
+    """The closed interval of action times that explain all timestamps, its
+    lower end clipped at the earliest time a timestamp holds."""
     if not check_consistency(points, window_s):
         raise ValueError("inconsistent timestamps have no event interval")
-    return (max(p.lo for p in points) - window_s, min(p.hi for p in points))
+    return (max(max(p.lo for p in points) - window_s, _EARLIEST_S), min(p.hi for p in points))
 
 
 @dataclass(frozen=True)

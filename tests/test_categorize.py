@@ -42,6 +42,7 @@ from tracesig.evidence import (
     parse_snapshot,
     read_csv,
     save_snapshot,
+    time_keys,
 )
 from tracesig.signatures import derive_signature
 from tracesig.simulate import (
@@ -1155,9 +1156,10 @@ def test_categorize_matrix_agrees_with_one_classification_per_trace(data):
 
 def test_update_matrices_split_each_distinct_row_and_record_once(tmp_path, monkeypatch):
     """The demo scenario's action and background runs, which share run files,
-    with some records built by lookups first: each distinct row text the
-    names hold goes through ``stored_row_cells`` once in one call, and each
-    distinct built record through ``stored_cells`` once."""
+    with some records built by lookups first: one, two or three groups of
+    them are keyed by one ``time_keys`` call, over the values the names hold
+    in their snapshots, so it splits each distinct row text and reads each
+    distinct built record once."""
     write_scenario_outputs(run_scenario(load_scenario(fixture_text("demo_scenario.json"))), tmp_path)
     texts = {}
     groups = [read_observations(tmp_path / "obs" / name, texts) for name in ("app.open", "web.browse")]
@@ -1166,22 +1168,27 @@ def test_update_matrices_split_each_distinct_row_and_record_once(tmp_path, monke
         for kind, path in list(snap.stored)[::3]:
             snap.records[(kind, path)]
     names = TraceNameSet.of(path for snap in snaps for _, path in snap.stored)
-    held = [
-        snap.stored.get((RecordKind.FILE, name)) or snap.stored.get((RecordKind.REGKEY, name))
+    held = {  # per snapshot id, the values the names hold
+        id(snap): {snap.stored.get((RecordKind.FILE, name))
+                   or snap.stored.get((RecordKind.REGKEY, name)) for name in names} - {None}
         for snap in snaps
-        for name in names
-    ]
-    rows = {value for value in held if isinstance(value, str)}
-    records = {value for value in held if isinstance(value, ArtifactRecord)}
-    assert rows and records
-    split, read = [], []
-    row_cells, cells = categorize.stored_row_cells, categorize.stored_cells
-    monkeypatch.setattr(categorize, "stored_row_cells", lambda rs: split.extend(rs) or row_cells(rs))
-    monkeypatch.setattr(categorize, "stored_cells", lambda rec: read.append(rec) or cells(rec))
-    action, background = build_update_matrices(groups, names)
-    assert action.vectors and background.vectors
-    assert sorted(split) == sorted(rows)
-    assert len(read) == len(records) and set(read) == records
+    }
+    assert any(isinstance(value, str) for values in held.values() for value in values)
+    assert any(isinstance(value, ArtifactRecord) for values in held.values() for value in values)
+    calls = []
+
+    def counted(values):
+        calls.append(list(values))
+        return time_keys(calls[-1])
+
+    monkeypatch.setattr(categorize, "time_keys", counted)
+    for chosen in ([groups[0]], groups, [*groups, groups[0]]):
+        calls.clear()
+        matrices = build_update_matrices(chosen, names)
+        assert len(matrices) == len(chosen) and all(m.vectors for m in matrices)
+        assert len(calls) == 1
+        ids = {id(s) for obs in chosen for o in obs for s in (o.before, o.after)}
+        assert set(calls[0]) - {None} == set().union(*(held[key] for key in ids))
 
 
 def test_categorize_matrix_classifies_each_distinct_input_once(monkeypatch):

@@ -221,6 +221,38 @@ class TestMatch:
         assert "report time: 2010-04-14T16:45:00Z" in out
         assert "verdict: Detected" in out
 
+    def test_a_now_before_the_year_1000_prints_zero_padded(self, ie8_snapshot, capsys):
+        rc = main(
+            ["match", "--bundled", "ie8_open", "--snapshot", ie8_snapshot,
+             "--now", "0999-01-02T03:04:05Z"]
+        )
+        assert rc == 0
+        assert "report time: 0999-01-02T03:04:05Z\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("window", [50_000_000_000, 100_000_000_000, 10**30])
+    @pytest.mark.parametrize("source", ["--window", "window_s"])
+    def test_a_window_past_the_timestamp_range_clips_the_interval_at_1601(
+        self, ie8_snapshot, tmp_path, window, source, capsys
+    ):
+        if source == "--window":
+            args = ["--bundled", "ie8_open", "--window", str(window)]
+        else:
+            sig = json.loads(signature_text("ie8_open"))
+            sig["window_s"] = window
+            path = tmp_path / "wide.sig"
+            path.write_text(json.dumps(sig), encoding="utf-8")
+            args = ["--signature", str(path)]
+        assert main(["match", *args, "--snapshot", ie8_snapshot]) == 0
+        out = capsys.readouterr().out
+        assert "event interval: [1601-01-01T00:00:00Z, 2010-04-12T14:30:26Z]\n" in out
+        assert main(["match", *args, "--snapshot", ie8_snapshot, "--format", "structured"]) == 0
+        [payload] = json.loads(capsys.readouterr().out)
+        assert payload["window_s"] == window
+        assert payload["event_interval"] == {
+            "lo": -11644473600, "hi": 1271082626,
+            "lo_iso": "1601-01-01T00:00:00Z", "hi_iso": "2010-04-12T14:30:26Z",
+        }
+
     def test_snapshot_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not a snapshot\n", encoding="utf-8")

@@ -4,7 +4,7 @@ import re
 import string
 import sys
 from calendar import timegm
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +29,7 @@ from tracesig.evidence import (
     parse_timestamp,
     read_csv,
     save_snapshot,
+    time_keys,
 )
 
 
@@ -100,6 +101,23 @@ def test_parse_timestamp_agrees_with_strptime(fields):
             parse_timestamp(text)
     else:
         assert parse_timestamp(text) == expected
+
+
+def strftime_timestamp(epoch_s: int) -> str:
+    """The strftime formatter ``format_timestamp`` replaced."""
+    return datetime.fromtimestamp(epoch_s, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(hs.integers(evidence._EARLIEST_S, evidence._LATEST_S))
+@example(evidence._EARLIEST_S)
+@example(evidence._LATEST_S)
+@example(0)
+@example(-1)
+def test_format_timestamp_agrees_with_strftime_and_round_trips(epoch_s):
+    text = format_timestamp(epoch_s)
+    assert text == strftime_timestamp(epoch_s)
+    assert parse_timestamp(text) == epoch_s
 
 
 _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
@@ -876,3 +894,52 @@ def test_a_scan_that_misses_a_row_raises(monkeypatch):
     with pytest.raises(ValueError) as info:
         parse_snapshot(body_text(rows))
     assert type(info.value) is ValueError
+
+
+class TestTimeKeys:
+    """Pinned keys of the values ``Snapshot.stored`` holds: rows kept as text
+    and built records."""
+
+    @staticmethod
+    def stored_rows(*rows: str) -> list:
+        text = save_snapshot(Snapshot.build(xp_meta(), [])) + "".join(f"{row}\n" for row in rows)
+        return list(parse_snapshot(text).stored.values())
+
+    @staticmethod
+    def keys_of(keys, i):
+        return tuple(column[i] for column in keys)
+
+    def test_a_row_with_an_empty_precision_keys_as_a_record_at_one_second(self):
+        [row] = self.stored_rows("file,C:\\a.dat,2010-04-12T14:30:37Z,,2010-04-10T08:00:00Z,")
+        record = frec("C:\\A.dat", m="2010-04-12T14:30:37Z", c="2010-04-10T08:00:00Z")
+        assert type(row) is str
+        index, keys, paths = time_keys([None, row, record, None])
+        assert index == {None: 0, row: 1, record: 2}
+        want = ("2010-04-12T14:30:37Z", "", "2010-04-10T08:00:00Z")
+        assert self.keys_of(keys, 1) == self.keys_of(keys, 2) == want
+        assert self.keys_of(keys, 0) == ("", "", "")
+        assert paths == [None, "C:\\a.dat", "C:\\A.dat"]
+
+    def test_a_row_at_sixty_seconds_keys_its_precision(self):
+        [row] = self.stored_rows(f"regkey,{HKU}\\Software\\X,2010-04-12T14:30:00Z,,,60")
+        index, keys, paths = time_keys([row])
+        assert self.keys_of(keys, index[row]) == (("2010-04-12T14:30:00Z", 60), "", "")
+        assert paths[index[row]] == f"{HKU}\\Software\\X"
+
+    def test_a_record_mixing_precisions_keys_each_field_at_its_own(self):
+        record = ArtifactRecord(
+            RecordKind.FILE, "C:\\b.dat",
+            modified=pt("2010-04-12T14:30:37Z"), accessed=pt("2010-04-12T14:30:00Z", 60),
+        )
+        index, keys, _ = time_keys([record])
+        assert self.keys_of(keys, index[record]) == (
+            "2010-04-12T14:30:37Z", ("2010-04-12T14:30:00Z", 60), ""
+        )
+
+    def test_a_row_text_shared_by_two_snapshots_gets_one_index(self):
+        rows = ["file,C:\\a.dat,2010-04-12T14:30:37Z,,,", "file,C:\\b.dat,,2010-04-12T14:30:38Z,,"]
+        first, second = self.stored_rows(*rows), self.stored_rows(*rows)
+        assert first == second and first[0] is not second[0]
+        index, keys, paths = time_keys([*first, *second])
+        assert list(index) == [None, *first]
+        assert all(len(column) == 3 for column in keys) and paths == [None, "C:\\a.dat", "C:\\b.dat"]
