@@ -34,10 +34,10 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from itertools import chain, compress, repeat
-from operator import and_, ne, truth
+from itertools import compress, count, islice, repeat
+from operator import and_, attrgetter, is_not, itemgetter, ne, truth
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -47,6 +47,8 @@ from .evidence import (
     RecordKind,
     Snapshot,
     SnapshotFormatError,
+    SnapshotMeta,
+    decode_utf8,
     fold_path,
     int_cell,
     parse_snapshot,
@@ -126,13 +128,15 @@ class RunInfo:
 
 @dataclass(frozen=True)
 class RunObservation:
-    """One run of the action: its context plus the before/after snapshots."""
+    """One run of the action: its context plus the before/after snapshots,
+    each a ``Snapshot`` or the run file that holds it (``read_observations``
+    gives files, which ``build_update_matrices`` parses)."""
 
     run_index: int
     session_id: int
     launch_method: str | None
-    before: Snapshot
-    after: Snapshot
+    before: Snapshot | Path
+    after: Snapshot | Path
 
 
 @dataclass(frozen=True)
@@ -141,13 +145,16 @@ class UpdateMatrix:
 
     ``vectors`` maps each folded trace name to its ``{field: vector}`` dict,
     fields in ``FIELDS`` order; every vector has one entry per run.  Traces
-    never seen in any snapshot are omitted.
+    never seen in any snapshot are omitted.  ``meta`` is the metadata of the
+    before snapshot of run 0, which every run's snapshots share but for the
+    capture time; it takes no part in comparisons.
     """
 
     runs: tuple[RunInfo, ...]
     vectors: Mapping[str, Mapping[str, tuple[bool, ...]]]
     kinds: Mapping[str, RecordKind]
     display: Mapping[str, str]
+    meta: SnapshotMeta | None = dc_field(default=None, compare=False, repr=False)
 
     def traces(self) -> list[str]:
         return sorted(self.kinds)
@@ -156,86 +163,83 @@ class UpdateMatrix:
         return any(any(vec) for vec in self.vectors.get(fold_path(trace), {}).values())
 
 
-def build_update_matrix(obs: Sequence[RunObservation], names: TraceNameSet) -> UpdateMatrix:
+def build_update_matrix(
+    obs: Sequence[RunObservation], names: TraceNameSet | None = None
+) -> UpdateMatrix:
     """The update matrix of one set of runs: ``build_update_matrices([obs],
     names)[0]``."""
     return build_update_matrices([obs], names)[0]
 
 
 def build_update_matrices(
-    groups: Sequence[Sequence[RunObservation]], names: TraceNameSet
+    groups: Sequence[Sequence[RunObservation]], names: TraceNameSet | None = None
 ) -> list[UpdateMatrix]:
     """Diff each group's snapshot pairs into per-trace, per-field update
     vectors, one matrix per group (``derive`` passes the action runs and the
-    background runs).
+    background runs).  Without ``names``, the names are every name the first
+    group's snapshots hold.
 
     A field updated on a run when the after snapshot carries its time and the
     before snapshot does not (the trace appeared), or carries another time
-    text or precision.  The work goes a column at a time, over all names:
-
-    - Per snapshot, once per distinct object across all groups (a run's
-      before is often the previous run's after, and background runs may hold
-      the action runs' snapshots): each name's value, looked up as a file,
-      else as a registry key, among the values ``Snapshot.stored`` holds, so
-      no record is built.
-    - Per distinct value across those columns: one key per field, from one
-      call of ``time_keys`` over all of them; each snapshot column of values
-      becomes one column of keys per field.
-    - Per group, run and field: the update column, true where the after key
-      is set and differs from the before key; and per field, whether any of
-      the group's snapshots sets it.  Only the ``{field: vector}`` dict of
-      each name, carried fields in ``FIELDS`` order, is built name by name.
-      A group's ``kinds`` and ``display`` come from the first record it
-      holds, the before snapshot of its run 0 first.
-
-    Memory stays flat: what is held per name and snapshot is an index or a
-    key, never a cell list; ``time_keys`` splits rows a block at a time and
-    shares equal cell texts; equal vectors share one tuple; and the update
-    columns stream into the vectors, never held whole.
+    text or precision.  One snapshot is alive at a time: the snapshots are
+    keyed group by group, in run order, before then after, each once, and
+    what is kept of each is one position per name in tables of keys and
+    paths, the position it had in the snapshot keyed before wherever the name
+    holds the same value there (see ``_KeyColumns``).  A run file is read and parsed unless a file with the
+    same bytes was, and its snapshot is dropped before the next file is
+    read; a side given as a ``Snapshot`` is keyed once per object.  Then, per
+    group, run and field, the update column is true where the after key is
+    set and differs from the before key, and per field it is known whether
+    any of the group's snapshots sets it.  Only the ``{field: vector}`` dict
+    of each name, carried fields in ``FIELDS`` order, is built name by name;
+    equal vectors share one tuple.  A group's ``kinds`` and ``display`` come
+    from the first record it holds, the before snapshot of its run 0 first,
+    and its ``meta`` is that snapshot's.
 
     A run is the first of its session when no lower run index shares its
-    session id.  Every group is checked before any lookup: its run indexes
+    session id.  Once every file is parsed, so that the first malformed one
+    in run order is the one named, each group is checked: its run indexes
     must be exactly 0..n-1, and its snapshots must describe the same system,
     only their capture times differing.
     """
-    checked = [_checked_group(obs) for obs in groups]
-    names = list(names)
-    file_keys = [(RecordKind.FILE, name) for name in names]
-    values, files = {}, {}  # per snapshot id, each name's value, and its value as a file, or None
-    for snap in {id(snap): snap for _, snaps in checked for snap in snaps}.values():
-        get = snap.stored.get
-        files[id(snap)] = held = list(map(get, file_keys))
-        values[id(snap)] = [
-            value or get((RecordKind.REGKEY, name)) for value, name in zip(held, names)
-        ]
-    del file_keys
-    index, keys, paths = time_keys(chain.from_iterable(values.values()))
-    positions = {key: list(map(index.__getitem__, column)) for key, column in values.items()}
-    del index, values  # a name's position is 0 where its value is None
-    columns = {  # per snapshot id, per field, each name's key
-        key: [list(map(column.__getitem__, at)) for column in keys] for key, at in positions.items()
+    ordered = []
+    for obs in groups:
+        if not obs:
+            raise ValueError("at least one run observation is required")
+        ordered.append(sorted(obs, key=attrgetter("run_index")))
+    keying, sides = _KeyColumns(names), []
+    for runs in ordered:
+        sides.append([keying.add(side) for o in runs for side in (o.before, o.after)])
+        keying.growing = False
+    checked = [(_checked_group(runs, snaps), snaps) for runs, snaps in zip(ordered, sides)]
+    names, (*keys, paths) = keying.done()
+    columns = {  # per snapshot, per field, each name's key
+        id(snap): [list(map(column.__getitem__, snap.at)) for column in keys]
+        for snap in keying.keyed
     }
     del keys
 
     matrices, shared_vector = [], _Shared().__getitem__
     for runs, snaps in checked:
-        order = list(dict.fromkeys(map(id, snaps)))  # each snapshot once, first seen first
+        distinct = list({id(snap): snap for snap in snaps}.values())  # first seen first
         kinds, display = {}, {}
-        for key in reversed(order):  # the first snapshot holding a name is written last
-            at = positions[key]
+        for snap in reversed(distinct):  # the first snapshot holding a name is written last
+            at = snap.at
             kinds.update(zip(compress(names, at), repeat(RecordKind.REGKEY)))
-            kinds.update(zip(compress(names, files[key]), repeat(RecordKind.FILE)))
+            kinds.update(zip(compress(names, snap.files), repeat(RecordKind.FILE)))
             display.update(zip(compress(names, at), map(paths.__getitem__, compress(at, at))))
         pairs = [(columns[id(b)], columns[id(a)]) for b, a in zip(snaps[::2], snaps[1::2])]
         per_field = [  # per name, the field's vector over the runs
             map(shared_vector, zip(*[_updated(before[f], after[f]) for before, after in pairs]))
             for f in range(len(FIELDS))
         ]
-        carried = [map(any, zip(*[columns[key][f] for key in order])) for f in range(len(FIELDS))]
+        carried = [  # per name, whether any snapshot sets the field
+            map(any, zip(*[columns[id(snap)][f] for snap in distinct])) for f in range(len(FIELDS))
+        ]
         pairs_of = map(zip, repeat(FIELDS), zip(*per_field))  # per name, (field, vector) pairs
         per_name = list(map(dict, map(compress, pairs_of, zip(*carried))))
         vectors = dict(compress(zip(names, per_name), per_name))  # names never held have {}
-        matrices.append(UpdateMatrix(runs=runs, vectors=vectors, kinds=kinds, display=display))
+        matrices.append(UpdateMatrix(runs, vectors, kinds, display, snaps[0].meta))
     return matrices
 
 
@@ -253,17 +257,115 @@ class _Shared(dict):
         return key
 
 
-def _checked_group(
-    obs: Sequence[RunObservation],
-) -> tuple[tuple[RunInfo, ...], list[Snapshot]]:
-    """One group's run facts and its snapshots, before then after of each run
-    in run order, once its run indexes and metadata pass."""
-    if not obs:
-        raise ValueError("at least one run observation is required")
-    ordered = sorted(obs, key=lambda o: o.run_index)
-    if [o.run_index for o in ordered] != list(range(len(ordered))):
+class _Keyed:
+    """What the build keeps of one snapshot: per name, the position in the
+    key tables of the value it holds (0 where it holds none) and whether it
+    holds it as a file; and its metadata."""
+
+    __slots__ = ("at", "files", "meta")  # a plain class: a NamedTuple slows the import
+
+    def __init__(self, at: list[int], files: bytearray, meta: SnapshotMeta) -> None:
+        self.at, self.files, self.meta = at, files, meta
+
+
+class _KeyColumns:
+    """Snapshots turned into ``_Keyed`` columns one at a time.
+
+    The tables hold, per field of ``FIELDS``, the key ``time_keys`` gives
+    each value keyed, then each value's path; position 0 is no value.  Only
+    the values a name does not hold as it held them in the snapshot keyed
+    just before go through ``time_keys``; the rest keep their position.  So a
+    row that a run leaves as it is, as most rows are, is split once however
+    many snapshots in a row hold it; equal cell texts share one string
+    across all calls.  Without given names, each snapshot of the first group
+    adds the names it holds that no earlier one did; every column keyed
+    before gives them as absent."""
+
+    def __init__(self, names: TraceNameSet | None) -> None:
+        self.growing = names is None
+        self.names: dict[str, None] = dict.fromkeys(names or ())
+        self.file_keys = [(RecordKind.FILE, name) for name in self.names]
+        self.regkey_keys = [(RecordKind.REGKEY, name) for name in self.names]
+        self.tables: tuple[list, ...] = ([""], [""], [""], [None])
+        self.texts: dict[str, str] = {}  # each cell text in the tables, as they share it
+        self.last_values: list = []  # per name, the value the snapshot keyed last holds
+        self.last: list[int] = []  # and its position
+        self.snapshots: dict[int, _Keyed] = {}  # by object id
+        self.files: dict[int, list[tuple[Path, _Keyed]]] = {}  # by hash of the file's bytes
+        self.keyed: list[_Keyed] = []
+
+    def add(self, side: Snapshot | Path) -> _Keyed:
+        """The columns of a snapshot, or of the run file holding one, keyed
+        unless the same object, or a file with the same bytes, was."""
+        if isinstance(side, Snapshot):
+            found = self.snapshots.get(id(side))
+            if found is None:
+                found = self.snapshots[id(side)] = self._key(side)
+            return found
+        data = Path(side).read_bytes()
+        same_hash = self.files.setdefault(hash(data), [])
+        for path, found in same_hash:  # the bytes decide, not the hash
+            if Path(path).read_bytes() == data:
+                return found
+        text = decode_utf8(data, side)
+        del data
+        with reraise_as(SnapshotFormatError, str(side)):
+            snap = parse_snapshot(text)
+        del text
+        found = self._key(snap)
+        same_hash.append((side, found))
+        return found
+
+    def _key(self, snap: Snapshot) -> _Keyed:
+        stored = snap.stored
+        if self.growing:
+            known = len(self.names)
+            self.names.update(dict.fromkeys(map(itemgetter(1), stored)))
+            new = list(islice(self.names, known, None))
+            self.file_keys += [(RecordKind.FILE, name) for name in new]
+            self.regkey_keys += [(RecordKind.REGKEY, name) for name in new]
+        get = stored.get
+        as_keys = list(map(get, self.regkey_keys))
+        values = list(map(get, self.file_keys, as_keys))  # a file first
+        files = bytearray(map(is_not, values, as_keys))
+        del as_keys
+        _pad((self.last_values, self.last), (None, 0), len(values))
+        fresh = dict.fromkeys(compress(values, map(ne, values, self.last_values)))
+        if fresh:
+            index, keys, paths = time_keys(fresh, self.texts)
+            del fresh
+            base = len(self.tables[-1]) - 1
+            for table, column in zip(self.tables, (*keys, paths)):
+                table += islice(column, 1, None)
+            positions = dict(zip(index, count(base)))
+            positions[None] = 0
+            # a value time_keys keyed gives its own position, any other the
+            # position of the equal value the name held before
+            self.last = list(map(positions.get, values, self.last))
+        self.last_values = values
+        self.keyed.append(_Keyed(self.last, files, snap.meta))
+        return self.keyed[-1]
+
+    def done(self) -> tuple[list[str], tuple[list, ...]]:
+        """The names and the tables; every column now has one entry per name."""
+        names = list(self.names)
+        self.last_values, self.last, self.texts = [], [], {}
+        for snap in self.keyed:
+            _pad((snap.at, snap.files), (0, 0), len(names))
+        return names, self.tables
+
+
+def _pad(columns: Iterable, absent: Iterable, size: int) -> None:
+    """Extend each column to ``size`` entries with its ``absent`` entry: the
+    names added since it was keyed are absent there."""
+    for column, entry in zip(columns, absent):
+        column.extend(repeat(entry, size - len(column)))
+
+
+def _checked_group(runs: list[RunObservation], snaps: list[_Keyed]) -> tuple[RunInfo, ...]:
+    """One group's run facts, once its run indexes and metadata pass."""
+    if [o.run_index for o in runs] != list(range(len(runs))):
         raise ValueError("run indexes must be exactly 0..n-1")
-    snaps = [s for o in ordered for s in (o.before, o.after)]
     meta0 = snaps[0].meta
     for snap in {id(snap): snap for snap in snaps}.values():
         if differ := meta0.differences(snap.meta):
@@ -271,11 +373,11 @@ def _checked_group(
                 f"observations use inconsistent snapshot metadata: {', '.join(differ)} differ"
             )
     sessions: set[int] = set()
-    runs = []
-    for o in ordered:
-        runs.append(RunInfo(o.session_id, o.session_id not in sessions, o.launch_method))
+    out = []
+    for o in runs:
+        out.append(RunInfo(o.session_id, o.session_id not in sessions, o.launch_method))
         sessions.add(o.session_id)
-    return tuple(runs), snaps
+    return tuple(out)
 
 
 def classify_field(vector: Sequence[bool], runs: Sequence[RunInfo], trace_path: str) -> FieldPattern:
@@ -457,23 +559,20 @@ _RUN_FILE = re.compile(r"run(\d{3}|[1-9]\d{3,})_(before|after)\.csv$", re.ASCII)
 _SESSIONS_HEADER = ["run", "session", "launch_method"]
 
 
-def read_observations(
-    directory: str | Path, parsed: dict[str, Snapshot] | None = None
-) -> list[RunObservation]:
-    """Load an observation directory.
+def read_observations(directory: str | Path) -> list[RunObservation]:
+    """The runs of an observation directory, their sides its run files.
 
     Layout: ``runNNN_before.csv`` and ``runNNN_after.csv`` snapshot pairs
     (``run1000_before.csv`` past run 999) plus a ``sessions.csv`` with
     columns run, session, launch_method (empty launch cell means the launch
     method was not recorded).
 
-    Each distinct run-file text is parsed once, and every run file holding it
-    gets the same ``Snapshot``: a scenario's run starts from the state the
-    previous one ended in, so one run's after file is often the next one's
-    before file, byte for byte.  ``parsed`` maps each text parsed so far to
-    its snapshot; pass one dict to several calls to share their parses, and
-    drop it once they are done, as it holds every text.  Files are read in
-    run order, before then after, and the first malformed one is named.
+    Only the layout and ``sessions.csv`` are read here.  The run files are
+    read by ``build_update_matrices``, which keeps one snapshot alive at a
+    time: it reads them in run order, before then after, names the first
+    malformed one, and parses each distinct file content once (a scenario's
+    run starts from the state the previous one ended in, so one run's after
+    file is often the next one's before file, byte for byte).
     """
     directory = Path(directory)
     pairs: dict[int, dict[str, Path]] = {}
@@ -508,28 +607,10 @@ def read_observations(
     if set(sessions) != set(pairs):
         raise ValueError("sessions.csv rows do not match the run files")
 
-    parsed = {} if parsed is None else parsed
     return [
-        RunObservation(
-            run_index=run,
-            session_id=sessions[run][0],
-            launch_method=sessions[run][1],
-            before=_read_run(pairs[run]["before"], parsed),
-            after=_read_run(pairs[run]["after"], parsed),
-        )
+        RunObservation(run, *sessions[run], pairs[run]["before"], pairs[run]["after"])
         for run in sorted(pairs)
     ]
-
-
-def _read_run(path: Path, parsed: dict[str, Snapshot]) -> Snapshot:
-    """The snapshot of one run file, parsed unless ``parsed`` holds its text's;
-    an error names the file among the 2N of the directory."""
-    text = read_utf8(path)
-    snap = parsed.get(text)
-    if snap is None:
-        with reraise_as(SnapshotFormatError, str(path)):
-            snap = parsed[text] = parse_snapshot(text)
-    return snap
 
 
 def _parse_session(row: list[str]) -> tuple[int, tuple[int, str | None]]:

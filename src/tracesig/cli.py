@@ -29,8 +29,7 @@ logger = logging.getLogger(__name__)
 from . import __version__
 from .capture import filter_by_process, intersect_runs, parse_capture, unique_traces
 from .capture import CaptureFormatError, TraceNameSet
-from .categorize import RunObservation, build_update_matrices, build_update_matrix
-from .categorize import read_observations
+from .categorize import build_update_matrices, build_update_matrix, read_observations
 from .evidence import format_timestamp, parse_snapshot, parse_timestamp, read_utf8, reraise_as
 from .matching import DetectionResult, Verdict, match_signature
 from .signatures import (
@@ -59,14 +58,13 @@ def _load_signatures(args: argparse.Namespace) -> list[Signature]:
     return sigs
 
 
-def _trace_names(args: argparse.Namespace, observations: list[RunObservation]) -> TraceNameSet:
+def _trace_names(args: argparse.Namespace) -> TraceNameSet | None:
     """The names in the ``--traces`` file, one per non-empty line and kept as
-    written (a name may start or end with a space), else every name the
-    observations hold, read from the snapshots' (kind, folded path) keys."""
+    written (a name may start or end with a space), else None: every name the
+    ``--obs`` snapshots hold, which the update matrices collect as they go."""
     if args.traces:
         return TraceNameSet.of(line for line in read_utf8(args.traces).splitlines() if line)
-    snaps = {id(snap): snap for obs in observations for snap in (obs.before, obs.after)}
-    return TraceNameSet.of(path for snap in snaps.values() for _, path in snap.records)
+    return None
 
 
 # --- traces -----------------------------------------------------------------
@@ -76,55 +74,52 @@ def cmd_traces(args: argparse.Namespace) -> int:
     processes = None
     if args.process is not None:
         processes = [p.strip() for p in args.process.split(",") if p.strip()]
-    runs = []
-    for path in args.capture:
-        text = read_utf8(path)
-        with reraise_as(CaptureFormatError, str(path)):
-            log = parse_capture(text)
-        if processes is not None:  # a list of no names is refused, not read as "all"
-            log = filter_by_process(log, processes)
-        runs.append(unique_traces(log))
-    names = intersect_runs(runs)
+    names = intersect_runs([_capture_names(path, processes) for path in args.capture])
     _write_output("".join(f"{name}\n" for name in names), args.output)
     return 0
+
+
+def _capture_names(path: str, processes: list[str] | None) -> TraceNameSet:
+    """The names one capture touches, through ``processes`` if given; its
+    text and events are dropped before the next capture is read."""
+    text = read_utf8(path)
+    with reraise_as(CaptureFormatError, str(path)):
+        log = parse_capture(text)
+    del text
+    if processes is not None:  # a list of no names is refused, not read as "all"
+        log = filter_by_process(log, processes)
+    return unique_traces(log)
 
 
 # --- derive -----------------------------------------------------------------
 
 
-def _read_runs(args: argparse.Namespace) -> tuple[list[RunObservation], list[RunObservation]]:
-    """The ``--obs`` runs and the ``--background`` runs (none without it).
+def cmd_derive(args: argparse.Namespace) -> int:
+    _write_output(save_signature(_derived(args)), args.output)
+    return 0
 
-    A run-file text in either directory is parsed once.  Background runs must
-    observe the system the action runs did: their snapshot metadata must
-    equal the action runs' but for the capture time, the rule
-    ``build_update_matrices`` applies within each directory."""
-    parsed: dict = {}  # dropped on return: it holds every text read
-    observations = read_observations(args.obs, parsed)
-    if not args.background:
-        return observations, []
-    background = read_observations(args.background, parsed)
-    if differ := observations[0].before.meta.differences(background[0].before.meta):
+
+def _derived(args: argparse.Namespace) -> Signature:
+    """The signature of the ``--obs`` runs; the update matrices are dropped
+    before it is serialized.  Background runs must observe the system the
+    action runs did: their snapshot metadata must equal the action runs' but
+    for the capture time, the rule ``build_update_matrices`` applies within
+    each directory."""
+    groups = [read_observations(args.obs)]
+    if args.background:
+        groups.append(read_observations(args.background))
+    matrix, *background = build_update_matrices(groups, _trace_names(args))
+    if background and (differ := matrix.meta.differences(background[0].meta)):
         raise ValueError(
             f"--background snapshots describe another system than --obs: {', '.join(differ)} differ"
         )
-    return observations, background
-
-
-def cmd_derive(args: argparse.Namespace) -> int:
-    observations, ambient = _read_runs(args)
-    names = _trace_names(args, observations)
-    groups = [observations, ambient] if ambient else [observations]
-    matrix, *background = build_update_matrices(groups, names)
-    sig = derive_signature(
+    return derive_signature(
         args.action,
         matrix,
         background[0] if background else None,
-        observations[0].before,
+        matrix.meta,
         platform=args.platform,
     )
-    _write_output(save_signature(sig), args.output)
-    return 0
 
 
 # --- match ------------------------------------------------------------------
@@ -269,8 +264,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    observations = read_observations(args.obs)
-    matrix = build_update_matrix(observations, _trace_names(args, observations))
+    matrix = build_update_matrix(read_observations(args.obs), _trace_names(args))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trace", "field"] + [f"run{i}" for i in range(len(matrix.runs))])

@@ -38,6 +38,7 @@ __all__ = [
     "SnapshotMeta",
     "TimePoint",
     "check_field",
+    "decode_utf8",
     "fold_path",
     "format_timestamp",
     "int_cell",
@@ -61,13 +62,20 @@ _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of an input file.  A leading UTF-8 byte-order mark, which
-    Windows tools put on CSV exports, is dropped; a file that is not UTF-8 is
-    a ValueError naming it."""
+    """The text of an input file (see ``decode_utf8``)."""
+    return decode_utf8(Path(path).read_bytes(), path)
+
+
+def decode_utf8(data: bytes, path: str | Path) -> str:
+    """The text of the bytes of the input file ``path``.  A leading UTF-8
+    byte-order mark, which Windows tools put on CSV exports, is dropped, and
+    "\\r\\n" and "\\r" read as "\\n"; bytes that are not UTF-8 are a
+    ValueError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 _REQUIRED = object()
@@ -669,7 +677,9 @@ def _validated_rows(
     return _RowRecords(_checked_table(meta, keys, values, records), days)
 
 
-def time_keys(values: Iterable) -> tuple[dict, tuple[list, ...], list[str | None]]:
+def time_keys(
+    values: Iterable, shared: dict[str, str] | None = None
+) -> tuple[dict, tuple[list, ...], list[str | None]]:
     """Each distinct one of ``values`` (values ``Snapshot.stored`` holds, or
     None) by its position in the lists that follow, None at 0; then per field
     of ``FIELDS`` each value's key, and each value's path.  A key is "" where
@@ -677,13 +687,15 @@ def time_keys(values: Iterable) -> tuple[dict, tuple[list, ...], list[str | None
     (time text, precision), so equal keys mean equal ``TimePoint``s whether a
     row or a built record holds them.  ``_PLAIN_ROW`` keeps a row's six cells
     free of commas, so rows are split a block of ``_BLOCK_ROWS`` at a time,
-    joined by commas; equal cell texts share one string."""
+    joined by commas; equal cell texts share one string, held in ``shared``,
+    which several calls may share."""
     distinct = dict.fromkeys(values)
     distinct.pop(None, None)
     rows = [value for value in distinct if type(value) is str]
     records = [value for value in distinct if type(value) is not str]
     del distinct
-    keys, paths, shared = ([""], [""], [""]), [None], {}
+    keys, paths = ([""], [""], [""]), [None]
+    shared = {} if shared is None else shared
     for start in range(0, len(rows), _BLOCK_ROWS):
         cells = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
         offset = len(paths)

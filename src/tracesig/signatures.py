@@ -25,7 +25,7 @@ from typing import Any, Iterable
 
 from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
 from .data import signature_text
-from .evidence import JsonObject, RecordKind, Snapshot, check_field, fold_path, read_json
+from .evidence import JsonObject, RecordKind, SnapshotMeta, check_field, fold_path, read_json
 from .evidence import reraise_as
 from .templates import PathTemplate, TemplateSyntaxError, generalize_path
 
@@ -215,10 +215,12 @@ def derive_signature(
     action: str,
     matrix_action: UpdateMatrix,
     matrix_background: UpdateMatrix | None,
-    snap: Snapshot,
+    meta: SnapshotMeta,
     platform: str = "unknown",
 ) -> Signature:
     """Build a signature for an action from its observed update matrices.
+    ``meta`` describes the system the runs observed (a built matrix holds it
+    as ``matrix_action.meta``); paths are generalized against its folders.
 
     Core keeps the traces whose selected timestamp updated on every run of the
     action and never during background activity; paths are generalized, and
@@ -240,7 +242,7 @@ def derive_signature(
     for trace, analysis in sorted(analyses.items()):
         kind = matrix_action.kinds[trace]
         try:
-            template = generalize_path(matrix_action.display[trace], snap.meta, kind=kind)
+            template = generalize_path(matrix_action.display[trace], meta, kind=kind)
         except TemplateSyntaxError:  # a percent sign in the path
             refused += 1
             continue

@@ -207,7 +207,7 @@ def test_acceptance_06_derived_core_recovers_planted_truth_for_all_fixed_seeds()
         )
         matrix = build_update_matrix(obs, names)
         background = build_update_matrix(result.observations["ambient"], names)
-        sig = derive_signature("testapp.open", matrix, background, obs[0].before)
+        sig = derive_signature("testapp.open", matrix, background, obs[0].before.meta)
 
         derived_core = {(c.template.kind, fold_path(c.template.text)) for c in sig.core}
         assert derived_core == planted_core, f"seed {seed} derived a different core"

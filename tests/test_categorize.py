@@ -1,7 +1,10 @@
 import contextlib
+import dataclasses
 import itertools
 import logging
 import re
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import ADMIN, HKU, frec, krec, snap_of, t, xp_meta
-from tracesig import categorize, evidence
+from tracesig import categorize, cli, evidence
 from tracesig.capture import TraceNameSet
 from tracesig.categorize import (
     CategoryLabel,
@@ -41,6 +44,7 @@ from tracesig.evidence import (
     fold_path,
     parse_snapshot,
     read_csv,
+    read_utf8,
     save_snapshot,
     time_keys,
 )
@@ -820,6 +824,79 @@ def test_update_matrices_agree_with_one_matrix_per_group(data):
         assert both == [reference_matrix(eager, names), reference_matrix(eager_background, names)]
 
 
+@hs.composite
+def run_file_text(draw):
+    """The text of a run file: some of ``ORACLE_PATHS`` as rows (see
+    ``oracle_row``), and the snapshot the eager reference reads from it."""
+    chosen = draw(hs.lists(hs.sampled_from(ORACLE_PATHS), unique=True))
+    rows = [draw(oracle_row(kind, path)) for kind, path in chosen]
+    eager = Snapshot.build(xp_meta(), read_csv(rows, _parse_row, SnapshotFormatError))
+    return SNAPSHOT_HEAD + "".join(f"{row}\n" for row in rows), eager
+
+
+def write_run_files(directory, runs, spell):
+    """``runs`` as (session, before text, after text), written as an
+    observation directory, each file in the encoding ``spell`` draws."""
+    directory.mkdir()
+    sessions = ["run,session,launch_method"]
+    for i, (session, before, after) in enumerate(runs):
+        for side, text in (("before", before), ("after", after)):
+            (directory / f"run{i:03d}_{side}.csv").write_bytes(spell(text))
+        sessions.append(f"{i},{session},")
+    (directory / "sessions.csv").write_text("\n".join(sessions) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=hs.data())
+def test_run_files_give_the_matrices_of_their_snapshots(data):
+    """Run files read by the build, the same runs as parsed snapshots, and the
+    reference over eagerly built records give equal matrices: over chained
+    action runs, background runs that hold the action's texts, names only
+    some snapshots hold, and files with a byte-order mark or CRLF line ends,
+    so that equal texts need not be equal bytes.  Without given names, the
+    names are those the action snapshots hold."""
+    chain = [data.draw(run_file_text()) for _ in range(data.draw(hs.integers(2, 4)))]
+    pool = chain + [data.draw(run_file_text())]  # the last one only the background holds
+    sessions = data.draw(hs.lists(hs.integers(0, 1), min_size=len(chain) - 1, max_size=len(chain) - 1))
+    action = [(s, chain[i], chain[i + 1]) for i, s in enumerate(sessions)]
+    background = [
+        (0, *pair) for pair in data.draw(
+            hs.lists(hs.tuples(hs.sampled_from(pool), hs.sampled_from(pool)), min_size=1, max_size=3)
+        )
+    ]
+    paths = [p for _, p in ORACLE_PATHS] + ["C:\\ghost"]
+    traced = data.draw(hs.none() | hs.lists(hs.sampled_from(paths)))
+    names = None if traced is None else TraceNameSet.of(traced)
+    bom = hs.sampled_from([b"", b"\xef\xbb\xbf"])
+    ends = hs.sampled_from(["\n", "\r\n"])
+    spell = lambda text: data.draw(bom) + text.replace("\n", data.draw(ends)).encode("utf-8")
+
+    parsed = {}  # one snapshot per distinct text, as run files of equal texts share their keys
+    in_memory = [
+        [RunObservation(i, s, None, *(parsed.setdefault(t, parse_snapshot(t)) for t, _ in (b, a)))
+         for i, (s, b, a) in enumerate(runs)]
+        for runs in (action, background)
+    ]
+    eager = [
+        [RunObservation(i, s, None, b[1], a[1]) for i, (s, b, a) in enumerate(runs)]
+        for runs in (action, background)
+    ]
+    if names is None:
+        snaps = [eager for _, before, after in action for _, eager in (before, after)]
+        reference_names = TraceNameSet.of(path for snap in snaps for _, path in snap.records)
+    else:
+        reference_names = names
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, runs in (("obs", action), ("bg", background)):
+            write_run_files(Path(tmp) / name, [(s, b[0], a[0]) for s, b, a in runs], spell)
+        from_files = build_update_matrices(
+            [read_observations(Path(tmp) / name) for name in ("obs", "bg")], names
+        )
+    assert from_files == build_update_matrices(in_memory, names)
+    assert from_files == [reference_matrix(runs, reference_names) for runs in eager]
+    assert [m.meta for m in from_files] == [xp_meta(), xp_meta()]
+
+
 class TestUpdateMatrices:
     """The cases the property above draws, each pinned once."""
 
@@ -857,7 +934,7 @@ class TestUpdateMatrices:
 
 def test_derive_over_parsed_observations_builds_no_record(tmp_path, monkeypatch):
     """Loading, diffing and deriving over plain rows builds no record, and no
-    ``TimePoint`` beyond each snapshot's capture time."""
+    ``TimePoint`` beyond each distinct run file's capture time."""
     scenario = load_scenario(fixture_text("demo_scenario.json"))
     write_scenario_outputs(run_scenario(scenario), tmp_path)
     built, points = [], []
@@ -868,10 +945,10 @@ def test_derive_over_parsed_observations_builds_no_record(tmp_path, monkeypatch)
     directory = tmp_path / "obs" / "app.open"
     texts = {path.read_bytes() for path in directory.glob("run*.csv")}
     obs = read_observations(directory)
-    assert len(points) == len(texts) < 2 * len(obs)  # one parse per distinct text
-    names = TraceNameSet.of(path for o in obs for _, path in o.before.records)
-    matrix = build_update_matrix(obs, names)
-    sig = derive_signature("app.open", matrix, None, obs[0].before)
+    assert points == []  # the run files are read by the build
+    matrix = build_update_matrix(obs)
+    assert len(points) == len(texts) < 2 * len(obs)  # one parse per distinct file content
+    sig = derive_signature("app.open", matrix, None, matrix.meta)
     assert sig.core and matrix.vectors
     assert built == [] and len(points) == len(texts)
 
@@ -917,12 +994,25 @@ class TestCategorizeMatrix:
         assert not analyses["c:\\beta.dat"].category.confounded
 
 
+def loaded(observations):
+    """``observations`` with each side parsed from the run file it names."""
+    return [
+        dataclasses.replace(
+            o, **{side: parse_snapshot(read_utf8(getattr(o, side))) for side in ("before", "after")}
+        )
+        for o in observations
+    ]
+
+
 class TestObservationStorage:
     def test_round_trip(self, tmp_path):
         obs = two_run_obs()
         write_observations(tmp_path / "obs", obs)
         again = read_observations(tmp_path / "obs")
-        assert again == obs
+        assert [(o.before.name, o.after.name) for o in again] == [
+            ("run000_before.csv", "run000_after.csv"), ("run001_before.csv", "run001_after.csv")
+        ]
+        assert loaded(again) == obs
 
     def test_round_trip_past_run_999(self, tmp_path):
         """Run 1000 is written as ``run1000_*.csv`` and read back; a name
@@ -932,7 +1022,7 @@ class TestObservationStorage:
         write_observations(tmp_path, obs)
         assert (tmp_path / "run1000_after.csv").exists()
         (tmp_path / "run0001_before.csv").write_text("not a snapshot\n", encoding="utf-8")
-        assert read_observations(tmp_path) == obs
+        assert loaded(read_observations(tmp_path)) == obs
 
     def test_a_run_number_in_other_digits_is_a_stray_file(self, tmp_path, monkeypatch):
         """``run٠٠٠_after.csv`` (Arabic-Indic digits, which ``int`` reads as
@@ -946,7 +1036,7 @@ class TestObservationStorage:
         listed = Path.iterdir
         for order in (sorted, lambda paths: sorted(paths, reverse=True)):
             monkeypatch.setattr(Path, "iterdir", lambda self, order=order: iter(order(listed(self))))
-            assert read_observations(tmp_path) == obs
+            assert loaded(read_observations(tmp_path)) == obs
 
     def test_launch_method_survives(self, tmp_path):
         obs = two_run_obs()
@@ -985,34 +1075,34 @@ class TestObservationStorage:
         run = tmp_path / "run001_before.csv"
         text = run.read_text(encoding="utf-8")
         run.write_text(text.replace("\nfile,", "\nfiel,", 1), encoding="utf-8")
+        obs = read_observations(tmp_path)  # the layout and sessions.csv only
         with pytest.raises(SnapshotFormatError) as info:
-            read_observations(tmp_path)
+            build_update_matrix(obs)
         assert str(info.value) == f"{run}: line 8: unknown record kind 'fiel'"
 
-    def test_byte_equal_run_files_share_one_snapshot(self, tmp_path):
-        """One ``parsed`` dict across two directories: run files with equal
-        bytes, in one directory or across both, get one ``Snapshot`` object,
-        and unequal files separate ones."""
+    def test_byte_equal_run_files_share_one_snapshot(self, tmp_path, monkeypatch):
+        """Run files with equal bytes, in one directory or across both, are
+        parsed once between them, and unequal files each once; the matrices
+        are those of the parsed snapshots."""
         write_scenario_outputs(run_scenario(load_scenario(fixture_text("demo_scenario.json"))), tmp_path)
-        parsed = {}
-        files = [
-            (tmp_path / "obs" / name / f"run{o.run_index:03d}_{side}.csv", getattr(o, side))
-            for name in ("app.open", "web.browse")
-            for o in read_observations(tmp_path / "obs" / name, parsed)
-            for side in ("before", "after")
-        ]
-        shared = 0
-        for (path_a, snap_a), (path_b, snap_b) in itertools.combinations(files, 2):
-            assert (snap_a is snap_b) == (path_a.read_bytes() == path_b.read_bytes())
-            shared += snap_a is snap_b and path_a.parent != path_b.parent
-        assert shared and len(parsed) == len({path.read_bytes() for path, _ in files})
+        groups = [read_observations(tmp_path / "obs" / name) for name in ("app.open", "web.browse")]
+        app, web = [{getattr(o, side).read_bytes() for o in obs for side in ("before", "after")}
+                    for obs in groups]
+        assert len(app) < 2 * len(groups[0]) and app & web  # shared within and across
+        parsed = []
+        parse = categorize.parse_snapshot
+        monkeypatch.setattr(categorize, "parse_snapshot", lambda text: parsed.append(text) or parse(text))
+        matrices = build_update_matrices(groups, None)
+        assert len(parsed) == len(set(parsed)) == len(app | web)
+        assert matrices == build_update_matrices([loaded(obs) for obs in groups], None)
 
     def test_non_utf8_run_file_is_named(self, tmp_path):
         write_observations(tmp_path, two_run_obs())
         run = tmp_path / "run000_after.csv"
         run.write_bytes(run.read_bytes() + b"\xff")
+        obs = read_observations(tmp_path)
         with pytest.raises(ValueError, match=f"^{re.escape(str(run))} is not UTF-8 text: "):
-            read_observations(tmp_path)
+            build_update_matrix(obs)
 
     def test_missing_after_snapshot(self, tmp_path):
         write_observations(tmp_path, two_run_obs())
@@ -1026,6 +1116,55 @@ class TestObservationStorage:
             (tmp_path / f"run001_{side}.csv").rename(tmp_path / f"run005_{side}.csv")
         with pytest.raises(ValueError, match="contiguous"):
             read_observations(tmp_path)
+
+
+def chained_runs(directory, count, records=500):
+    """``count`` chained runs of an action over ``records`` records, each run
+    updating every 16th record in turn, written as an observation directory."""
+    paths = [f"C:\\App\\data\\file{i:04d}.dat" for i in range(records - records // 5)]
+    paths += [f"{HKU}\\Software\\App\\Key{i:04d}" for i in range(records // 5)]
+    hours = [0] * len(paths)
+    snaps = []
+    for run in range(count + 1):
+        for i in range(run % 16, len(paths), 16):
+            hours[i] = run
+        snaps.append(snap_of(
+            (krec if path.startswith("HKEY") else frec)(path, f"2010-04-0{1 + h // 24}T{h % 24:02d}:00:00Z")
+            for path, h in zip(paths, hours)
+        ))
+    runs = [RunObservation(i, i // 2, None, snaps[i], snaps[i + 1]) for i in range(count)]
+    write_observations(directory, runs)
+
+
+def test_derive_keeps_one_snapshot_alive_at_a_time(tmp_path, capsys):
+    """``derive``'s traced peak memory over 16 chained runs of 500 records
+    exceeds that over 4 runs by at most a quarter of one parsed snapshot per
+    added run: what it keeps of a snapshot once it is keyed is a small part
+    of the snapshot."""
+    chained_runs(tmp_path / "four", 4)
+    chained_runs(tmp_path / "sixteen", 16)
+    text = (tmp_path / "four" / "run000_before.csv").read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        snapshot = parse_snapshot(text)
+        parsed_size = tracemalloc.get_traced_memory()[0]
+        del snapshot
+        peaks = {}
+        for name in ("four", "sixteen"):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            derive = ["derive", "--obs", str(tmp_path / name), "--action", "app.open",
+                      "-o", str(tmp_path / f"{name}.sig")]
+            assert cli.main(derive) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    entries = {
+        name: (tmp_path / f"{name}.sig").read_text(encoding="utf-8").count('"kind"') for name in peaks
+    }
+    assert 0 < entries["four"] < entries["sixteen"]
+    assert peaks["sixteen"] - peaks["four"] <= 12 * parsed_size / 4, (peaks, parsed_size)
 
 
 # --- one classification per distinct input --------------------------------
@@ -1155,40 +1294,61 @@ def test_categorize_matrix_agrees_with_one_classification_per_trace(data):
 
 
 def test_update_matrices_split_each_distinct_row_and_record_once(tmp_path, monkeypatch):
-    """The demo scenario's action and background runs, which share run files,
-    with some records built by lookups first: one, two or three groups of
-    them are keyed by one ``time_keys`` call, over the values the names hold
-    in their snapshots, so it splits each distinct row text and reads each
-    distinct built record once."""
+    """The demo scenario's action and background runs, which share run files
+    (here one ``Snapshot`` per distinct file), with some records built by
+    lookups first, in one, two or three groups: ``time_keys`` is called once
+    per snapshot, in the order they are keyed, where its names hold other
+    values than in the snapshot keyed before, and only over those values.
+    So a row that a run leaves as it is is split once, not once per
+    snapshot holding it, and so is a built record."""
     write_scenario_outputs(run_scenario(load_scenario(fixture_text("demo_scenario.json"))), tmp_path)
-    texts = {}
-    groups = [read_observations(tmp_path / "obs" / name, texts) for name in ("app.open", "web.browse")]
-    snaps = list({id(s): s for obs in groups for o in obs for s in (o.before, o.after)}.values())
+    parsed = {}
+
+    def snapshot(path):
+        data = path.read_bytes()
+        if data not in parsed:
+            parsed[data] = parse_snapshot(read_utf8(path))
+        return parsed[data]
+
+    groups = [
+        [dataclasses.replace(o, before=snapshot(o.before), after=snapshot(o.after))
+         for o in read_observations(tmp_path / "obs" / name)]
+        for name in ("app.open", "web.browse")
+    ]
+    snaps = list(parsed.values())
     for snap in snaps[::2]:
         for kind, path in list(snap.stored)[::3]:
             snap.records[(kind, path)]
     names = TraceNameSet.of(path for snap in snaps for _, path in snap.stored)
-    held = {  # per snapshot id, the values the names hold
-        id(snap): {snap.stored.get((RecordKind.FILE, name))
-                   or snap.stored.get((RecordKind.REGKEY, name)) for name in names} - {None}
+    held = {  # per snapshot id, the value each name holds
+        id(snap): {name: snap.stored.get((RecordKind.FILE, name))
+                   or snap.stored.get((RecordKind.REGKEY, name)) for name in names}
         for snap in snaps
     }
-    assert any(isinstance(value, str) for values in held.values() for value in values)
-    assert any(isinstance(value, ArtifactRecord) for values in held.values() for value in values)
+    values = [value for by_name in held.values() for value in by_name.values()]
+    assert any(isinstance(value, str) for value in values)
+    assert any(isinstance(value, ArtifactRecord) for value in values)
     calls = []
 
-    def counted(values):
+    def counted(values, shared=None):
         calls.append(list(values))
-        return time_keys(calls[-1])
+        return time_keys(calls[-1], shared)
 
     monkeypatch.setattr(categorize, "time_keys", counted)
     for chosen in ([groups[0]], groups, [*groups, groups[0]]):
         calls.clear()
         matrices = build_update_matrices(chosen, names)
         assert len(matrices) == len(chosen) and all(m.vectors for m in matrices)
-        assert len(calls) == 1
-        ids = {id(s) for obs in chosen for o in obs for s in (o.before, o.after)}
-        assert set(calls[0]) - {None} == set().union(*(held[key] for key in ids))
+        keyed = {id(s): s for obs in chosen for o in obs for s in (o.before, o.after)}
+        expected, last = [], dict.fromkeys(names)
+        for key in keyed:
+            changed = {value for name, value in held[key].items() if value != last[name]}
+            if changed:
+                expected.append(changed - {None})
+            last = held[key]
+        assert [set(values) - {None} for values in calls] == expected
+        whole = sum(len(set(held[key].values()) - {None}) for key in keyed)
+        assert sum(map(len, expected)) < whole  # fewer than keying each snapshot whole
 
 
 def test_categorize_matrix_classifies_each_distinct_input_once(monkeypatch):

@@ -297,6 +297,7 @@ class TestMatch:
 import json, sys
 import tracesig.cli
 loaded_by_cli = "tracesig.simulate" in sys.modules
+hashlib_loaded = "hashlib" in sys.modules
 from tracesig import load_scenario, oracle_compare, run_scenario, write_scenario_outputs
 import tracesig.simulate as sim
 same = [load_scenario is sim.load_scenario, oracle_compare is sim.oracle_compare,
@@ -308,13 +309,15 @@ try:
     unknown = "bound"
 except AttributeError as exc:
     unknown = str(exc)
-print(json.dumps({"loaded_by_cli": loaded_by_cli, "same": same, "unknown": unknown,
+print(json.dumps({"loaded_by_cli": loaded_by_cli, "hashlib": hashlib_loaded, "same": same,
+                  "unknown": unknown,
                   "unbound": [name for name in tracesig.__all__ if name not in star]}))
 """
         proc = self.fresh_interpreter("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {
             "loaded_by_cli": False,
+            "hashlib": False,
             "same": [True] * 4,
             "unknown": "module 'tracesig' has no attribute 'no_such_name'",
             "unbound": [],
@@ -670,6 +673,44 @@ class TestSimulateDeriveRoundTrip:
         assert capsys.readouterr().err == (
             "error: --background snapshots describe another system than --obs: "
             "home_path, sids differ\n"
+        )
+
+    @staticmethod
+    def other_systems(obs):
+        """Give one ``--obs`` run file another home path and every
+        ``--background`` run file another SID."""
+        run = obs / "app.open" / "run001_before.csv"
+        run.write_text(run.read_text(encoding="utf-8").replace(
+            "#home_path=\\Documents and Settings\\demo", "#home_path=\\Documents and Settings\\other"
+        ), encoding="utf-8")
+        for path in (obs / "web.browse").glob("run*.csv"):
+            text = re.sub("(?m)^#sid=.*$", "#sid=S-1-5-21-1-2-3-1004", path.read_text(encoding="utf-8"))
+            path.write_text(text, encoding="utf-8")
+
+    @pytest.mark.parametrize("bad", ["app.open/run003_after.csv", "web.browse/run002_after.csv"])
+    def test_a_malformed_run_file_is_named_before_any_metadata_mismatch(self, sim_tree, bad, capsys):
+        """The first malformed run file in run order, ``--obs`` then
+        ``--background``, is named, although an earlier ``--obs`` file holds
+        another home path and every ``--background`` file another SID."""
+        obs = sim_tree / "obs"
+        self.other_systems(obs)
+        bad = obs / bad
+        bad.write_text(bad.read_text(encoding="utf-8").replace("\nfile,", "\nfiel,", 1), encoding="utf-8")
+        rc = main(["derive", "--obs", str(obs / "app.open"), "--background", str(obs / "web.browse"),
+                   "--action", "app.open"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line ")
+        assert err.endswith(": unknown record kind 'fiel'\n")
+
+    def test_a_directory_s_own_runs_are_checked_before_background_against_obs(self, sim_tree, capsys):
+        obs = sim_tree / "obs"
+        self.other_systems(obs)
+        rc = main(["derive", "--obs", str(obs / "app.open"), "--background", str(obs / "web.browse"),
+                   "--action", "app.open"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: observations use inconsistent snapshot metadata: home_path differ\n"
         )
 
     def test_derive_names_a_non_utf8_run_file(self, sim_tree, capsys):

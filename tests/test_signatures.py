@@ -334,7 +334,7 @@ class TestDeriveSignature:
 
     def test_core_collapses_to_one_template_and_confounds_move_out(self):
         obs, action, background = self.matrices()
-        sig = derive_signature("app.open", action, background, obs[0].before)
+        sig = derive_signature("app.open", action, background, obs[0].before.meta)
         assert [t.template.text for t in sig.core] == ["%SystemRoot%\\Prefetch\\APP.EXE-%s.pf"]
         assert sig.core[0].field == "modified"
         assert sig.weak
@@ -345,25 +345,25 @@ class TestDeriveSignature:
 
     def test_never_updated_traces_vanish(self):
         obs, action, background = self.matrices()
-        sig = derive_signature("app.open", action, background, obs[0].before)
+        sig = derive_signature("app.open", action, background, obs[0].before.meta)
         texts = [t.template.text for t in sig.core + sig.supporting]
         assert not any("stale" in t for t in texts)
 
     def test_without_background_log_joins_core(self):
         obs, action, _ = self.matrices()
-        sig = derive_signature("app.open", action, None, obs[0].before)
+        sig = derive_signature("app.open", action, None, obs[0].before.meta)
         assert len(sig.core) == 2
         assert not sig.weak
 
     def test_weak_derivation_warns(self, caplog):
         obs, action, background = self.matrices()
         with caplog.at_level("WARNING", logger="tracesig"):
-            derive_signature("app.open", action, background, obs[0].before)
+            derive_signature("app.open", action, background, obs[0].before.meta)
         assert any("corroborat" in r.message for r in caplog.records)
 
     def test_round_trips_through_text(self):
         obs, action, background = self.matrices()
-        sig = derive_signature("app.open", action, background, obs[0].before, platform="xp")
+        sig = derive_signature("app.open", action, background, obs[0].before.meta, platform="xp")
         text = save_signature(sig)
         assert save_signature(load_signature(text)) == text
         assert load_signature(text).platform == "xp"
@@ -386,7 +386,7 @@ class TestDeriveSignature:
             after = snap_of([frec(lnk, m=times["m"], a=times["a"])], meta=meta)
             obs.append(RunObservation(run, session, launch, before, after))
         matrix = build_update_matrix(obs, TraceNameSet.of([lnk]))
-        sig = derive_signature("app.open", matrix, None, obs[0].before)
+        sig = derive_signature("app.open", matrix, None, obs[0].before.meta)
         [entry] = sig.supporting
         assert entry.template.text == "%HomeDrive%\\%HomePath%\\Desktop\\App.lnk"
         assert entry.category.label is CategoryLabel.UB
@@ -421,7 +421,7 @@ class TestTemplateCollision:
                 )
             ]
             bg = build_update_matrix(bg_obs, TraceNameSet.of([self.NOISY]))
-        return derive_signature("app.open", action, bg, obs[0].before)
+        return derive_signature("app.open", action, bg, obs[0].before.meta)
 
     def test_confounded_sibling_keeps_the_clean_trace_literal(self):
         sig = self.derive({self.CLEAN: "ma", self.NOISY: "ma"})
@@ -492,7 +492,7 @@ def test_core_templates_resolve_only_to_clean_always_traces(world):
     bg_after = snap_of([frec(p, m="2010-04-03T09:05:00Z") for p in noisy])
     background = build_update_matrix([RunObservation(0, 0, None, bg_before, bg_after)], names)
 
-    sig = derive_signature("app.open", action, background, snaps[0])
+    sig = derive_signature("app.open", action, background, snaps[0].meta)
     analyses = categorize_matrix(action, background)
     clean = {
         trace

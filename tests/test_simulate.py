@@ -314,7 +314,7 @@ class TestBackgroundTwin:
         obs, ambient = result.observations["app.open"], result.observations["web.browse"]
         names = TraceNameSet.of(path for _, path in obs[0].before.records)
         matrix, background = build_update_matrices([obs, ambient], names)
-        sig = derive_signature("app.open", matrix, background, obs[0].before)
+        sig = derive_signature("app.open", matrix, background, obs[0].before.meta)
         assert match_signature(sig, result.snapshots[-1]).verdict is Verdict.DETECTED
         twin = replace(sc, script=tuple(s for s in sc.script if s.action == "web.browse"))
         assert match_signature(sig, run_scenario(twin).snapshots[-1]).verdict is not Verdict.DETECTED
@@ -341,7 +341,7 @@ class TestOracleCompare:
         obs = result.observations["app.open"]
         matrix = build_update_matrix(obs, TraceNameSet.of([pf, cookie]))
         assert matrix.vectors[cookie.lower()]["accessed"] == (True, True, True, False)
-        sig = derive_signature("app.open", matrix, None, obs[0].before)
+        sig = derive_signature("app.open", matrix, None, obs[0].before.meta)
         report = oracle_compare(result.planted["app.open"], sig, matrix)
         [entry] = report.disagreements()
         assert entry.trace == cookie and entry.planted.label is CategoryLabel.IU
@@ -367,7 +367,7 @@ class TestOracleCompare:
         result = run_scenario(sc)
         obs = result.observations["app.open"]
         matrix = build_update_matrix(obs, TraceNameSet.of(keys))
-        sig = derive_signature("app.open", matrix, None, obs[0].before)
+        sig = derive_signature("app.open", matrix, None, obs[0].before.meta)
         assert [c.template.text for c in sig.core] == [
             "HKEY_USERS\\%SID%\\Software\\App\\Ext\\{%s}"
         ]
