@@ -154,7 +154,7 @@ class UpdateMatrix:
     vectors: Mapping[str, Mapping[str, tuple[bool, ...]]]
     kinds: Mapping[str, RecordKind]
     display: Mapping[str, str]
-    meta: SnapshotMeta | None = dc_field(default=None, compare=False, repr=False)
+    meta: SnapshotMeta = dc_field(compare=False, repr=False)
 
     def traces(self) -> list[str]:
         return sorted(self.kinds)
@@ -185,9 +185,10 @@ def build_update_matrices(
     keyed group by group, in run order, before then after, each once, and
     what is kept of each is one position per name in tables of keys and
     paths, the position it had in the snapshot keyed before wherever the name
-    holds the same value there (see ``_KeyColumns``).  A run file is read and parsed unless a file with the
-    same bytes was, and its snapshot is dropped before the next file is
-    read; a side given as a ``Snapshot`` is keyed once per object.  Then, per
+    holds the same value there (see ``_KeyColumns``).  A run file is read
+    and parsed unless a file with the same bytes was, and its snapshot is
+    dropped before the next file is read; a side given as a ``Snapshot`` is
+    keyed once per object.  Then, per
     group, run and field, the update column is true where the after key is
     set and differs from the before key, and per field it is known whether
     any of the group's snapshots sets it.  Only the ``{field: vector}`` dict
@@ -207,10 +208,8 @@ def build_update_matrices(
         if not obs:
             raise ValueError("at least one run observation is required")
         ordered.append(sorted(obs, key=attrgetter("run_index")))
-    keying, sides = _KeyColumns(names), []
-    for runs in ordered:
-        sides.append([keying.add(side) for o in runs for side in (o.before, o.after)])
-        keying.growing = False
+    keying = _KeyColumns(names)
+    sides = keying.key(ordered)
     checked = [(_checked_group(runs, snaps), snaps) for runs, snaps in zip(ordered, sides)]
     names, (*keys, paths) = keying.done()
     columns = {  # per snapshot, per field, each name's key
@@ -282,7 +281,7 @@ class _KeyColumns:
     before gives them as absent."""
 
     def __init__(self, names: TraceNameSet | None) -> None:
-        self.growing = names is None
+        self._collect = names is None
         self.names: dict[str, None] = dict.fromkeys(names or ())
         self.file_keys = [(RecordKind.FILE, name) for name in self.names]
         self.regkey_keys = [(RecordKind.REGKEY, name) for name in self.names]
@@ -294,13 +293,23 @@ class _KeyColumns:
         self.files: dict[int, list[tuple[Path, _Keyed]]] = {}  # by hash of the file's bytes
         self.keyed: list[_Keyed] = []
 
-    def add(self, side: Snapshot | Path) -> _Keyed:
+    def key(self, groups: Sequence[Sequence[RunObservation]]) -> list[list[_Keyed]]:
+        """Per group, the columns of its runs' sides in run order, before
+        then after; without given names, the first group's snapshots add
+        the names they hold."""
+        sides = []
+        for g, runs in enumerate(groups):
+            collect = self._collect and g == 0
+            sides.append([self._add(side, collect) for o in runs for side in (o.before, o.after)])
+        return sides
+
+    def _add(self, side: Snapshot | Path, collect: bool) -> _Keyed:
         """The columns of a snapshot, or of the run file holding one, keyed
         unless the same object, or a file with the same bytes, was."""
         if isinstance(side, Snapshot):
             found = self.snapshots.get(id(side))
             if found is None:
-                found = self.snapshots[id(side)] = self._key(side)
+                found = self.snapshots[id(side)] = self._key(side, collect)
             return found
         data = Path(side).read_bytes()
         same_hash = self.files.setdefault(hash(data), [])
@@ -312,13 +321,13 @@ class _KeyColumns:
         with reraise_as(SnapshotFormatError, str(side)):
             snap = parse_snapshot(text)
         del text
-        found = self._key(snap)
+        found = self._key(snap, collect)
         same_hash.append((side, found))
         return found
 
-    def _key(self, snap: Snapshot) -> _Keyed:
+    def _key(self, snap: Snapshot, collect: bool) -> _Keyed:
         stored = snap.stored
-        if self.growing:
+        if collect:
             known = len(self.names)
             self.names.update(dict.fromkeys(map(itemgetter(1), stored)))
             new = list(islice(self.names, known, None))

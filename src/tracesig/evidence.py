@@ -678,7 +678,7 @@ def _validated_rows(
 
 
 def time_keys(
-    values: Iterable, shared: dict[str, str] | None = None
+    values: Iterable, shared: dict[str, str]
 ) -> tuple[dict, tuple[list, ...], list[str | None]]:
     """Each distinct one of ``values`` (values ``Snapshot.stored`` holds, or
     None) by its position in the lists that follow, None at 0; then per field
@@ -695,7 +695,6 @@ def time_keys(
     records = [value for value in distinct if type(value) is not str]
     del distinct
     keys, paths = ([""], [""], [""]), [None]
-    shared = {} if shared is None else shared
     for start in range(0, len(rows), _BLOCK_ROWS):
         cells = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
         offset = len(paths)

@@ -377,6 +377,7 @@ def one_trace_matrix(trace, kind, patterns, iui=False):
         vectors={folded: vectors_for(patterns, iui)},
         kinds={folded: kind},
         display={folded: trace},
+        meta=xp_meta(),
     )
 
 
@@ -740,7 +741,7 @@ def reference_matrix(obs, names):
             for f in FIELDS
             if any(rec.timestamp(f) is not None for rec in seen)
         }
-    return UpdateMatrix(tuple(runs), vectors, kinds, display)
+    return UpdateMatrix(tuple(runs), vectors, kinds, display, obs[0].before.meta)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -979,6 +980,7 @@ class TestCategorizeMatrix:
             vectors=vectors,
             kinds={fold_path(t): RecordKind.FILE for t in traces},
             display={fold_path(t): t for t in traces},
+            meta=xp_meta(),
         )
         with caplog.at_level("DEBUG", logger="tracesig"):
             analyses = categorize_matrix(matrix)
@@ -1257,7 +1259,7 @@ def category_matrix(draw):
         folded = fold_path(path)
         vectors[folded] = {f: draw(vector) for f in fields}
         kinds[folded], display[folded] = kind, path
-    return UpdateMatrix(runs, vectors, kinds, display)
+    return UpdateMatrix(runs, vectors, kinds, display, xp_meta())
 
 
 @hs.composite
@@ -1271,6 +1273,7 @@ def background_of(draw, action):
         vectors={t: {"modified": (draw(hs.booleans()),)} for t in traces},
         kinds={t: action.kinds[t] for t in traces},
         display={t: action.display[t] for t in traces},
+        meta=action.meta,
     )
 
 
@@ -1330,7 +1333,7 @@ def test_update_matrices_split_each_distinct_row_and_record_once(tmp_path, monke
     assert any(isinstance(value, ArtifactRecord) for value in values)
     calls = []
 
-    def counted(values, shared=None):
+    def counted(values, shared):
         calls.append(list(values))
         return time_keys(calls[-1], shared)
 
@@ -1361,8 +1364,8 @@ def test_categorize_matrix_classifies_each_distinct_input_once(monkeypatch):
             folded = fold_path(path)
             vectors[folded], kinds[folded], display[folded] = vectors_for(patterns), kind, path
             updated[folded] = {"modified": (copy % 2 == 0,)}
-    matrix = UpdateMatrix(RUNS, vectors, kinds, display)
-    background = UpdateMatrix((RunInfo(0, True, None),), updated, kinds, display)
+    matrix = UpdateMatrix(RUNS, vectors, kinds, display, xp_meta())
+    background = UpdateMatrix((RunInfo(0, True, None),), updated, kinds, display, matrix.meta)
     inputs = []
 
     def counted(trace, kind, vectors, runs, background_updates):

@@ -913,7 +913,7 @@ class TestTimeKeys:
         [row] = self.stored_rows("file,C:\\a.dat,2010-04-12T14:30:37Z,,2010-04-10T08:00:00Z,")
         record = frec("C:\\A.dat", m="2010-04-12T14:30:37Z", c="2010-04-10T08:00:00Z")
         assert type(row) is str
-        index, keys, paths = time_keys([None, row, record, None])
+        index, keys, paths = time_keys([None, row, record, None], {})
         assert index == {None: 0, row: 1, record: 2}
         want = ("2010-04-12T14:30:37Z", "", "2010-04-10T08:00:00Z")
         assert self.keys_of(keys, 1) == self.keys_of(keys, 2) == want
@@ -922,7 +922,7 @@ class TestTimeKeys:
 
     def test_a_row_at_sixty_seconds_keys_its_precision(self):
         [row] = self.stored_rows(f"regkey,{HKU}\\Software\\X,2010-04-12T14:30:00Z,,,60")
-        index, keys, paths = time_keys([row])
+        index, keys, paths = time_keys([row], {})
         assert self.keys_of(keys, index[row]) == (("2010-04-12T14:30:00Z", 60), "", "")
         assert paths[index[row]] == f"{HKU}\\Software\\X"
 
@@ -931,7 +931,7 @@ class TestTimeKeys:
             RecordKind.FILE, "C:\\b.dat",
             modified=pt("2010-04-12T14:30:37Z"), accessed=pt("2010-04-12T14:30:00Z", 60),
         )
-        index, keys, _ = time_keys([record])
+        index, keys, _ = time_keys([record], {})
         assert self.keys_of(keys, index[record]) == (
             "2010-04-12T14:30:37Z", ("2010-04-12T14:30:00Z", 60), ""
         )
@@ -940,6 +940,6 @@ class TestTimeKeys:
         rows = ["file,C:\\a.dat,2010-04-12T14:30:37Z,,,", "file,C:\\b.dat,,2010-04-12T14:30:38Z,,"]
         first, second = self.stored_rows(*rows), self.stored_rows(*rows)
         assert first == second and first[0] is not second[0]
-        index, keys, paths = time_keys([*first, *second])
+        index, keys, paths = time_keys([*first, *second], {})
         assert list(index) == [None, *first]
         assert all(len(column) == 3 for column in keys) and paths == [None, "C:\\a.dat", "C:\\b.dat"]

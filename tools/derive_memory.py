@@ -1,7 +1,7 @@
 """Peak memory and wall time of ``tracesig derive`` against the number of runs.
 
 For each N in ``--runs``, the derive-pipeline scenario of ``perfbench/gen.py``
-(seed ``--seed``, about 3,000 traces) has its script stretched to N
+(seed 11, ``SEED``, about 3,000 traces) has its script stretched to N
 ``app.open`` runs, two to a session and an hour apart, and one
 ``bg.activity`` run after the first.  A child process simulates it; then
 ``tracesig derive --obs ... --background ...`` (no ``--traces``) runs in
@@ -35,16 +35,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 11
 
 
-def stretched_scenario(seed: int, runs: int) -> dict:
-    """The seed's derive-pipeline scenario with ``runs`` action runs."""
+def stretched_scenario(runs: int) -> dict:
+    """The derive-pipeline scenario of ``SEED`` with ``runs`` action runs."""
     from tracesig.evidence import format_timestamp, parse_timestamp
 
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    scenario = gen.derive_scenario(seed)[0]["scenario"]
+    scenario = gen.derive_scenario(SEED)[0]["scenario"]
     start = parse_timestamp(scenario["script"][0]["time"])
     script = []
     for run in range(runs):
@@ -59,12 +60,12 @@ def stretched_scenario(seed: int, runs: int) -> dict:
     return scenario
 
 
-def simulate(seed: int, runs: int, out: Path) -> None:
+def simulate(runs: int, out: Path) -> None:
     """Write the evidence tree of the stretched scenario to ``out``."""
     sys.path.insert(0, str(ROOT / "src"))  # the simulator of this checkout, installed or not
     from tracesig.simulate import load_scenario, run_scenario, write_scenario_outputs
 
-    scenario = load_scenario(json.dumps(stretched_scenario(seed, runs)))
+    scenario = load_scenario(json.dumps(stretched_scenario(runs)))
     write_scenario_outputs(run_scenario(scenario), out)
 
 
@@ -99,7 +100,6 @@ def slope(xs: list[float], ys: list[float]) -> float | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", default="3,12,48,96", help="comma-separated run counts")
-    parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--repeat", type=int, default=3, help="derives per run count")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the tracesig package to measure")
@@ -111,15 +111,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--runs takes positive counts and --repeat a positive number")
 
     if args.simulate_into:
-        simulate(args.seed, counts[0], args.simulate_into)
+        simulate(counts[0], args.simulate_into)
         return 0
 
     rows = []
     with tempfile.TemporaryDirectory(prefix="derive_memory-") as tmp:
         for n in counts:
             out = Path(tmp) / f"runs{n}"
-            subprocess.run([sys.executable, __file__, "--runs", str(n), "--seed", str(args.seed),
-                            "--simulate-into", str(out)], check=True)
+            subprocess.run([sys.executable, __file__, "--runs", str(n), "--simulate-into", str(out)],
+                           check=True)
             obs, background = out / "obs" / "app.open", out / "obs" / "bg.activity"
             samples = [measure(args.src.resolve(), obs, background, Path(tmp) / "derived.sig")
                        for _ in range(args.repeat)]
@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     if per_run is not None:
         print(f"peak RSS slope {per_run:.3f} MiB per run", file=sys.stderr)
     report = {
-        "seed": args.seed,
+        "seed": SEED,
         "src": str(args.src),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
