@@ -36,7 +36,7 @@ import logging
 import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from itertools import compress, count, islice, repeat
+from itertools import compress, islice, repeat
 from operator import and_, attrgetter, is_not, itemgetter, ne, truth
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -183,19 +183,19 @@ def build_update_matrices(
     before snapshot does not (the trace appeared), or carries another time
     text or precision.  One snapshot is alive at a time: the snapshots are
     keyed group by group, in run order, before then after, each once, and
-    what is kept of each is one position per name in tables of keys and
-    paths, the position it had in the snapshot keyed before wherever the name
-    holds the same value there (see ``_KeyColumns``).  A run file is read
-    and parsed unless a file with the same bytes was, and its snapshot is
-    dropped before the next file is read; a side given as a ``Snapshot`` is
-    keyed once per object.  Then, per
-    group, run and field, the update column is true where the after key is
-    set and differs from the before key, and per field it is known whether
-    any of the group's snapshots sets it.  Only the ``{field: vector}`` dict
-    of each name, carried fields in ``FIELDS`` order, is built name by name;
-    equal vectors share one tuple.  A group's ``kinds`` and ``display`` come
-    from the first record it holds, the before snapshot of its run 0 first,
-    and its ``meta`` is that snapshot's.
+    what is kept of each is its columns: per field each name's key, and each
+    name's path, the key and path it had in the snapshot keyed before
+    wherever the name holds the same value there (see ``_KeyColumns``).  A
+    run file is read and parsed unless a file with the same bytes was, and
+    its snapshot is dropped before the next file is read; a side given as a
+    ``Snapshot`` is keyed once per object.  Then, per group, run and field,
+    the update column is true where the after key is set and differs from
+    the before key, and per field it is known whether any of the group's
+    snapshots sets it.  Only the ``{field: vector}`` dict of each name,
+    carried fields in ``FIELDS`` order, is built name by name; equal vectors
+    share one tuple.  A group's ``kinds`` and ``display`` come from the first
+    of its snapshots whose path column holds the name, the before snapshot
+    of its run 0 first, and its ``meta`` is that before snapshot's.
 
     A run is the first of its session when no lower run index shares its
     session id.  Once every file is parsed, so that the first malformed one
@@ -211,29 +211,24 @@ def build_update_matrices(
     keying = _KeyColumns(names)
     sides = keying.key(ordered)
     checked = [(_checked_group(runs, snaps), snaps) for runs, snaps in zip(ordered, sides)]
-    names, (*keys, paths) = keying.done()
-    columns = {  # per snapshot, per field, each name's key
-        id(snap): [list(map(column.__getitem__, snap.at)) for column in keys]
-        for snap in keying.keyed
-    }
-    del keys
+    names = keying.done()
 
     matrices, shared_vector = [], _Shared().__getitem__
     for runs, snaps in checked:
         distinct = list({id(snap): snap for snap in snaps}.values())  # first seen first
         kinds, display = {}, {}
         for snap in reversed(distinct):  # the first snapshot holding a name is written last
-            at = snap.at
-            kinds.update(zip(compress(names, at), repeat(RecordKind.REGKEY)))
+            paths = snap.paths
+            kinds.update(zip(compress(names, paths), repeat(RecordKind.REGKEY)))
             kinds.update(zip(compress(names, snap.files), repeat(RecordKind.FILE)))
-            display.update(zip(compress(names, at), map(paths.__getitem__, compress(at, at))))
-        pairs = [(columns[id(b)], columns[id(a)]) for b, a in zip(snaps[::2], snaps[1::2])]
+            display.update(zip(compress(names, paths), compress(paths, paths)))
+        pairs = list(zip(snaps[::2], snaps[1::2]))
         per_field = [  # per name, the field's vector over the runs
-            map(shared_vector, zip(*[_updated(before[f], after[f]) for before, after in pairs]))
+            map(shared_vector, zip(*[_updated(b.columns[f], a.columns[f]) for b, a in pairs]))
             for f in range(len(FIELDS))
         ]
         carried = [  # per name, whether any snapshot sets the field
-            map(any, zip(*[columns[id(snap)][f] for snap in distinct])) for f in range(len(FIELDS))
+            map(any, zip(*[snap.columns[f] for snap in distinct])) for f in range(len(FIELDS))
         ]
         pairs_of = map(zip, repeat(FIELDS), zip(*per_field))  # per name, (field, vector) pairs
         per_name = list(map(dict, map(compress, pairs_of, zip(*carried))))
@@ -257,38 +252,41 @@ class _Shared(dict):
 
 
 class _Keyed:
-    """What the build keeps of one snapshot: per name, the position in the
-    key tables of the value it holds (0 where it holds none) and whether it
-    holds it as a file; and its metadata."""
+    """What the build keeps of one snapshot, one entry per name in each
+    column: per field of ``FIELDS``, the key ``time_keys`` gives the value
+    the name holds, or "" where it holds none; the path of that value, or
+    None; whether it holds it as a file; and the snapshot's metadata."""
 
-    __slots__ = ("at", "files", "meta")  # a plain class: a NamedTuple slows the import
+    __slots__ = ("columns", "paths", "files", "meta")  # a NamedTuple slows the import
 
-    def __init__(self, at: list[int], files: bytearray, meta: SnapshotMeta) -> None:
-        self.at, self.files, self.meta = at, files, meta
+    def __init__(self, columns: tuple, paths: list, files: bytearray, meta: SnapshotMeta) -> None:
+        self.columns, self.paths, self.files, self.meta = columns, paths, files, meta
+
+
+_ABSENT = ("", "", "", None)  # the key per field, then the path, of a name holding no value
 
 
 class _KeyColumns:
     """Snapshots turned into ``_Keyed`` columns one at a time.
 
-    The tables hold, per field of ``FIELDS``, the key ``time_keys`` gives
-    each value keyed, then each value's path; position 0 is no value.  Only
-    the values a name does not hold as it held them in the snapshot keyed
-    just before go through ``time_keys``; the rest keep their position.  So a
-    row that a run leaves as it is, as most rows are, is split once however
-    many snapshots in a row hold it; equal cell texts share one string
-    across all calls.  Without given names, each snapshot of the first group
-    adds the names it holds that no earlier one did; every column keyed
-    before gives them as absent."""
+    Only the values a name does not hold as it held them in the snapshot
+    keyed just before go through ``time_keys``, which gives their keys and
+    paths; every other name keeps the key and path it had, and a snapshot
+    with no such value shares the columns of the one before.  So a row that
+    a run leaves as it is, as most rows are, is split once however many
+    snapshots in a row hold it; equal cell texts share one string across all
+    calls.  Without given names, each snapshot of the first group adds the
+    names it holds that no earlier one did; every column keyed before gives
+    them as absent."""
 
     def __init__(self, names: TraceNameSet | None) -> None:
         self._collect = names is None
         self.names: dict[str, None] = dict.fromkeys(names or ())
         self.file_keys = [(RecordKind.FILE, name) for name in self.names]
         self.regkey_keys = [(RecordKind.REGKEY, name) for name in self.names]
-        self.tables: tuple[list, ...] = ([""], [""], [""], [None])
-        self.texts: dict[str, str] = {}  # each cell text in the tables, as they share it
+        self.texts: dict[str, str] = {}  # each cell text keyed, as the columns share it
         self.last_values: list = []  # per name, the value the snapshot keyed last holds
-        self.last: list[int] = []  # and its position
+        self.last: tuple[list, ...] = ([], [], [], [])  # and its key per field, then its path
         self.snapshots: dict[int, _Keyed] = {}  # by object id
         self.files: dict[int, list[tuple[Path, _Keyed]]] = {}  # by hash of the file's bytes
         self.keyed: list[_Keyed] = []
@@ -338,30 +336,28 @@ class _KeyColumns:
         values = list(map(get, self.file_keys, as_keys))  # a file first
         files = bytearray(map(is_not, values, as_keys))
         del as_keys
-        _pad((self.last_values, self.last), (None, 0), len(values))
+        _pad((self.last_values, *self.last), (None, *_ABSENT), len(values))
         fresh = dict.fromkeys(compress(values, map(ne, values, self.last_values)))
         if fresh:
             index, keys, paths = time_keys(fresh, self.texts)
             del fresh
-            base = len(self.tables[-1]) - 1
-            for table, column in zip(self.tables, (*keys, paths)):
-                table += islice(column, 1, None)
-            positions = dict(zip(index, count(base)))
-            positions[None] = 0
-            # a value time_keys keyed gives its own position, any other the
-            # position of the equal value the name held before
-            self.last = list(map(positions.get, values, self.last))
+            columns = []
+            for column, had in zip((*keys, paths), self.last):
+                index.update(zip(index, column))  # each value keyed, its entry in this column
+                # a value time_keys keyed takes its entry, any other keeps the one it had
+                columns.append(list(map(index.get, values, had)))
+            self.last = tuple(columns)
         self.last_values = values
-        self.keyed.append(_Keyed(self.last, files, snap.meta))
+        self.keyed.append(_Keyed(self.last[:-1], self.last[-1], files, snap.meta))
         return self.keyed[-1]
 
-    def done(self) -> tuple[list[str], tuple[list, ...]]:
-        """The names and the tables; every column now has one entry per name."""
+    def done(self) -> list[str]:
+        """The names; every column now has one entry per name."""
         names = list(self.names)
-        self.last_values, self.last, self.texts = [], [], {}
+        self.last_values, self.last, self.texts = [], (), {}
         for snap in self.keyed:
-            _pad((snap.at, snap.files), (0, 0), len(names))
-        return names, self.tables
+            _pad((*snap.columns, snap.paths, snap.files), (*_ABSENT, 0), len(names))
+        return names
 
 
 def _pad(columns: Iterable, absent: Iterable, size: int) -> None:

@@ -114,11 +114,7 @@ def _derived(args: argparse.Namespace) -> Signature:
             f"--background snapshots describe another system than --obs: {', '.join(differ)} differ"
         )
     return derive_signature(
-        args.action,
-        matrix,
-        background[0] if background else None,
-        matrix.meta,
-        platform=args.platform,
+        args.action, matrix, background[0] if background else None, platform=args.platform
     )
 
 

@@ -17,15 +17,15 @@ entries), so a load/save cycle is byte-stable.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from importlib.resources import files
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
 from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
 from .data import signature_text
-from .evidence import JsonObject, RecordKind, SnapshotMeta, check_field, fold_path, read_json
+from .evidence import JsonObject, RecordKind, check_field, fold_path, read_json
 from .evidence import reraise_as
 from .templates import PathTemplate, TemplateSyntaxError, generalize_path
 
@@ -149,17 +149,16 @@ def load_signature(text: str) -> Signature:
         return Signature(action, platform, core, supporting, window_s)  # type: ignore[arg-type]
 
 
+def _sorted(sig: Signature) -> tuple[list[CoreTrace], list[SupportingTrace]]:
+    """The core and supporting entries in the order a .sig lists them."""
+    by_template = lambda t: (t.template.kind.value, fold_path(t.template.text))
+    supporting = sorted(sig.supporting, key=lambda t: (t.category.label.value, *by_template(t)))
+    return sorted(sig.core, key=by_template), supporting
+
+
 def _document(sig: Signature) -> dict[str, Any]:
     """The .sig JSON object: fixed key order, sorted entries."""
-    core = sorted(sig.core, key=lambda t: (t.template.kind.value, fold_path(t.template.text)))
-    supporting = sorted(
-        sig.supporting,
-        key=lambda t: (
-            t.category.label.value,
-            t.template.kind.value,
-            fold_path(t.template.text),
-        ),
-    )
+    core, supporting = _sorted(sig)
     return {
         "schema": SCHEMA_VERSION,
         "action": sig.action,
@@ -182,45 +181,49 @@ def _document(sig: Signature) -> dict[str, Any]:
     }
 
 
-def _entry_list(entries: list[dict[str, object]]) -> str:
-    """``json.dumps(entries, indent=2)`` as nested one level down in the
-    document, made with json's C encoder.
-
-    A compact dump whose item separator is the indented member separator lays
-    out every member; the joints ``},<sep>{`` between list items are then
-    rewritten.  Entry values are strings and booleans, and escaping leaves no
-    raw newline in a string, so no other text matches a joint.
-    """
-    if not entries:
-        return "[]"
-    text = json.dumps(entries, separators=(",\n      ", ": "))
-    body = text[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return f"[\n    {{\n      {body}\n    }}\n  ]"
+def _entry(trace: CoreTrace | SupportingTrace) -> str:
+    """One entry of ``_document``'s core or supporting list, as
+    ``json.dumps(..., indent=2)`` lays it out in the document.  Only the
+    template text needs escaping: kind, field and category are ASCII words
+    that the enums and ``check_field`` allow."""
+    category = ""
+    if isinstance(trace, SupportingTrace):
+        category = f',\n      "category": "{trace.category.label.value}"'
+        category += ',\n      "confounded": true' if trace.category.confounded else ""
+    return (
+        f'    {{\n      "kind": "{trace.template.kind.value}",\n'
+        f'      "template": {encode_basestring_ascii(trace.template.text)},\n'
+        f'      "field": "{trace.field}"{category}\n    }}'
+    )
 
 
 def save_signature(sig: Signature) -> str:
     """Serialize to canonical .sig JSON (stable key order, sorted entries).
 
-    The text is ``json.dumps(_document(sig), indent=2)`` and a final newline.
-    ``indent`` selects json's pure-Python encoder, so the entry lists, which
-    hold nearly all the bytes, are laid out around C-encoded dumps instead.
+    The text is ``json.dumps(_document(sig), indent=2)`` and a final newline,
+    laid out here with one f-string per entry, so that no dump of the entry
+    lists, which hold nearly all the bytes, is made and rewritten.
     """
-    doc = _document(sig)
-    core, supporting = _entry_list(doc.pop("core")), _entry_list(doc.pop("supporting"))
-    head = json.dumps(doc, indent=2)[:-2]  # up to the closing "\n}"
-    return f'{head},\n  "core": {core},\n  "supporting": {supporting}\n}}\n'
+    joint = ",\n"
+    core, supporting = (
+        f"[\n{joint.join(map(_entry, traces))}\n  ]" if traces else "[]" for traces in _sorted(sig)
+    )
+    return (
+        f'{{\n  "schema": {SCHEMA_VERSION},\n  "action": {encode_basestring_ascii(sig.action)},\n'
+        f'  "platform": {encode_basestring_ascii(sig.platform)},\n  "window_s": {sig.window_s},\n'
+        f'  "core": {core},\n  "supporting": {supporting}\n}}\n'
+    )
 
 
 def derive_signature(
     action: str,
     matrix_action: UpdateMatrix,
     matrix_background: UpdateMatrix | None,
-    meta: SnapshotMeta,
     platform: str = "unknown",
 ) -> Signature:
     """Build a signature for an action from its observed update matrices.
-    ``meta`` describes the system the runs observed (a built matrix holds it
-    as ``matrix_action.meta``); paths are generalized against its folders.
+    Paths are generalized against the folders of ``matrix_action.meta``, the
+    system the runs observed.
 
     Core keeps the traces whose selected timestamp updated on every run of the
     action and never during background activity; paths are generalized, and
@@ -242,7 +245,7 @@ def derive_signature(
     for trace, analysis in sorted(analyses.items()):
         kind = matrix_action.kinds[trace]
         try:
-            template = generalize_path(matrix_action.display[trace], meta, kind=kind)
+            template = generalize_path(matrix_action.display[trace], matrix_action.meta, kind=kind)
         except TemplateSyntaxError:  # a percent sign in the path
             refused += 1
             continue

@@ -825,6 +825,29 @@ def test_update_matrices_agree_with_one_matrix_per_group(data):
         assert both == [reference_matrix(eager, names), reference_matrix(eager_background, names)]
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=hs.data())
+def test_update_matrices_without_names_take_those_the_first_group_holds(data):
+    """Without names, the build equals the build given the names the first
+    group's snapshots hold: where a name first appears in a later snapshot
+    than the first, so that the columns keyed before it give it as absent,
+    and where runs and groups share snapshot objects, so that a later group
+    meets snapshots the first one keyed."""
+    pool = [data.draw(oracle_snapshot())[0] for _ in range(data.draw(hs.integers(2, 4)))]
+    side = hs.sampled_from(pool)
+    groups = [
+        [
+            RunObservation(run, data.draw(hs.integers(0, 1)), None, data.draw(side), data.draw(side))
+            for run in range(data.draw(hs.integers(1, 3)))
+        ]
+        for _ in range(data.draw(hs.integers(1, 3)))
+    ]
+    held = TraceNameSet.of(
+        path for o in groups[0] for snap in (o.before, o.after) for _, path in snap.stored
+    )
+    assert build_update_matrices(groups, None) == build_update_matrices(groups, held)
+
+
 @hs.composite
 def run_file_text(draw):
     """The text of a run file: some of ``ORACLE_PATHS`` as rows (see
@@ -949,7 +972,7 @@ def test_derive_over_parsed_observations_builds_no_record(tmp_path, monkeypatch)
     assert points == []  # the run files are read by the build
     matrix = build_update_matrix(obs)
     assert len(points) == len(texts) < 2 * len(obs)  # one parse per distinct file content
-    sig = derive_signature("app.open", matrix, None, matrix.meta)
+    sig = derive_signature("app.open", matrix, None)
     assert sig.core and matrix.vectors
     assert built == [] and len(points) == len(texts)
 

@@ -102,7 +102,7 @@ def derived_signature(
     result = run_scenario(Scenario(SEED, meta, {action: tuple(rules)}, script))
     obs = result.observations[action]
     matrix = build_update_matrix(obs, TraceNameSet.of(r.trace for r in rules))
-    sig = derive_signature(action, matrix, None, obs[0].before.meta, platform="windows_xp")
+    sig = derive_signature(action, matrix, None, platform="windows_xp")
 
     planted = result.planted[action]
     disagreements = oracle_compare(planted, sig, matrix).disagreements()
