@@ -51,9 +51,6 @@ class TraceNameSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return fold_path(name) in self.names
-
 
 # One row of a block of rows joined by "\n", as ``parse_capture`` scans it
 # without the csv reader.  A plain row gives its process name and path cells:

@@ -113,8 +113,10 @@ class TraceCategory:
     confounded: bool = False
 
     @property
-    def is_always(self) -> bool:
-        return self.label in _ALWAYS
+    def in_core(self) -> bool:
+        """Whether the trace may serve in a signature's core: the action
+        always updates it (AU1-AU5) and background activity never does."""
+        return self.label in _ALWAYS and not self.confounded
 
 
 @dataclass(frozen=True)

@@ -217,8 +217,7 @@ def _render_structured(sig: Signature, result: DetectionResult) -> dict:
 
 def cmd_match(args: argparse.Namespace) -> int:
     if not args.signature and not args.bundled:
-        print("error: at least one --signature or --bundled is required", file=sys.stderr)
-        return 2
+        raise ValueError("at least one --signature or --bundled is required")
     now = parse_timestamp(args.now) if args.now else None
     sigs = _load_signatures(args)
     snap = parse_snapshot(read_utf8(args.snapshot))
@@ -342,9 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     pkg_logger.addHandler(handler)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must never read as a verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

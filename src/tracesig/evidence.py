@@ -594,9 +594,6 @@ class _RowRecords(Mapping):
             value = self._rows[key] = _build_record(key[0], value, self._days)
         return value
 
-    def get(self, key, default=None):  # Mapping's own raises and catches a KeyError per miss
-        return self[key] if key in self._rows else default
-
     def __iter__(self) -> Iterator[tuple[RecordKind, str]]:
         return iter(self._rows)
 

@@ -226,21 +226,27 @@ def derive_signature(
     system the runs observed.
 
     Core keeps the traces whose selected timestamp updated on every run of the
-    action and never during background activity; paths are generalized, and
-    several concrete traces may collapse onto one template.  A template takes
-    the core only when every observed trace it covers is such a core trace
-    with the same core field; otherwise each core trace under it keeps its
-    literal path, so no core template reaches a trace that could not serve
-    in the core.  First-run,
-    shortcut and irregular traces become supporting entries, as do
-    always-updated traces that background activity also touched (flagged
-    confounded).  A trace whose path holds a percent sign has no template and
-    is left out, with one summary warning.  An empty or single-entry core
-    still produces a signature, just a weak one.
+    action and never during background activity (``TraceCategory.in_core``);
+    paths are generalized, and several concrete traces may collapse onto one
+    template.  A template takes the core only when every observed trace it
+    covers is such a core trace with the same core field; otherwise each core
+    trace under it keeps its literal path, so no core template reaches a trace
+    that could not serve in the core.  First-run, shortcut and irregular
+    traces become supporting entries, as do always-updated traces that
+    background activity also touched (flagged confounded).  A trace whose
+    path holds a percent sign has no template and is left out, with one
+    summary warning.  An empty or single-entry core still produces a
+    signature, just a weak one.
+
+    One pass in trace order generalizes each trace, places each supporting
+    one, and keeps per template the core field all its traces share (None
+    once one differs or cannot serve); a loop over the core traces alone
+    then gives each its template or its literal path.
     """
     analyses = categorize_matrix(matrix_action, matrix_background)
-    templates: dict[str, PathTemplate] = {}
-    core_fields: dict[tuple[RecordKind, str], set[str | None]] = {}
+    core_field: dict[tuple[RecordKind, str], str | None] = {}
+    eligible: list[tuple[str, PathTemplate, str]] = []
+    supporting: dict[tuple[RecordKind, str], SupportingTrace] = {}
     refused = 0
     for trace, analysis in sorted(analyses.items()):
         kind = matrix_action.kinds[trace]
@@ -249,9 +255,14 @@ def derive_signature(
         except TemplateSyntaxError:  # a percent sign in the path
             refused += 1
             continue
-        templates[trace] = template
-        in_core = analysis.category.is_always and not analysis.category.confounded
-        core_fields.setdefault(template.key, set()).add(analysis.field if in_core else None)
+        category, field, key = analysis.category, analysis.field, template.key
+        if category.in_core:
+            core_field[key] = field if core_field.get(key, field) == field else None
+            eligible.append((trace, template, field))
+        else:
+            core_field[key] = None
+            if category.label is not CategoryLabel.NEVER:
+                supporting.setdefault(key, SupportingTrace(template, field, category))
     if refused:
         logger.warning(
             "%d trace(s) hold a percent sign in their path, which no template can; "
@@ -260,21 +271,10 @@ def derive_signature(
         )
 
     core: dict[tuple[RecordKind, str], CoreTrace] = {}
-    supporting: dict[tuple[RecordKind, str], SupportingTrace] = {}
-    for trace, template in templates.items():
-        category, field = analyses[trace].category, analyses[trace].field
-        if category.label is CategoryLabel.NEVER:
-            continue
-        key = template.key
-        if category.is_always and not category.confounded:
-            if core_fields[key] != {field}:  # the template would reach other traces
-                template = PathTemplate(matrix_action.display[trace], template.kind)
-                key = template.key
-            core.setdefault(key, CoreTrace(template=template, field=field))
-        else:
-            supporting.setdefault(
-                key, SupportingTrace(template=template, field=field, category=category)
-            )
+    for trace, template, field in eligible:
+        if core_field[template.key] != field:  # the template would reach other traces
+            template = PathTemplate(matrix_action.display[trace], template.kind)
+        core.setdefault(template.key, CoreTrace(template, field))
     sig = Signature(
         action=action,
         platform=platform,
@@ -301,5 +301,5 @@ def bundled_signature(name: str) -> Signature:
     try:
         text = signature_text(name)
     except FileNotFoundError:
-        raise KeyError(f"no bundled signature named {name!r}; have {bundled_signature_names()}")
+        raise ValueError(f"no bundled signature named {name!r}; have {bundled_signature_names()}")
     return load_signature(text)

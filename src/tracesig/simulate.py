@@ -546,7 +546,7 @@ def oracle_compare(
                 bool(vectors) and all(all(v) or not any(v) for v in vectors)
             )
         entries.append(OracleEntry(trace, planted_cat, classified, agrees, artifact))
-    core_expected = sum(1 for cat in planted.values() if cat.is_always and not cat.confounded)
+    core_expected = sum(1 for cat in planted.values() if cat.in_core)
     return OracleReport(
         entries=tuple(entries),
         core_expected=core_expected,

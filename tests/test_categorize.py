@@ -307,7 +307,7 @@ def chain_field(category, patterns):
         for f in FIELDS:
             if patterns.get(f) is FieldPattern.FIRST_RUN_ONLY:
                 return f
-    if category.is_always:
+    if category.label.value.startswith("AU"):
         return chain_core_field(patterns)
     for f in FIELDS:
         if patterns.get(f, FieldPattern.NEVER) is not FieldPattern.NEVER:

@@ -174,11 +174,17 @@ class TestMatch:
 
     def test_requires_some_signature(self, ie8_snapshot, capsys):
         assert main(["match", "--snapshot", ie8_snapshot]) == 2
-        assert "at least one" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "error: at least one --signature or --bundled is required\n"
+        )
 
     def test_unknown_bundled_name(self, ie8_snapshot, capsys):
         assert main(["match", "--bundled", "nonesuch", "--snapshot", ie8_snapshot]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "",
+            "error: no bundled signature named 'nonesuch'; "
+            "have ['ff36_open', 'ie8_open', 'msn2009_open']\n",
+        )
 
     def test_weak_signature_warns(self, tmp_path, capsys):
         snap = tmp_path / "ff.csv"
@@ -547,6 +553,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_traces", boom)
         assert main(["traces", "--capture", capture_file]) == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch, ie8_snapshot, capsys):
+        def boom(sig, snap, window_s):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "match_signature", boom)
+        assert main(["match", "--bundled", "ie8_open", "--snapshot", ie8_snapshot]) == 3
+        assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
 
     def test_mistyped_scenario_value_never_reads_as_a_verdict(self, tmp_path, capsys):
         data = json.loads(fixture_text("demo_scenario.json"))

@@ -13,7 +13,7 @@ from tracesig.categorize import (
     build_update_matrix,
     categorize_matrix,
 )
-from tracesig.data import signature_text
+from tracesig.data import fixture_text, signature_text
 from tracesig.evidence import RecordKind, fold_path
 from tracesig.signatures import (
     CoreTrace,
@@ -27,6 +27,7 @@ from tracesig.signatures import (
     save_signature,
     _document,
 )
+from tracesig.simulate import load_scenario, run_scenario
 from tracesig.templates import PathTemplate, TemplateSyntaxError, instantiate, parse_template
 
 MINIMAL = {
@@ -193,7 +194,7 @@ class TestCanonicalBytes:
         assert bundled_signature_names() == ["ff36_open", "ie8_open", "msn2009_open"]
 
     def test_unknown_bundled_name(self):
-        with pytest.raises(KeyError, match="nonesuch"):
+        with pytest.raises(ValueError, match="nonesuch"):
             bundled_signature("nonesuch")
 
     def test_entry_order_is_normalized(self):
@@ -368,6 +369,26 @@ class TestDeriveSignature:
         assert save_signature(load_signature(text)) == text
         assert load_signature(text).platform == "xp"
 
+    def test_demo_scenario_keeps_entries_in_trace_order(self):
+        # in-memory matching breaks ties in this order, so it is pinned
+        obs = run_scenario(load_scenario(fixture_text("demo_scenario.json"))).observations
+        action, background = build_update_matrix(obs["app.open"]), build_update_matrix(obs["web.browse"])
+        sig = derive_signature("app.open", action, background)
+        home = "%HomeDrive%\\%HomePath%"
+        assert [(t.template.text, t.field) for t in sig.core] == [
+            (f"{home}\\Local Settings\\Application Data\\App\\session.dat", "modified"),
+            ("%SystemRoot%\\Prefetch\\APP.EXE-%s.pf", "modified"),
+            ("HKEY_USERS\\%SID%\\Software\\App\\LastRun", "modified"),
+        ]
+        assert [(t.template.text, t.field, t.category) for t in sig.supporting] == [
+            (f"{home}\\Cookies\\demo@app[1].txt", "accessed", TraceCategory(CategoryLabel.IU, True)),
+            (f"{home}\\Desktop\\App.lnk", "accessed", TraceCategory(CategoryLabel.UB)),
+            ("%SystemRoot%\\system32\\config\\software.LOG", "modified",
+             TraceCategory(CategoryLabel.AU5, True)),
+            ("HKEY_USERS\\%SID%\\Software\\App\\FirstRun", "modified",
+             TraceCategory(CategoryLabel.FRO)),
+        ]
+
 
     def test_shortcut_launches_are_read_from_accessed(self):
         # sessions 0,0,1,1 launched through the shortcut on runs 1 and 3; its
@@ -494,11 +515,7 @@ def test_core_templates_resolve_only_to_clean_always_traces(world):
 
     sig = derive_signature("app.open", action, background)
     analyses = categorize_matrix(action, background)
-    clean = {
-        trace
-        for trace, analysis in analyses.items()
-        if analysis.category.is_always and not analysis.category.confounded
-    }
+    clean = {trace for trace, analysis in analyses.items() if analysis.category.in_core}
     for core in sig.core:
         for observed in snaps:
             for record, _ in instantiate(core.template, observed):

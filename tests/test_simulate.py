@@ -349,6 +349,35 @@ class TestOracleCompare:
         assert report.artifacts() == [entry]
         assert report.clean
 
+    def test_irregular_draws_firing_on_every_run_are_an_artifact(self):
+        # A probability rule's draws can fire on every run; the all-true
+        # vector then reads as always updated, which no classifier can tell
+        # from a planted Always trace.  Seed 1 draws four hits in four runs.
+        pf = "C:\\WINDOWS\\Prefetch\\APP.EXE-0BADF00D.pf"
+        log = "C:\\Users\\u\\app.log"
+        model = {
+            "app.open": (
+                UpdateRule(pf, RecordKind.FILE, "modified", Always()),
+                UpdateRule(log, RecordKind.FILE, "modified", Probability(0.5)),
+            )
+        }
+        script = tuple(
+            ScriptStep(t(f"2010-05-01T{hour:02d}:00:00Z"), "app.open", session)
+            for hour, session in ((9, 0), (10, 0), (14, 1), (15, 1))
+        )
+        sc = Scenario(seed=1, meta=xp_meta(capture="2010-05-01T23:00:00Z"), model=model, script=script)
+        result = run_scenario(sc)
+        matrix = build_update_matrix(result.observations["app.open"], TraceNameSet.of([pf, log]))
+        assert matrix.vectors[log.lower()]["modified"] == (True, True, True, True)
+        sig = derive_signature("app.open", matrix, None)
+        report = oracle_compare(result.planted["app.open"], sig, matrix)
+        [entry] = report.disagreements()
+        assert entry.trace == log and entry.planted.label is CategoryLabel.IU
+        assert entry.classified.in_core
+        assert report.artifacts() == [entry]
+        assert report.clean
+        assert (report.core_expected, report.core_actual) == (1, 2)
+
     def test_core_keys_sharing_one_template_leave_the_report_clean(self):
         # two GUID-named keys generalize to one {%s} template: two planted
         # core traces, one derived core template, and nothing disagrees

@@ -1,4 +1,4 @@
-"""Peak memory and wall time of ``tracesig derive`` against the number of runs.
+"""Peak memory of ``tracesig derive`` against the number of runs.
 
 For each N in ``--runs``, the derive-pipeline scenario of ``perfbench/gen.py``
 (seed 11, ``SEED``, about 3,000 traces) has its script stretched to N
@@ -8,9 +8,9 @@ For each N in ``--runs``, the derive-pipeline scenario of ``perfbench/gen.py``
 another child, once per ``--repeat``, from the package under ``--src``
 (this checkout's ``src`` by default, so another checkout's code can be
 measured on the same inputs).  Reported per N: the derive child's peak RSS
-(``os.wait4``), its wall time, the size of the derived core (the medians
-over the repeats), and over all N the least-squares slope of peak RSS per
-run.  A table goes to stderr and one JSON object to stdout, or to ``-o``.
+(``os.wait4``) and the size of the derived core (the medians over the
+repeats), and over all N the least-squares slope of peak RSS per run.  A
+table goes to stderr and one JSON object to stdout, or to ``-o``.
 
 A child's peak RSS counts the pages it shares with this process between
 fork and exec, so this process never imports the package or holds the
@@ -31,7 +31,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,24 +68,22 @@ def simulate(runs: int, out: Path) -> None:
     write_scenario_outputs(run_scenario(scenario), out)
 
 
-def measure(src: Path, obs: Path, background: Path, sig: Path) -> tuple[float, float, int]:
-    """Peak RSS in MiB, wall seconds and derived core size of one derive."""
+def measure(src: Path, obs: Path, background: Path, sig: Path) -> tuple[float, int]:
+    """Peak RSS in MiB and derived core size of one derive."""
     command = [sys.executable, "-m", "tracesig.cli", "derive", "--obs", str(obs),
                "--background", str(background), "--action", "app.open",
                "--platform", "windows_xp", "-o", str(sig)]
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryFile() as err:
-        started = time.perf_counter()
         child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=err)
         _, status, usage = os.wait4(child.pid, 0)  # the rusage of this child alone
-        wall = time.perf_counter() - started
         child.returncode = os.waitstatus_to_exitcode(status)
         if child.returncode != 0:
             err.seek(0)
             message = err.read().decode("utf-8", "replace").strip()[-2000:]
             raise RuntimeError(f"derive exited {child.returncode}: {message}")
     core = len(json.loads(sig.read_text(encoding="utf-8"))["core"])
-    return usage.ru_maxrss / 1024, wall, core
+    return usage.ru_maxrss / 1024, core
 
 
 def slope(xs: list[float], ys: list[float]) -> float | None:
@@ -123,11 +120,11 @@ def main(argv: list[str] | None = None) -> int:
             obs, background = out / "obs" / "app.open", out / "obs" / "bg.activity"
             samples = [measure(args.src.resolve(), obs, background, Path(tmp) / "derived.sig")
                        for _ in range(args.repeat)]
-            rss, wall, core = (statistics.median(column) for column in zip(*samples))
+            rss, core = (statistics.median(column) for column in zip(*samples))
             rows.append({"runs": n, "run_files": 2 * n + 2, "peak_rss_mib": round(rss, 2),
-                         "wall_s": round(wall, 3), "core": int(core)})
-            print(f"runs {n:4d}  files {2 * n + 2:4d}  peak RSS {rss:7.1f} MiB  "
-                  f"wall {wall:6.2f} s  core {int(core)}", file=sys.stderr)
+                         "core": int(core)})
+            print(f"runs {n:4d}  files {2 * n + 2:4d}  peak RSS {rss:7.1f} MiB  core {int(core)}",
+                  file=sys.stderr)
     per_run = slope([r["runs"] for r in rows], [r["peak_rss_mib"] for r in rows])
     if per_run is not None:
         print(f"peak RSS slope {per_run:.3f} MiB per run", file=sys.stderr)

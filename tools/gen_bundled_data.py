@@ -110,7 +110,7 @@ def derived_signature(
     planted_core = {
         generalize_path(trace, meta, kind=matrix.kinds[fold_path(trace)]).key
         for trace, category in planted.items()
-        if category.is_always and not category.confounded
+        if category.in_core
     }
     derived_core = {c.template.key for c in sig.core}
     assert derived_core == planted_core, (
