@@ -31,13 +31,14 @@ signature cores and kept as supporting data.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from itertools import compress, islice, repeat
-from operator import and_, attrgetter, is_not, itemgetter, ne, truth
+from operator import and_, attrgetter, eq, is_not, itemgetter, ne, truth
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -387,28 +388,27 @@ def _checked_group(runs: list[RunObservation], snaps: list[_Keyed]) -> tuple[Run
     return tuple(out)
 
 
-def classify_field(vector: Sequence[bool], runs: Sequence[RunInfo], trace_path: str) -> FieldPattern:
+def classify_field(
+    vector: Sequence[bool], firsts: Sequence[bool], launched: Sequence[bool]
+) -> FieldPattern:
     """Name the update pattern of one field across runs.
 
-    Always and Never are the exact cases.  FirstRunOnly means the field
-    updated on exactly the first run of every session.  UsageBased means every
-    update happened on a run launched through this very path (shortcut
-    behavior).  Anything else is Irregular.
+    ``firsts`` says per run whether it was its session's first, ``launched``
+    whether it was launched through this very trace.  Always and Never are
+    the exact cases.  FirstRunOnly means the field updated on exactly the
+    first run of every session.  UsageBased means every update happened on a
+    run launched through the trace (shortcut behavior).  Anything else is
+    Irregular.
     """
-    if len(vector) != len(runs):
+    if len(vector) != len(firsts):
         raise ValueError("vector length must equal the number of runs")
     if all(vector):
         return FieldPattern.ALWAYS
     if not any(vector):
         return FieldPattern.NEVER
-    if all(v == r.first_of_session for v, r in zip(vector, runs)):
+    if all(map(eq, vector, firsts)):
         return FieldPattern.FIRST_RUN_ONLY
-    folded = fold_path(trace_path)
-    if all(
-        r.launch_method is not None and fold_path(r.launch_method) == folded
-        for v, r in zip(vector, runs)
-        if v
-    ):
+    if all(compress(launched, vector)):
         return FieldPattern.USAGE_BASED
     return FieldPattern.IRREGULAR
 
@@ -436,11 +436,11 @@ def _first_changing(trio: tuple[FieldPattern, ...]) -> str:
 
 
 def category_of(
-    kind: RecordKind, patterns: Mapping[str, FieldPattern], trace: str
+    kind: RecordKind, patterns: Mapping[str, FieldPattern], shortcut: bool
 ) -> tuple[CategoryLabel, str] | None:
     """The label of a pattern combination and the field it is keyed on, or
-    None off the lattice (see the module docstring).  A missing field counts
-    as Never."""
+    None off the lattice (see the module docstring).  ``shortcut`` says
+    whether the trace is a .lnk.  A missing field counts as Never."""
     if kind is RecordKind.REGKEY:
         [field] = KIND_FIELDS[kind]
         label = _REGISTRY_LATTICE.get(patterns.get(field, _N))
@@ -451,7 +451,7 @@ def category_of(
         return entry
     if _F in trio and set(trio) <= {_F, _N}:
         return CategoryLabel.FRO, _first_changing(trio)
-    if trio[1] is FieldPattern.USAGE_BASED and fold_path(trace).endswith(".lnk"):
+    if trio[1] is FieldPattern.USAGE_BASED and shortcut:
         return CategoryLabel.UB, "accessed"
     if set(trio) <= {_I, _N}:
         return CategoryLabel.IU, _first_changing(trio)
@@ -467,51 +467,39 @@ class TraceAnalysis:
 
 
 def classify_trace(
-    trace: str,
     kind: RecordKind,
-    vectors: Mapping[str, Sequence[bool]],
-    runs: Sequence[RunInfo],
+    vectors: tuple[tuple[str, tuple[bool, ...]], ...],
     background_updates: bool,
-) -> tuple[TraceAnalysis, bool]:
-    """Classify one trace from its update vectors; also say whether its
-    pattern combination is on the lattice.
+    launched: tuple[bool, ...],
+    shortcut: bool,
+    firsts: tuple[bool, ...],
+) -> tuple[TraceAnalysis, tuple[FieldPattern, ...] | None]:
+    """Classify one trace from exactly what classification reads of it: its
+    kind, its ``(field, vector)`` pairs in ``FIELDS`` order, whether
+    background activity updated it, per run whether the run was launched
+    through it, whether it is a .lnk, and per run whether the run was its
+    session's first.  Also give the (modified, accessed, created) patterns
+    of a trace off the lattice, else None.
 
     Each field's pattern comes from ``classify_field`` and the combination
     goes through ``category_of``.  A combination off the lattice degrades to
-    IU on its first changing field, logged at DEBUG; noisy real-world data
-    must never abort an analysis.  An accessed-only IU trace whose accessed
-    time updated on every session's first run is refined to IUI.
+    IU on its first changing field; noisy real-world data must never abort
+    an analysis.  An accessed-only IU trace whose accessed time updated on
+    every session's first run is refined to IUI.
     """
-    patterns = _patterns(vectors, runs, trace)
+    patterns = {f: classify_field(vec, firsts, launched) for f, vec in vectors}
     trio = _trio(patterns)
-    found = category_of(kind, patterns, trace)
-    if found is None:
-        _note_off_lattice(trace, trio)
+    found = category_of(kind, patterns, shortcut)
     label, field = found or (CategoryLabel.IU, _first_changing(trio))
     if (
         label is CategoryLabel.IU
         and trio == (_N, _I, _N)
-        and any(r.first_of_session for r in runs)
-        and all(v for v, r in zip(vectors["accessed"], runs) if r.first_of_session)
+        and any(firsts)
+        and all(compress(dict(vectors)["accessed"], firsts))
     ):
         label = CategoryLabel.IUI
     analysis = TraceAnalysis(TraceCategory(label, confounded=background_updates), field)
-    return analysis, found is not None
-
-
-def _patterns(
-    vectors: Mapping[str, Sequence[bool]], runs: Sequence[RunInfo], trace: str
-) -> dict[str, FieldPattern]:
-    return {f: classify_field(vec, runs, trace) for f, vec in vectors.items()}
-
-
-def _note_off_lattice(trace: str, trio: tuple[FieldPattern, ...]) -> None:
-    logger.debug(
-        "trace %r has pattern combination outside the category lattice "
-        "(modified=%s accessed=%s created=%s); treating as IU",
-        trace,
-        *(p.value for p in trio),
-    )
+    return analysis, trio if found is None else None
 
 
 def categorize_matrix(
@@ -519,37 +507,36 @@ def categorize_matrix(
 ) -> dict[str, TraceAnalysis]:
     """Classify every trace in an action matrix, marking confounded ones.
 
-    ``classify_trace`` runs once per distinct input: the trace's kind and
-    vectors, whether background activity updated it, on which runs it was
-    the launch method, and whether it is a shortcut.  That is all it reads of
-    a trace, so every trace sharing an input shares its analysis.  Each
-    off-lattice trace is logged at DEBUG, and they get one summary warning.
+    Each trace's input to ``classify_trace`` is built once, and the
+    classification is cached on it, so traces sharing an input share their
+    analysis.  Each off-lattice trace is logged at DEBUG, in trace order,
+    and they get one summary warning.
     """
     runs = action.runs
+    firsts = tuple(r.first_of_session for r in runs)
     launches = [None if r.launch_method is None else fold_path(r.launch_method) for r in runs]
-    classified: dict[tuple, tuple[TraceAnalysis, tuple[FieldPattern, ...] | None]] = {}
+    classify = functools.cache(classify_trace)
     out: dict[str, TraceAnalysis] = {}
     off_lattice = 0
     for trace in action.traces():
-        display, kind, vectors = action.display[trace], action.kinds[trace], action.vectors[trace]
-        background_updates = background.any_update(trace) if background is not None else False
+        display = action.display[trace]
         folded = fold_path(display)
-        key = (
-            kind,
-            tuple(vectors.items()),
-            background_updates,
+        out[trace], off = classify(
+            action.kinds[trace],
+            tuple(action.vectors[trace].items()),
+            background is not None and background.any_update(trace),
             tuple(launch == folded for launch in launches),
             folded.endswith(".lnk"),
+            firsts,
         )
-        known = classified.get(key)
-        if known is None:
-            analysis, on_lattice = classify_trace(display, kind, vectors, runs, background_updates)
-            off_trio = None if on_lattice else _trio(_patterns(vectors, runs, display))
-            known = classified[key] = analysis, off_trio
-        elif known[1] is not None:
-            _note_off_lattice(display, known[1])
-        out[trace] = known[0]
-        off_lattice += known[1] is not None
+        if off is not None:
+            off_lattice += 1
+            logger.debug(
+                "trace %r has pattern combination outside the category lattice "
+                "(modified=%s accessed=%s created=%s); treating as IU",
+                display,
+                *(p.value for p in off),
+            )
     if off_lattice:
         logger.warning(
             "%d trace(s) have pattern combinations outside the category lattice; "

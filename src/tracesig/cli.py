@@ -23,6 +23,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -30,10 +31,12 @@ from . import __version__
 from .capture import filter_by_process, intersect_runs, parse_capture, unique_traces
 from .capture import CaptureFormatError, TraceNameSet
 from .categorize import build_update_matrices, build_update_matrix, read_observations
-from .evidence import format_timestamp, parse_snapshot, parse_timestamp, read_utf8, reraise_as
+from .evidence import SnapshotFormatError, format_timestamp, parse_snapshot, parse_timestamp
+from .evidence import read_utf8, reraise_as
 from .matching import DetectionResult, Verdict, match_signature
 from .signatures import (
     Signature,
+    SignatureFormatError,
     bundled_signature,
     derive_signature,
     load_signature,
@@ -43,6 +46,8 @@ from .signatures import (
 
 __all__ = ["main", "run"]
 
+_T = TypeVar("_T")
+
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
@@ -51,10 +56,18 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _read(path: str, parse: Callable[[str], _T], error: type[ValueError]) -> _T:
+    """``parse`` of the text of the input file ``path``; its format errors,
+    raised as ``error``, name the file."""
+    text = read_utf8(path)
+    with reraise_as(error, path):
+        return parse(text)
+
+
 def _load_signatures(args: argparse.Namespace) -> list[Signature]:
     sigs = [bundled_signature(name) for name in args.bundled]
     for path in args.signature:
-        sigs.append(load_signature(read_utf8(path)))
+        sigs.append(_read(path, load_signature, SignatureFormatError))
     return sigs
 
 
@@ -82,10 +95,7 @@ def cmd_traces(args: argparse.Namespace) -> int:
 def _capture_names(path: str, processes: list[str] | None) -> TraceNameSet:
     """The names one capture touches, through ``processes`` if given; its
     text and events are dropped before the next capture is read."""
-    text = read_utf8(path)
-    with reraise_as(CaptureFormatError, str(path)):
-        log = parse_capture(text)
-    del text
+    log = _read(path, parse_capture, CaptureFormatError)
     if processes is not None:  # a list of no names is refused, not read as "all"
         log = filter_by_process(log, processes)
     return unique_traces(log)
@@ -220,7 +230,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         raise ValueError("at least one --signature or --bundled is required")
     now = parse_timestamp(args.now) if args.now else None
     sigs = _load_signatures(args)
-    snap = parse_snapshot(read_utf8(args.snapshot))
+    snap = _read(args.snapshot, parse_snapshot, SnapshotFormatError)
     for sig in sigs:
         if sig.weak:
             logger.warning(
@@ -243,9 +253,9 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # Imported here so that no other subcommand pays for the simulator.
-    from .simulate import load_scenario, run_scenario, write_scenario_outputs
+    from .simulate import ScenarioError, load_scenario, run_scenario, write_scenario_outputs
 
-    scenario = load_scenario(read_utf8(args.scenario))
+    scenario = _read(args.scenario, load_scenario, ScenarioError)
     result = run_scenario(scenario)
     write_scenario_outputs(result, args.output)
     print(

@@ -18,7 +18,8 @@ last-access disabled makes it Inapplicable; else a core template whose
 records all lack its timestamp field makes it Missing.
 
 The core search never enumerates combinations.  It sorts the N candidate
-records of one SID by ``hi`` and sweeps them once, so it costs O(N log N).
+records of one SID by ``hi`` and sweeps them once; with k core templates it
+costs O(N log N + N*k).
 It finds the combination with the most recent event interval (latest
 ``min(hi)``, then latest ``max(lo)``) or, when none is consistent, the
 smallest span any combination reaches.  When several combinations share the
@@ -28,7 +29,6 @@ each template's candidates in ``instantiate``'s folded-path order.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -154,7 +154,8 @@ def _core_search(
     from the highest down; ``least[j]`` is the smallest ``lo`` of template j
     among the candidates with ``hi`` >= h, so ``max(least) - h`` is the
     smallest span of any combination drawn from them.  The first h where that
-    fits the window is the latest achievable ``min(hi)``.
+    fits the window is the latest achievable ``min(hi)``.  Each of the at most
+    N tests takes the max over the k templates.
     """
     window = base.window_s
     by_hi = sorted(
@@ -162,25 +163,19 @@ def _core_search(
         reverse=True,
     )
     least: dict[int, int] = {}
-    heap: list[tuple[int, int]] = []  # (-lo, j); stale once least[j] drops below lo
-    spans = []
-    top = None
+    smallest = top = None
     for i, (h, lo, j) in enumerate(by_hi):
-        if j not in least or lo < least[j]:
-            least[j] = lo
-            heapq.heappush(heap, (-lo, j))
+        least[j] = min(lo, least.get(j, lo))
         # test h once every template and every candidate with hi == h is in
         if len(least) < len(resolved) or (i + 1 < len(by_hi) and by_hi[i + 1][0] == h):
             continue
-        while -heap[0][0] != least[heap[0][1]]:
-            heapq.heappop(heap)
-        span = -heap[0][0] - h
+        span = max(least.values()) - h
         if span <= window:
             top = h
             break
-        spans.append(span)
+        smallest = span if smallest is None else min(smallest, span)
     if top is None:
-        return replace(base, verdict=Verdict.INCONSISTENT, core_span_s=min(spans))
+        return replace(base, verdict=Verdict.INCONSISTENT, core_span_s=smallest)
 
     latest = max(
         rc.timestamp.lo

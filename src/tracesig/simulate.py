@@ -369,18 +369,16 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     """
     state = _baseline_state(sc)
     background = _background_rules(sc)
-    run_counter: dict[str, int] = {action: 0 for action in sc.model}
     session_started: set[tuple[str, int]] = set()
     snapshots: list[Snapshot] = []
     observations: dict[str, list[RunObservation]] = {action: [] for action in sc.model}
 
     before = Snapshot.build(sc.meta, state.values())
     for step_index, step in enumerate(sc.script):
-        run = run_counter[step.action]
+        run = len(observations[step.action])
         first = (step.action, step.session_id) not in session_started
         session_started.add((step.action, step.session_id))
 
-        firing: list[tuple[UpdateRule, int]] = []
         for rule in sc.model[step.action]:
             mode = rule.mode
             if isinstance(mode, Always):
@@ -396,22 +394,12 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             else:  # Background rules fire via the ambient pass below
                 fires = False
             if fires:
-                firing.append((rule, run))
+                _stamp(state, sc.seed, rule, step.time, run)
         for rule in background:
-            firing.append((rule, step_index))
-
-        for rule, draw_index in firing:
-            latency = (
-                rule.latency_s
-                if rule.latency_s is not None
-                else draw_latency(sc.seed, rule.trace, draw_index)
-            )
-            folded = fold_path(rule.trace)
-            state[folded] = replace(state[folded], **{rule.field: TimePoint(step.time + latency)})
+            _stamp(state, sc.seed, rule, step.time, step_index)
 
         after = Snapshot.build(sc.meta, state.values())
         snapshots.append(after)
-        run_counter[step.action] += 1
         observations[step.action].append(
             RunObservation(
                 run_index=run,
@@ -430,6 +418,17 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     )
 
 
+def _stamp(
+    state: dict[str, ArtifactRecord], seed: int, rule: UpdateRule, time: int, draw_index: int
+) -> None:
+    """Set the rule's field of its trace to ``time`` plus the rule's latency."""
+    latency = rule.latency_s
+    if latency is None:
+        latency = draw_latency(seed, rule.trace, draw_index)
+    folded = fold_path(rule.trace)
+    state[folded] = replace(state[folded], **{rule.field: TimePoint(time + latency)})
+
+
 # --- planted truth ----------------------------------------------------------
 
 
@@ -444,7 +443,7 @@ _PLANTED_PATTERN = {
 
 def _planted_label(kind: RecordKind, modes: Mapping[str, UpdateMode], trace: str) -> CategoryLabel:
     patterns = {field: _PLANTED_PATTERN[type(mode)] for field, mode in modes.items()}
-    found = category_of(kind, patterns, trace)
+    found = category_of(kind, patterns, fold_path(trace).endswith(".lnk"))
     if found is None:
         raise ScenarioError(
             f"no planted category for trace {trace!r} with modes "

@@ -98,9 +98,34 @@ def vectors_for(patterns, iui=False):
     }
 
 
+def run_inputs(trace, runs):
+    """What ``classify_trace`` reads of ``trace`` besides its kind, vectors
+    and background updates, worked out from the trace and its runs: per run
+    whether it was launched through the trace, whether the trace is a
+    shortcut, and per run whether it was its session's first."""
+    launched = tuple(
+        r.launch_method is not None and fold_path(r.launch_method) == fold_path(trace)
+        for r in runs
+    )
+    return launched, fold_path(trace).endswith(".lnk"), tuple(r.first_of_session for r in runs)
+
+
+def classify_runs(trace, kind, vectors, runs, background_updates):
+    """``classify_trace`` on ``trace``'s vectors over ``runs``."""
+    return classify_trace(
+        kind, tuple(vectors.items()), background_updates, *run_inputs(trace, runs)
+    )
+
+
+def field_pattern(vector, runs, trace):
+    """``classify_field`` on ``trace``'s vector over ``runs``."""
+    launched, _, firsts = run_inputs(trace, runs)
+    return classify_field(vector, firsts, launched)
+
+
 def classify(trace, kind, patterns, confounded=False, iui=False):
     """``classify_trace`` on vectors showing ``patterns``; the analysis alone."""
-    analysis, _ = classify_trace(
+    analysis, _ = classify_runs(
         trace, kind, vectors_for(patterns, iui), runs_via(trace), confounded
     )
     return analysis
@@ -129,12 +154,12 @@ class TestClassifyField:
             runs = RUNS[:n]
             for vector in itertools.product([False, True], repeat=n):
                 for path in (LNK, "C:\\other.txt"):
-                    assert classify_field(vector, runs, path) == reference_pattern(
+                    assert field_pattern(vector, runs, path) == reference_pattern(
                         vector, runs, path
                     ), (vector, path)
         for pattern, vector in VECTOR_OF.items():
-            assert classify_field(vector, RUNS, LNK) is pattern
-        assert classify_field(IUI_VECTOR, RUNS, LNK) is FieldPattern.IRREGULAR
+            assert field_pattern(vector, RUNS, LNK) is pattern
+        assert field_pattern(IUI_VECTOR, RUNS, LNK) is FieldPattern.IRREGULAR
 
     def test_first_run_only_across_uneven_sessions(self):
         runs = [RunInfo(s, first, None) for s, first in
@@ -142,16 +167,16 @@ class TestClassifyField:
                  (1, True), (1, False), (1, False),
                  (2, True), (2, False), (2, False), (2, False)]]
         vector = [r.first_of_session for r in runs]
-        assert classify_field(vector, runs, "C:\\x.dat") is FieldPattern.FIRST_RUN_ONLY
+        assert field_pattern(vector, runs, "C:\\x.dat") is FieldPattern.FIRST_RUN_ONLY
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            classify_field((True,), RUNS, LNK)
+            field_pattern((True,), RUNS, LNK)
 
     def test_usage_based_needs_the_path(self):
         vector = VECTOR_OF[FieldPattern.USAGE_BASED]
-        assert classify_field(vector, RUNS, "C:\\other.lnk") is FieldPattern.IRREGULAR
-        assert classify_field(vector, RUNS, LNK) is FieldPattern.USAGE_BASED
+        assert field_pattern(vector, RUNS, "C:\\other.lnk") is FieldPattern.IRREGULAR
+        assert field_pattern(vector, RUNS, LNK) is FieldPattern.USAGE_BASED
 
 
 class TestClassifyTrace:
@@ -214,25 +239,30 @@ class TestClassifyTrace:
 
     def test_iui_needs_every_session_first_covered(self):
         runs = RUNS[:4]
-        hit, _ = classify_trace(
+        hit, _ = classify_runs(
             "C:\\cookie.txt", RecordKind.FILE, {"accessed": (T, F, T, T)}, runs, False
         )
         assert hit == TraceAnalysis(TraceCategory(CategoryLabel.IUI), "accessed")
-        miss, _ = classify_trace(
+        miss, _ = classify_runs(
             "C:\\cookie.txt", RecordKind.FILE, {"accessed": (T, T, F, T)}, runs, False
         )
         assert miss == TraceAnalysis(TraceCategory(CategoryLabel.IU), "accessed")
 
     def test_off_lattice_combo_degrades_to_iu(self, caplog):
-        vectors = vectors_for({"modified": FieldPattern.NEVER, "created": FieldPattern.ALWAYS})
-        with caplog.at_level("DEBUG", logger="tracesig"):
-            got, on_lattice = classify_trace(
-                "C:\\odd", RecordKind.FILE, vectors, runs_via("C:\\odd"), False
-            )
+        patterns = {"modified": FieldPattern.NEVER, "created": FieldPattern.ALWAYS}
+        got, off = classify_runs(
+            "C:\\odd", RecordKind.FILE, vectors_for(patterns), runs_via("C:\\odd"), False
+        )
         assert got == TraceAnalysis(TraceCategory(CategoryLabel.IU), "created")
-        assert not on_lattice
-        [record] = caplog.records
-        assert record.levelno == logging.DEBUG and "odd" in record.getMessage()
+        assert off == (FieldPattern.NEVER, FieldPattern.NEVER, FieldPattern.ALWAYS)
+        with caplog.at_level("DEBUG", logger="tracesig"):
+            analyses = categorize_matrix(one_trace_matrix("C:\\odd", RecordKind.FILE, patterns))
+        assert analyses == {"c:\\odd": got}
+        [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert record.getMessage() == (
+            "trace 'C:\\\\odd' has pattern combination outside the category lattice "
+            "(modified=Never accessed=Never created=Always); treating as IU"
+        )
 
 
 # --- the two if-chains the lattice table replaced -----------------------------
@@ -388,15 +418,14 @@ class TestLatticeAgainstTheIfChains:
             for iui in (False, True):
                 vectors = vectors_for(patterns, iui)
                 for confounded in (False, True):
-                    got, on_lattice = classify_trace(
-                        trace, kind, vectors, runs_via(trace), confounded
-                    )
+                    got, off = classify_runs(trace, kind, vectors, runs_via(trace), confounded)
                     category = chain_classify_trace(
                         trace, patterns, kind, confounded,
                         accessed_vector=vectors.get("accessed"), runs=runs_via(trace),
                     )
                     assert got.category == category, (trace, patterns, iui)
-                    assert on_lattice == (category_of(kind, patterns, trace) is not None)
+                    shortcut = fold_path(trace).endswith(".lnk")
+                    assert (off is None) == (category_of(kind, patterns, shortcut) is not None)
                     if got.field != chain_field(category, patterns):
                         moved.append((category.label, patterns["modified"]))
                     else:
@@ -416,7 +445,7 @@ class TestLatticeAgainstTheIfChains:
                 categorize_matrix(one_trace_matrix(trace, kind, patterns))
             warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
             details = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-            is_off = category_of(kind, patterns, trace) is None
+            is_off = category_of(kind, patterns, fold_path(trace).endswith(".lnk")) is None
             assert len(warnings) == len(details) == is_off, (trace, patterns)
             if is_off:
                 assert warnings[0].startswith("1 trace(s) have pattern combinations outside")
@@ -1197,19 +1226,24 @@ def test_derive_keeps_one_snapshot_alive_at_a_time(tmp_path, capsys):
 
 def reference_categorize(action, background=None):
     """``categorize_matrix`` as one ``classify_trace`` per trace, and the
-    count of off-lattice traces its summary warning gives."""
-    out, off_lattice = {}, 0
+    DEBUG line each off-lattice trace gets, in trace order."""
+    out, details = {}, []
     for trace in action.traces():
         background_updates = background.any_update(trace) if background is not None else False
-        out[trace], on_lattice = classify_trace(
+        out[trace], off = classify_runs(
             action.display[trace],
             action.kinds[trace],
             action.vectors[trace],
             action.runs,
             background_updates,
         )
-        off_lattice += not on_lattice
-    return out, off_lattice
+        if off is not None:
+            details.append(
+                f"trace {action.display[trace]!r} has pattern combination outside the category "
+                f"lattice (modified={off[0].value} accessed={off[1].value} "
+                f"created={off[2].value}); treating as IU"
+            )
+    return out, details
 
 
 class _Records(logging.Handler):
@@ -1307,16 +1341,14 @@ def test_categorize_matrix_agrees_with_one_classification_per_trace(data):
     background = data.draw(background_of(action))
     with logged() as messages:
         got = categorize_matrix(action, background)
-    with logged() as reference_messages:
-        want, off_lattice = reference_categorize(action, background)
+    want, details = reference_categorize(action, background)
     assert got == want
     warnings = [text for level, text in messages if level == logging.WARNING]
     assert warnings == [
-        f"{off_lattice} trace(s) have pattern combinations outside the category lattice; "
+        f"{len(details)} trace(s) have pattern combinations outside the category lattice; "
         "treating them as IU"
-    ][:off_lattice]
-    details = [text for level, text in messages if level == logging.DEBUG]
-    assert details == [text for level, text in reference_messages if level == logging.DEBUG]
+    ][:len(details)]
+    assert [text for level, text in messages if level == logging.DEBUG] == details
 
 
 def test_update_matrices_split_each_distinct_row_and_record_once(tmp_path, monkeypatch):
@@ -1391,14 +1423,9 @@ def test_categorize_matrix_classifies_each_distinct_input_once(monkeypatch):
     background = UpdateMatrix((RunInfo(0, True, None),), updated, kinds, display, matrix.meta)
     inputs = []
 
-    def counted(trace, kind, vectors, runs, background_updates):
-        folded = fold_path(trace)
-        launched = tuple(
-            r.launch_method is not None and fold_path(r.launch_method) == folded for r in runs
-        )
-        lnk = folded.endswith(".lnk")
-        inputs.append((kind, tuple(vectors.items()), background_updates, launched, lnk))
-        return classify_trace(trace, kind, vectors, runs, background_updates)
+    def counted(*args):
+        inputs.append(args)
+        return classify_trace(*args)
 
     monkeypatch.setattr(categorize, "classify_trace", counted)
     analyses = categorize_matrix(matrix, background)

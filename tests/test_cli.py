@@ -463,7 +463,7 @@ class TestExitCodes:
         sig_file = tmp_path / "bad.sig"
         sig_file.write_text(json.dumps(data), encoding="utf-8")
         assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
-        assert capsys.readouterr().err.startswith("error: core[0]: unknown kind []")
+        assert capsys.readouterr().err.startswith(f"error: {sig_file}: core[0]: unknown kind []")
 
     def test_signature_category_of_wrong_json_type(self, ie8_snapshot, tmp_path, capsys):
         data = json.loads(signature_text("ie8_open"))
@@ -471,7 +471,8 @@ class TestExitCodes:
         sig_file = tmp_path / "bad.sig"
         sig_file.write_text(json.dumps(data), encoding="utf-8")
         assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
-        assert capsys.readouterr().err.startswith("error: supporting[0]: unknown category []")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sig_file}: supporting[0]: unknown category []")
 
     def test_signature_template_in_core_and_supporting(self, ie8_snapshot, tmp_path, capsys):
         data = json.loads(signature_text("ie8_open"))
@@ -489,13 +490,25 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) == 2
         assert "unknown kind []" in capsys.readouterr().err
 
+    def test_second_bad_signature_names_its_file(self, ie8_snapshot, tmp_path, capsys):
+        good, bad = tmp_path / "good.sig", tmp_path / "bad.sig"
+        good.write_text(signature_text("ie8_open"), encoding="utf-8")
+        data = json.loads(signature_text("ie8_open"))
+        data["core"][0]["template"] = "%NOPE%\\x"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["match", "--signature", str(good), "--signature", str(bad),
+                "--snapshot", ie8_snapshot]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: core[0]: ")
+
     def test_signature_template_of_wrong_json_type(self, ie8_snapshot, tmp_path, capsys):
         data = json.loads(signature_text("ie8_open"))
         data["core"][0]["template"] = 5
         sig_file = tmp_path / "bad.sig"
         sig_file.write_text(json.dumps(data), encoding="utf-8")
         assert main(["match", "--signature", str(sig_file), "--snapshot", ie8_snapshot]) == 2
-        assert capsys.readouterr().err.startswith("error: core[0]: template must be a string")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sig_file}: core[0]: template must be a string")
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -535,7 +548,7 @@ class TestExitCodes:
         snap = tmp_path / "snap.csv"
         snap.write_text(text, encoding="utf-8")
         assert main(["match", "--bundled", "ie8_open", "--snapshot", str(snap)]) == 2
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == message.replace("error: ", f"error: {snap}: ", 1)
 
     def test_scenario_step_out_of_range(self, tmp_path, capsys):
         data = json.loads(fixture_text("demo_scenario.json"))
@@ -544,7 +557,10 @@ class TestExitCodes:
         scenario.write_text(json.dumps(data), encoding="utf-8")
         assert main(["simulate", "--scenario", str(scenario), "-o", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert err == "error: script[0]: timestamp -10000000000000 is before 1601-01-01T00:00:00Z\n"
+        assert err == (
+            f"error: {scenario}: script[0]: timestamp -10000000000000 is before "
+            "1601-01-01T00:00:00Z\n"
+        )
 
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capture_file, capsys):
         def boom(args):
