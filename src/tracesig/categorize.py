@@ -37,8 +37,8 @@ import logging
 import re
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from itertools import compress, islice, repeat
-from operator import and_, attrgetter, eq, is_not, itemgetter, ne, truth
+from itertools import chain, compress, repeat
+from operator import and_, attrgetter, eq, is_not, ne, truth
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -163,7 +163,7 @@ class UpdateMatrix:
         return sorted(self.kinds)
 
     def any_update(self, trace: str) -> bool:
-        return any(any(vec) for vec in self.vectors.get(fold_path(trace), {}).values())
+        return any(map(any, self.vectors.get(fold_path(trace), {}).values()))
 
 
 def build_update_matrix(
@@ -285,8 +285,6 @@ class _KeyColumns:
     def __init__(self, names: TraceNameSet | None) -> None:
         self._collect = names is None
         self.names: dict[str, None] = dict.fromkeys(names or ())
-        self.file_keys = [(RecordKind.FILE, name) for name in self.names]
-        self.regkey_keys = [(RecordKind.REGKEY, name) for name in self.names]
         self.texts: dict[str, str] = {}  # each cell text keyed, as the columns share it
         self.last_values: list = []  # per name, the value the snapshot keyed last holds
         self.last: tuple[list, ...] = ([], [], [], [])  # and its key per field, then its path
@@ -327,16 +325,11 @@ class _KeyColumns:
         return found
 
     def _key(self, snap: Snapshot, collect: bool) -> _Keyed:
-        stored = snap.stored
+        file_table, key_table = snap.stored[RecordKind.FILE], snap.stored[RecordKind.REGKEY]
         if collect:
-            known = len(self.names)
-            self.names.update(dict.fromkeys(map(itemgetter(1), stored)))
-            new = list(islice(self.names, known, None))
-            self.file_keys += [(RecordKind.FILE, name) for name in new]
-            self.regkey_keys += [(RecordKind.REGKEY, name) for name in new]
-        get = stored.get
-        as_keys = list(map(get, self.regkey_keys))
-        values = list(map(get, self.file_keys, as_keys))  # a file first
+            self.names.update(dict.fromkeys(chain(file_table, key_table)))
+        as_keys = list(map(key_table.get, self.names))
+        values = list(map(file_table.get, self.names, as_keys))  # a file first
         files = bytearray(map(is_not, values, as_keys))
         del as_keys
         _pad((self.last_values, *self.last), (None, *_ABSENT), len(values))

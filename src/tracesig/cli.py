@@ -173,7 +173,6 @@ def _render_text(sig: Signature, result: DetectionResult, now: int | None) -> st
         lines.append(
             f"core span: {result.core_span_s}s exceeds the {result.window_s}s window"
         )
-        lines.extend(_core_evidence(result))
     elif result.verdict is Verdict.MISSING:
         lines.append("missing evidence:")
         for text in result.missing:

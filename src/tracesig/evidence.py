@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from datetime import date, datetime, timedelta
 from enum import Enum
 from itertools import chain, compress, count, repeat
-from operator import gt
+from operator import eq, gt, itemgetter
 from pathlib import Path
 
 __all__ = [
@@ -414,43 +414,46 @@ class SnapshotMeta:
 class Snapshot:
     """A full evidence set: metadata plus records keyed by (kind, folded path).
 
-    ``records`` is any mapping that ``_checked_table`` passed: a dict from
-    ``build``, or, from ``parse_snapshot``, one that builds each record from
-    its validated row on first lookup.  ``by_path`` sorts one kind's folded
-    paths on first use and keeps the result, so the sort is paid only by
-    snapshots that are searched or iterated.
+    ``records`` holds one table per kind, from each folded path to its
+    record, or, from ``parse_snapshot``, to the validated row text the
+    record is built from on its first lookup (see ``stored``).  ``by_path``
+    sorts one kind's folded paths on first use and keeps the result, so the
+    sort is paid only by snapshots that are searched or iterated.
     """
 
     meta: SnapshotMeta
-    records: Mapping[tuple[RecordKind, str], ArtifactRecord]
-    _by_path: dict[RecordKind, tuple[str, ...]] = dc_field(
+    records: _Records
+    _by_path: dict[RecordKind, list[str]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     @classmethod
     def build(cls, meta: SnapshotMeta, records: Iterable[ArtifactRecord]) -> "Snapshot":
         records = list(records)
-        return cls(meta, _checked_table(meta, [rec.key for rec in records], records, records))
+        tables: dict[RecordKind, dict] = {kind: {} for kind in RecordKind}
+        for rec in records:
+            tables[rec.kind][fold_path(rec.path)] = rec
+        _check_tables(meta, tables, records, records)
+        return cls(meta, _Records(tables, None))
 
     def get(self, kind: RecordKind, path: str) -> ArtifactRecord | None:
         return self.records.get((kind, fold_path(path)))
 
     @property
-    def stored(self) -> Mapping[tuple[RecordKind, str], str | ArtifactRecord]:
-        """Each record by its key as the snapshot holds it: the validated row
-        text of a row not yet built, else the record.  A lookup here builds
-        nothing.  Equal values hold equal records; unequal ones may too (a
-        row and the record built from it, or rows spelled in another case)."""
-        records = self.records
-        return records._rows if type(records) is _RowRecords else records
+    def stored(self) -> Mapping[RecordKind, Mapping[str, str | ArtifactRecord]]:
+        """Per kind, each record by its folded path as the snapshot holds it:
+        the validated row text of a row not yet built, else the record.  A
+        lookup here builds nothing.  Equal values hold equal records; unequal
+        ones may too (a row and the record built from it, or rows spelled in
+        another case)."""
+        return self.records.tables
 
-    def by_path(self, kind: RecordKind) -> tuple[str, ...]:
+    def by_path(self, kind: RecordKind) -> list[str]:
         """One kind's folded paths in sorted order; the record of each is
         ``records[(kind, path)]``."""
         index = self._by_path.get(kind)
         if index is None:
-            index = tuple(sorted(path for k, path in self.records if k is kind))
-            self._by_path[kind] = index
+            index = self._by_path[kind] = sorted(self.records.tables[kind])
         return index
 
     def __iter__(self) -> Iterator[ArtifactRecord]:
@@ -481,9 +484,10 @@ def parse_snapshot(text: str) -> Snapshot:
     defaults to 1.  Fields containing commas are double-quoted with embedded
     quotes doubled.
 
-    Every row is validated here, but a plain row's record is built only when
-    it is first looked up (see ``_validated_rows``), so a search that reaches
-    a few paths builds a few records.
+    Every row is validated here, a block of rows at a time, into one table
+    per kind from folded path to row text; a plain row's record is built
+    only when it is first looked up (see ``_validated_rows``), so a search
+    that reaches a few paths builds a few records.
     """
     lines = text.splitlines()
 
@@ -538,29 +542,23 @@ def parse_snapshot(text: str) -> Snapshot:
     return Snapshot(meta, _validated_rows(lines[idx:], meta, singles["capture_time"], idx + 1))
 
 
-# One row of a block of rows joined by "\n", as the one-pass check scans it
-# without the csv reader.  A plain row gives its kind cell (empty for a key),
-# its path cell, its three time cells and its precision cell: the kind in any
-# ASCII case; a path cell without a comma and no longer than Windows allows
-# (the csv reader refuses a cell over 131,072); time cells empty or canonical
-# with the time of day in range, at least one of them set and a key's
-# accessed and created cells empty (``KIND_FIELDS``); a precision in plain
-# digits.  Any other row gives an empty path.  The path is the one-character
-# class ``[^,]``, which ``re`` runs about twice as fast as a set of several
-# characters; so the scan leaves to ``_validated_rows`` the characters a
-# plain path also lacks: a quote or NUL, looked for once per block, and a
-# line break, across which a match may run.
-_TIME_CELL = r"(\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\dZ)?"
-_PLAIN_ROW = re.compile(
-    rf"^(?:(?i:(file)|regkey),([^,]{{1,32767}})(?!,,,,),"
-    rf"{_TIME_CELL},(?(1){_TIME_CELL}),(?(1){_TIME_CELL}),([1-9]\d{{0,4}})?|.*)$",
-    re.ASCII | re.MULTILINE,
+# A plain row, for ``_add_plain``: the kind in any ASCII case; a path without
+# a comma and no longer than Windows allows (the csv reader refuses a cell
+# over 131,072); time cells empty or canonical with the time of day in
+# range, at least one set and a key's accessed and created cells empty
+# (``KIND_FIELDS``); a precision in plain digits.  The path is the class
+# ``[^,]``, which ``re`` runs about twice as fast as a set of several
+# characters, so a quote, NUL or line break in it is looked for apart.
+_TIME_CELL = r"(?:\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\dZ)"
+_ROW = (
+    rf"(?:(?i:file),[^,]{{1,32767}}(?!,,,,),{_TIME_CELL}?,{_TIME_CELL}?,{_TIME_CELL}?"
+    rf"|(?i:regkey),[^,]{{1,32767}},{_TIME_CELL},,),(?:[1-9]\d{{0,4}})?"
 )
-# Rows per scan, and per split in ``time_keys``.  The scan's results for a
-# block are held at once, so a larger block raises the parse's peak memory:
-# one scan of a whole 20k-row body more than doubled it, and blocks of 1,024
-# rows added a third on a 3k-row snapshot, for no speed over 256.
+_PLAIN_BLOCK = re.compile(rf"{_ROW}(?:\n{_ROW})*", re.ASCII)  # rows joined by "\n"
+# Rows per block check, and per split in ``time_keys``: blocks of 1,024 rows
+# added a third to the peak memory of a 3k-row parse, for no speed over 256.
 _BLOCK_ROWS = 256
+_DATE = itemgetter(slice(10))  # the YYYY-MM-DD of a time cell
 
 
 class _Days(dict):
@@ -579,40 +577,40 @@ class _Days(dict):
         return self[day]
 
 
-class _RowRecords(Mapping):
-    """Records keyed by (kind, folded path), each held as its validated row
-    until first looked up, then built, kept, and its row dropped."""
+class _Records(Mapping):
+    """Records keyed by (kind, folded path), in ``tables``: per kind, in
+    ``RecordKind`` order, each folded path's record or validated row, which
+    is built on first lookup, kept, and its row dropped."""
 
-    def __init__(
-        self, rows: dict[tuple[RecordKind, str], str | ArtifactRecord], days: _Days
-    ) -> None:
-        self._rows, self._days = rows, days
+    def __init__(self, tables: dict[RecordKind, dict], days: _Days | None) -> None:
+        self.tables, self._days = tables, days
 
     def __getitem__(self, key: tuple[RecordKind, str]) -> ArtifactRecord:
-        value = self._rows[key]
+        kind, path = key
+        table = self.tables[kind]
+        value = table[path]
         if type(value) is str:
-            value = self._rows[key] = _build_record(key[0], value, self._days)
+            value = table[path] = _build_record(kind, value, self._days)
         return value
 
     def __iter__(self) -> Iterator[tuple[RecordKind, str]]:
-        return iter(self._rows)
+        return ((kind, path) for kind, table in self.tables.items() for path in table)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(map(len, self.tables.values()))
 
 
-def _checked_table(meta: SnapshotMeta, keys: list, values: list, records: list) -> dict:
-    """``values`` by their ``keys``, in file order: rows ``_validated_rows``
-    kept as text, all within the capture time, and ``records``.  The rules over
-    the whole snapshot are checked in the order an eager parse breaks them:
-    the first duplicate, else the first time after the capture time, else
-    ``HKEY_USERS`` keys with no SID."""
-    table = dict(zip(keys, values))
-    if len(table) < len(keys):
+def _check_tables(meta: SnapshotMeta, tables: dict, values: list, records: list) -> None:
+    """Check the rules over a snapshot whose ``values``, rows kept as text or
+    records in file order, went into ``tables`` by kind and folded path,
+    in the order an eager parse breaks them: the first duplicate, else the
+    first time of ``records`` after the capture time, else ``HKEY_USERS``
+    keys with no SID.  Every row kept as text is within the capture time."""
+    if sum(map(len, tables.values())) < len(values):
         seen = set()
-        for key, value in zip(keys, values):
-            if key in seen:
-                path = value.split(",")[1] if isinstance(value, str) else value.path
+        for value in values:
+            kind, path = value.split(",", 2)[:2] if type(value) is str else (value.kind, value.path)
+            if (key := (fold_path(kind), fold_path(path))) in seen:
                 raise SnapshotFormatError(f"duplicate record for path {path!r}")
             seen.add(key)
     cap_hi = meta.capture_time.hi
@@ -621,68 +619,76 @@ def _checked_table(meta: SnapshotMeta, keys: list, values: list, records: list) 
             point = getattr(rec, field)
             if point is not None and point.epoch_s > cap_hi:
                 raise SnapshotFormatError(f"{rec.path!r} has a {field} time after the capture time")
-    user_keys = (p for k, p in table if k is RecordKind.REGKEY and p.startswith("hkey_users\\"))
+    user_keys = (p.startswith("hkey_users\\") for p in tables[RecordKind.REGKEY])
     if not meta.sids and any(user_keys):
         raise SnapshotFormatError("snapshot contains HKEY_USERS keys but no #sid metadata")
-    return table
+
+
+def _add_plain(tables: dict, block: list[str], capture: str, days: _Days) -> bool:
+    """Whether every row of ``block`` is a plain row that ``_parse_row``
+    builds without error, with no time after ``capture``, a folded canonical
+    time (such times sort as text); if so, each goes by folded path into its
+    kind's table as text.  One ``fullmatch`` checks the rows joined by line
+    breaks, and their folded text split on commas and line breaks gives six
+    cells a row unless a path ran across a line break (``file,C:\\a``, say);
+    then the columns are checked: the largest time, each distinct day and
+    each distinct precision."""
+    joined = "\n".join(block)
+    if '"' in joined or "\x00" in joined or _PLAIN_BLOCK.fullmatch(joined) is None:
+        return False
+    cells = fold_path(joined.replace("\n", ",")).split(",")
+    if len(cells) != 6 * len(block):
+        return False
+    times = cells[2::6] + cells[3::6] + cells[4::6]
+    if (
+        max(times) > capture
+        or None in map(days.__getitem__, set(map(_DATE, times)) - {""})
+        or max(map(int, set(cells[5::6]) - {""}), default=1) > _MAX_PRECISION_S
+    ):
+        return False
+    kinds, paths = cells[::6], cells[1::6]
+    if kinds.count(kinds[0]) == len(kinds):  # one kind, as in most blocks of a saved snapshot
+        tables[kinds[0]].update(zip(paths, block))
+        return True
+    for kind, table in tables.items():
+        of_kind = list(map(eq, kinds, repeat(kind)))
+        table.update(zip(compress(paths, of_kind), compress(block, of_kind)))
+    return True
 
 
 def _validated_rows(
     rows: list[str], meta: SnapshotMeta, capture: str, first_line: int
-) -> _RowRecords:
-    """The records of ``rows``, the first on line ``first_line``.  A row
-    ``_PLAIN_ROW`` matches that passes every check ``_parse_row`` makes and
-    the capture-time bound is kept as text and built on first lookup.  Each
-    distinct day is checked once, and the bound is a text comparison with the
-    canonical ``capture`` text, as canonical timestamps sort as text.  Any
-    other row (a quoted path, say) is built now through ``_parse_row``, and
-    its refusal is the one ``read_csv`` gives over the whole text.
-
-    Per block of rows, one ``in`` looks for a quote or NUL, and a count of
-    the scan's matches shows whether one ran across a line break, as from a
-    line such as ``file,C:\\a``, which is no plain row; the block's rows are
-    then scanned one at a time.  Per row, only in a block that holds a quote
-    or NUL, the path is searched for them."""
-    days = _Days()
-    keys, values, records = [], rows.copy(), []
-    file_kind, key_kind = RecordKind.FILE, RecordKind.REGKEY
+) -> _Records:
+    """The records of ``rows``, the first on line ``first_line``, in one
+    table per kind, checked a block of ``_BLOCK_ROWS`` at a time, and the
+    rows of a block that fails one at a time: a plain row within the capture
+    time is kept as text (see ``_add_plain``), and any other row (a quoted
+    path, say) is built now through ``_parse_row``, its refusal the one
+    ``read_csv`` gives over the whole text."""
+    days, values, records = _Days(), rows.copy(), []
+    tables: dict[RecordKind, dict] = {kind: {} for kind in RecordKind}
+    capture = fold_path(capture)
     for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        joined = "\n".join(block)
-        scanned = _PLAIN_ROW.findall(joined)
-        if len(scanned) != len(block):  # a match ran across a line break
-            scanned = [cells for row in block for cells in _PLAIN_ROW.findall(row)]
-        quote_or_nul = '"' in joined or "\x00" in joined
-        folded = fold_path("\n".join([row[1] for row in scanned])).split("\n")
-        for i, (is_file, path, modified, accessed, created, precision), folded_path in zip(
-            range(start, start + len(block)), scanned, folded, strict=True
-        ):
-            if (
-                path
-                and (not quote_or_nul or '"' not in path and "\x00" not in path)
-                and (not precision or int(precision) <= _MAX_PRECISION_S)
-                and (not modified or modified <= capture and days[modified[:10]] is not None)
-                and (not accessed or accessed <= capture and days[accessed[:10]] is not None)
-                and (not created or created <= capture and days[created[:10]] is not None)
-            ):
-                keys.append((file_kind if is_file else key_kind, folded_path))
-                continue
-            (rec,) = read_csv_rows(rows, i, i + 1, _parse_row, SnapshotFormatError, first_line)
-            values[i] = rec
-            records.append(rec)
-            keys.append(rec.key)
-    return _RowRecords(_checked_table(meta, keys, values, records), days)
+        if _add_plain(tables, rows[start:start + _BLOCK_ROWS], capture, days):
+            continue
+        for i in range(start, min(start + _BLOCK_ROWS, len(rows))):
+            if not _add_plain(tables, rows[i:i + 1], capture, days):
+                (rec,) = read_csv_rows(rows, i, i + 1, _parse_row, SnapshotFormatError, first_line)
+                tables[rec.kind][fold_path(rec.path)] = values[i] = rec
+                records.append(rec)
+    _check_tables(meta, tables, values, records)
+    return _Records(tables, days)
 
 
 def time_keys(
     values: Iterable, shared: dict[str, str]
 ) -> tuple[dict, tuple[list, ...], list[str | None]]:
-    """Each distinct one of ``values`` (values ``Snapshot.stored`` holds, or
+    """Each distinct one of ``values`` (values in ``Snapshot.stored``, or
     None) by its position in the lists that follow, None at 0; then per field
     of ``FIELDS`` each value's key, and each value's path.  A key is "" where
     the field carries no time, its canonical time text at precision 1, else
     (time text, precision), so equal keys mean equal ``TimePoint``s whether a
-    row or a built record holds them.  ``_PLAIN_ROW`` keeps a row's six cells
+    row or a built record holds them.  ``_add_plain`` keeps a row's six cells
     free of commas, so rows are split a block of ``_BLOCK_ROWS`` at a time,
     joined by commas; equal cell texts share one string, held in ``shared``,
     which several calls may share."""

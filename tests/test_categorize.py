@@ -632,7 +632,7 @@ class TestColumnBuild:
 
     def test_a_quoted_row_beside_its_plain_spelling(self):
         quoted = parsed(f'"file","C:\\x","{T1}","","",""')
-        assert not isinstance(quoted.stored[(RecordKind.FILE, "c:\\x")], str)  # built at parse
+        assert not isinstance(quoted.stored[RecordKind.FILE]["c:\\x"], str)  # built at parse
         plain, later = parsed(f"file,C:\\x,{T1},,,1"), parsed(f'file,"C:\\x",{T2},,,1')
         obs = [RunObservation(0, 0, None, quoted, plain), RunObservation(1, 0, None, plain, later)]
         matrix = checked_matrix(obs, ["C:\\x"])
@@ -872,7 +872,7 @@ def test_update_matrices_without_names_take_those_the_first_group_holds(data):
         for _ in range(data.draw(hs.integers(1, 3)))
     ]
     held = TraceNameSet.of(
-        path for o in groups[0] for snap in (o.before, o.after) for _, path in snap.stored
+        path for o in groups[0] for snap in (o.before, o.after) for _, path in snap.records
     )
     assert build_update_matrices(groups, None) == build_update_matrices(groups, held)
 
@@ -1375,12 +1375,12 @@ def test_update_matrices_split_each_distinct_row_and_record_once(tmp_path, monke
     ]
     snaps = list(parsed.values())
     for snap in snaps[::2]:
-        for kind, path in list(snap.stored)[::3]:
+        for kind, path in list(snap.records)[::3]:
             snap.records[(kind, path)]
-    names = TraceNameSet.of(path for snap in snaps for _, path in snap.stored)
+    names = TraceNameSet.of(path for snap in snaps for _, path in snap.records)
     held = {  # per snapshot id, the value each name holds
-        id(snap): {name: snap.stored.get((RecordKind.FILE, name))
-                   or snap.stored.get((RecordKind.REGKEY, name)) for name in names}
+        id(snap): {name: snap.stored[RecordKind.FILE].get(name)
+                   or snap.stored[RecordKind.REGKEY].get(name) for name in names}
         for snap in snaps
     }
     values = [value for by_name in held.values() for value in by_name.values()]

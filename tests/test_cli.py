@@ -217,6 +217,30 @@ class TestMatch:
         assert rc == 1
         assert "verdict: Inconsistent" in out
 
+    def test_an_inconsistent_core_prints_its_span_and_no_evidence_header(self, tmp_path, capsys):
+        """The IE8 fixture with the prefetch file's modified time moved back a
+        year, as a timestomping tool might: the whole text.  No combination
+        of core records fits the window, so none is listed."""
+        stomped = tmp_path / "stomped.csv"
+        stomped.write_text(
+            fixture_text("ie8_2010-04-12.csv").replace(
+                "IEXPLORE.EXE-27122324.pf,2010-04-12T14:30:37Z",
+                "IEXPLORE.EXE-27122324.pf,2009-04-12T14:30:37Z",
+            ),
+            encoding="utf-8",
+        )
+        rc = main(["match", "--bundled", "ie8_open", "--snapshot", str(stomped)])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "action: ie8_open\n"
+            "platform: windows_xp\n"
+            "verdict: Inconsistent\n"
+            "window: 60s\n"
+            "weak: no\n"
+            "sid: S-1-5-21-1417001333-573735546-682003330-500\n"
+            "core span: 31535989s exceeds the 60s window\n"
+        )
+
     def test_now_is_display_only(self, ie8_snapshot, capsys):
         rc = main(
             ["match", "--bundled", "ie8_open", "--snapshot", ie8_snapshot,
