@@ -163,7 +163,8 @@ class UpdateMatrix:
         return sorted(self.kinds)
 
     def any_update(self, trace: str) -> bool:
-        return any(map(any, self.vectors.get(fold_path(trace), {}).values()))
+        """Whether the folded trace name ``trace`` updated in any field on any run."""
+        return any(map(any, self.vectors.get(trace, {}).values()))
 
 
 def build_update_matrix(
@@ -216,7 +217,7 @@ def build_update_matrices(
     checked = [(_checked_group(runs, snaps), snaps) for runs, snaps in zip(ordered, sides)]
     names = keying.done()
 
-    matrices, shared_vector = [], _Shared().__getitem__
+    matrices, shared = [], {}
     for runs, snaps in checked:
         distinct = list({id(snap): snap for snap in snaps}.values())  # first seen first
         kinds, display = {}, {}
@@ -226,10 +227,10 @@ def build_update_matrices(
             kinds.update(zip(compress(names, snap.files), repeat(RecordKind.FILE)))
             display.update(zip(compress(names, paths), compress(paths, paths)))
         pairs = list(zip(snaps[::2], snaps[1::2]))
-        per_field = [  # per name, the field's vector over the runs
-            map(shared_vector, zip(*[_updated(b.columns[f], a.columns[f]) for b, a in pairs]))
-            for f in range(len(FIELDS))
-        ]
+        per_field = []  # per name, the field's vector over the runs
+        for f in range(len(FIELDS)):
+            updates = zip(*[_updated(b.columns[f], a.columns[f]) for b, a in pairs])
+            per_field.append(shared.setdefault(v, v) for v in updates)
         carried = [  # per name, whether any snapshot sets the field
             map(any, zip(*[snap.columns[f] for snap in distinct])) for f in range(len(FIELDS))
         ]
@@ -243,15 +244,6 @@ def build_update_matrices(
 def _updated(before: list, after: list) -> Iterator[bool]:
     """Per name, whether the after key is set and differs from the before key."""
     return map(and_, map(truth, after), map(ne, after, before))
-
-
-class _Shared(dict):
-    """``map(shared.__getitem__, items)`` gives each item as the first equal
-    item it gave, so equal items share one object."""
-
-    def __missing__(self, key):
-        self[key] = key
-        return key
 
 
 class _Keyed:
@@ -512,14 +504,12 @@ def categorize_matrix(
     out: dict[str, TraceAnalysis] = {}
     off_lattice = 0
     for trace in action.traces():
-        display = action.display[trace]
-        folded = fold_path(display)
         out[trace], off = classify(
             action.kinds[trace],
             tuple(action.vectors[trace].items()),
             background is not None and background.any_update(trace),
-            tuple(launch == folded for launch in launches),
-            folded.endswith(".lnk"),
+            tuple(launch == trace for launch in launches),
+            trace.endswith(".lnk"),
             firsts,
         )
         if off is not None:
@@ -527,7 +517,7 @@ def categorize_matrix(
             logger.debug(
                 "trace %r has pattern combination outside the category lattice "
                 "(modified=%s accessed=%s created=%s); treating as IU",
-                display,
+                action.display[trace],
                 *(p.value for p in off),
             )
     if off_lattice:

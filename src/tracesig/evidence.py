@@ -243,27 +243,39 @@ def fold_path(path: str) -> str:
     return path.lower() if path.isascii() else path.translate(_ASCII_FOLD)
 
 
-_TS_TEXT = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 _EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
 _EPOCH = datetime(1970, 1, 1)
+
+# Canonical time text, the time of day in range.
+_TIME_CELL = r"(?:\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\dZ)"
+_TIME_TEXT = re.compile(_TIME_CELL, re.ASCII)
+
+
+def _day_start(day: str) -> int | None:
+    """The epoch seconds the day of ``YYYY-MM-DD`` text starts at, or None
+    for a date that does not exist."""
+    try:
+        ordinal = date(int(day[:4]), int(day[5:7]), int(day[8:10])).toordinal()
+    except ValueError:
+        return None
+    return (ordinal - _EPOCH_ORDINAL) * 86400
+
+
+def _clock_s(text: str) -> int:
+    """The seconds into its day of canonical time text."""
+    return int(text[11:13]) * 3600 + int(text[14:16]) * 60 + int(text[17:19])
 
 
 def parse_timestamp(text: str) -> int:
     """Parse ``YYYY-MM-DDThh:mm:ssZ`` (UTC, whole seconds) to epoch seconds.
 
-    Exactly that form, with ASCII digits and every field zero-padded; the
-    ``datetime`` constructor rejects a date or time that does not exist
-    (month 13, February 30, hour 24, second 60).
+    Exactly that form, with ASCII digits and every field zero-padded, as
+    ``_TIME_CELL`` checks it with the time of day in range; ``_day_start``
+    refuses a date that does not exist (month 13, February 30, year 0).
     """
-    match = _TS_TEXT.fullmatch(text)
-    if match is None:
+    if _TIME_TEXT.fullmatch(text) is None or (start := _day_start(text[:10])) is None:
         raise SnapshotFormatError(f"unparseable timestamp {text!r}")
-    try:
-        parsed = datetime(*map(int, match.groups()))
-    except ValueError as exc:
-        raise SnapshotFormatError(f"unparseable timestamp {text!r}") from exc
-    days = parsed.toordinal() - _EPOCH_ORDINAL
-    return days * 86400 + parsed.hour * 3600 + parsed.minute * 60 + parsed.second
+    return start + _clock_s(text)
 
 
 def format_timestamp(epoch_s: int) -> str:
@@ -371,7 +383,9 @@ _NOT_IN_A_LINE = re.compile("[\x00\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 class SnapshotMeta:
     """System facts required to interpret and generalize evidence paths.
 
-    Each value must survive the ``#key=value`` lines of a saved snapshot.
+    Each text value must survive the ``#key=value`` lines of a saved
+    snapshot, and none has outer whitespace: a hand-written ``#sid = S-1-5-..``
+    line would otherwise bind a SID no path holds.
     """
 
     system_root: str
@@ -388,19 +402,19 @@ class SnapshotMeta:
             "home_drive": self.home_drive,
             "home_path": self.home_path,
             **{f"sid {sid!r}": sid for sid in self.sids},
-            **{f"install path {name!r}": name + path for name, path in self.install_paths.items()},
+            **{f"install path name {name!r}": name for name in self.install_paths},
+            **{f"install path {name!r}": path for name, path in self.install_paths.items()},
         }
         for key, value in values.items():
             if _NOT_IN_A_LINE.search(value):
                 raise ValueError(f"{key} holds a line break or NUL: {value!r}")
+            if value != value.strip():
+                raise ValueError(f"{key} has outer whitespace: {value!r}")
         if "" in self.sids:
             raise ValueError("a SID must be non-empty")
         for name in self.install_paths:
-            if not name or "=" in name or "%" in name or name != name.strip():
-                raise ValueError(
-                    f"install path name {name!r} must be non-empty, "
-                    "with no '=', '%' or outer whitespace"
-                )
+            if not name or "=" in name or "%" in name:
+                raise ValueError(f"install path name {name!r} must be non-empty, with no '=' or '%'")
         if self.capture_time.precision_s != 1:
             raise ValueError("capture_time must be to the second")
 
@@ -549,7 +563,6 @@ def parse_snapshot(text: str) -> Snapshot:
 # (``KIND_FIELDS``); a precision in plain digits.  The path is the class
 # ``[^,]``, which ``re`` runs about twice as fast as a set of several
 # characters, so a quote, NUL or line break in it is looked for apart.
-_TIME_CELL = r"(?:\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\dZ)"
 _ROW = (
     rf"(?:(?i:file),[^,]{{1,32767}}(?!,,,,),{_TIME_CELL}?,{_TIME_CELL}?,{_TIME_CELL}?"
     rf"|(?i:regkey),[^,]{{1,32767}},{_TIME_CELL},,),(?:[1-9]\d{{0,4}})?"
@@ -562,17 +575,14 @@ _DATE = itemgetter(slice(10))  # the YYYY-MM-DD of a time cell
 
 
 class _Days(dict):
-    """``YYYY-MM-DD`` text to the epoch seconds its day starts at, or None for
-    a date that does not exist or one with a time that, at some precision,
-    would not lie within the bounds a ``TimePoint`` checks."""
+    """``YYYY-MM-DD`` text to ``_day_start`` of it, or None for a date that
+    does not exist or one with a time that, at some precision, would not lie
+    within the bounds a ``TimePoint`` checks."""
 
     def __missing__(self, day: str) -> int | None:
-        try:
-            start = date(int(day[:4]), int(day[5:7]), int(day[8:10])).toordinal() - _EPOCH_ORDINAL
-        except ValueError:  # no such date
-            return self.setdefault(day, None)
-        start *= 86400
-        fits = _EARLIEST_S <= start and start + 86399 + _MAX_PRECISION_S - 1 <= _LATEST_S
+        start = _day_start(day)
+        fits = start is not None and _EARLIEST_S <= start
+        fits = fits and start + 86399 + _MAX_PRECISION_S - 1 <= _LATEST_S
         self[day] = start if fits else None
         return self[day]
 
@@ -721,10 +731,7 @@ def _build_record(kind: RecordKind, line: str, days: _Days) -> ArtifactRecord:
     _, path, *cells, precision_text = line.split(",")
     precision = int(precision_text) if precision_text else 1
     points = [
-        None if not cell else TimePoint(
-            days[cell[:10]] + int(cell[11:13]) * 3600 + int(cell[14:16]) * 60 + int(cell[17:19]),
-            precision,
-        )
+        None if not cell else TimePoint(days[cell[:10]] + _clock_s(cell), precision)
         for cell in cells
     ]
     return ArtifactRecord(kind, path, *points)

@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from importlib.resources import files
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable
+from typing import Iterable
 
 from .categorize import CategoryLabel, TraceCategory, UpdateMatrix, categorize_matrix
 from .data import signature_text
@@ -156,36 +156,11 @@ def _sorted(sig: Signature) -> tuple[list[CoreTrace], list[SupportingTrace]]:
     return sorted(sig.core, key=by_template), supporting
 
 
-def _document(sig: Signature) -> dict[str, Any]:
-    """The .sig JSON object: fixed key order, sorted entries."""
-    core, supporting = _sorted(sig)
-    return {
-        "schema": SCHEMA_VERSION,
-        "action": sig.action,
-        "platform": sig.platform,
-        "window_s": sig.window_s,
-        "core": [
-            {"kind": t.template.kind.value, "template": t.template.text, "field": t.field}
-            for t in core
-        ],
-        "supporting": [
-            {
-                "kind": t.template.kind.value,
-                "template": t.template.text,
-                "field": t.field,
-                "category": t.category.label.value,
-                **({"confounded": True} if t.category.confounded else {}),
-            }
-            for t in supporting
-        ],
-    }
-
-
 def _entry(trace: CoreTrace | SupportingTrace) -> str:
-    """One entry of ``_document``'s core or supporting list, as
-    ``json.dumps(..., indent=2)`` lays it out in the document.  Only the
-    template text needs escaping: kind, field and category are ASCII words
-    that the enums and ``check_field`` allow."""
+    """One entry of a .sig document's core or supporting list, as
+    ``json.dumps(..., indent=2)`` lays it out.  Only the template text needs
+    escaping: kind, field and category are ASCII words that the enums and
+    ``check_field`` allow."""
     category = ""
     if isinstance(trace, SupportingTrace):
         category = f',\n      "category": "{trace.category.label.value}"'
@@ -200,9 +175,13 @@ def _entry(trace: CoreTrace | SupportingTrace) -> str:
 def save_signature(sig: Signature) -> str:
     """Serialize to canonical .sig JSON (stable key order, sorted entries).
 
-    The text is ``json.dumps(_document(sig), indent=2)`` and a final newline,
-    laid out here with one f-string per entry, so that no dump of the entry
-    lists, which hold nearly all the bytes, is made and rewritten.
+    The text is the ``json.dumps(..., indent=2)`` of one JSON object, and a
+    final newline: ``schema``, ``action``, ``platform``, ``window_s``, then
+    the ``core`` entries (``kind``, ``template``, ``field``) and the
+    ``supporting`` entries (those keys, ``category`` and, for a confounded
+    trace, ``"confounded": true``), both in ``_sorted`` order.  It is laid
+    out here with one f-string per entry, so that no dump of the entry lists,
+    which hold nearly all the bytes, is made and rewritten.
     """
     joint = ",\n"
     core, supporting = (

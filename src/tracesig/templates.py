@@ -118,7 +118,8 @@ class PathTemplate:
 
 @dataclass(frozen=True)
 class Binding:
-    """The SID one template match bound, or None when the template has no %SID%."""
+    """The SID one template match bound: the one pinned, else the first listed
+    SID the record matched under, or None when neither applies."""
 
     sid: str | None = None
 
@@ -286,42 +287,33 @@ def generalize_path(path: str, meta: SnapshotMeta, kind: RecordKind | None = Non
 # --- instantiation --------------------------------------------------------
 
 def _compile(
-    tpl: PathTemplate, meta: SnapshotMeta, fixed_sid: str | None
+    tpl: PathTemplate, meta: SnapshotMeta, sid: str | None
 ) -> tuple[re.Pattern[str], str] | None:
-    """Build a regex for the template under this snapshot's metadata.
+    """Build a regex for the template under this snapshot's metadata, with
+    %SID% standing for ``sid``.
 
     Returns the pattern and the folded text every match starts with: the
-    template's expansion up to its first unbound variable (%s, %i, or a %SID%
-    that ``fixed_sid`` does not pin).  Returns None when the template cannot
-    be expanded here at all: an install-path variable the snapshot does not
-    define, or an unbound %SID% in a snapshot that lists no SID.  An unbound
-    %SID% is captured in the group ``sid``, which takes any listed SID.
+    template's expansion up to its first %s or %i.  Returns None when the
+    template cannot be expanded here at all: an install-path variable the
+    snapshot does not define, or a %SID% with no ``sid``.
     """
     parts: list[str] = []
     prefix: list[str] = []
     unbound_seen = False
-    sid_seen = False
     expansions = _meta_text(meta).text
     for token in tpl.tokens:
         if isinstance(token, str):
             text = token
         elif token.name in expansions:
             text = expansions[token.name]
-        elif token.name.startswith("InstallPath."):
-            return None
-        elif token.name == "SID" and fixed_sid is not None:
-            text = fixed_sid
-        else:
-            if token.name != "SID":
-                parts.append(r"[0-9A-Za-z-]+" if token.name == "s" else r"[0-9]+")
-            elif not meta.sids:
-                return None
-            else:
-                sids = "|".join(map(re.escape, meta.sids))
-                parts.append(r"(?P=sid)" if sid_seen else f"(?P<sid>{sids})")
-                sid_seen = True
+        elif token.name in ("s", "i"):
+            parts.append(r"[0-9A-Za-z-]+" if token.name == "s" else r"[0-9]+")
             unbound_seen = True
             continue
+        elif token.name == "SID" and sid is not None:
+            text = sid
+        else:
+            return None
         parts.append(re.escape(text))
         if not unbound_seen:
             prefix.append(text)
@@ -333,31 +325,35 @@ def instantiate(
 ) -> list[tuple[ArtifactRecord, Binding]]:
     """All records in the snapshot whose path matches the template.
 
-    Matching is greedy with backtracking and ASCII-case-insensitive.  An
-    unbound %SID% may take any SID listed in the snapshot metadata but binds
-    to a single value within one match; a pre-bound SID in ``fixed`` pins it.
-    Results never cross record kinds and come back sorted by folded path.
+    Matching is greedy with backtracking and ASCII-case-insensitive.  A SID
+    in ``fixed`` pins %SID%; an unbound %SID% tries each SID listed in the
+    snapshot metadata, in order, as if pinned, and a record binds the first
+    SID it matches under.  Results never cross record kinds and come back
+    sorted by folded path.
 
-    Only records whose folded path starts with the template's expansion up to
-    its first unbound variable are tried, and only they are built.  Their
-    paths form one contiguous run of ``Snapshot.by_path``, found with
-    ``bisect``, so a call costs log N plus the records under that prefix.
+    Under a pinned SID, or none, only records whose folded path starts with
+    the template's expansion up to its first %s or %i are tried, and only
+    they are built.  Their paths form one contiguous run of
+    ``Snapshot.by_path``, found with ``bisect``, so a call costs log N plus
+    the records under that prefix.
     """
-    fixed_sid = fixed.sid if fixed is not None else None
-    compiled = _compile(tpl, snap.meta, fixed_sid)
+    sid = fixed.sid if fixed is not None else None
+    if sid is None and tpl.uses_sid:
+        hits: dict[str, tuple[ArtifactRecord, Binding]] = {}
+        for listed in snap.meta.sids:
+            for hit in instantiate(tpl, snap, Binding(sid=listed)):
+                hits.setdefault(fold_path(hit[0].path), hit)
+        return [hits[path] for path in sorted(hits)]
+    compiled = _compile(tpl, snap.meta, sid)
     if compiled is None:
         return []
     pattern, prefix = compiled
-    paths, records = snap.by_path(tpl.kind), snap.records
-
+    paths, records, binding = snap.by_path(tpl.kind), snap.records, Binding(sid=sid)
     out = []
     for i in range(bisect_left(paths, prefix), len(paths)):
         if not paths[i].startswith(prefix):
             break
         rec = records[(tpl.kind, paths[i])]
-        match = pattern.fullmatch(rec.path)
-        if match is None:
-            continue
-        sid = fixed_sid if fixed_sid is not None else match.groupdict().get("sid")
-        out.append((rec, Binding(sid=sid)))
+        if pattern.fullmatch(rec.path) is not None:
+            out.append((rec, binding))
     return out

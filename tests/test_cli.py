@@ -138,6 +138,17 @@ class TestMatch:
         assert rc == 1
         assert "verdict: Missing" in out
 
+    @pytest.mark.parametrize("key", ["sid", "system_root"])
+    def test_metadata_padded_around_its_equals_sign_is_refused(self, key, tmp_path, capsys):
+        """A ``#sid = ...`` line is a format error, not a clean negative."""
+        snap = tmp_path / "padded.csv"
+        text = fixture_text("ie8_2010-04-12.csv").replace(f"#{key}=", f"#{key} = ")
+        snap.write_text(text, encoding="utf-8")
+        assert main(["match", "--bundled", "ie8_open", "--snapshot", str(snap)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {snap}: metadata: ") and "has outer whitespace" in err
+
     def test_inapplicable_exits_one_with_its_note(self, tmp_path, capsys):
         sig_file = tmp_path / "ff.sig"
         sig_file.write_text(

@@ -73,9 +73,24 @@ def strptime_timestamp(text: str) -> int | None:
         return None
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
-@given(
-    hs.tuples(
+def over_timestamp_texts(test):
+    """``test`` run on timestamp fields (year, month, day, hour, minute,
+    second), each in its range or just past it, and on the edge cases; the
+    text of the fields is ``timestamp_text`` of them."""
+    for fields in [
+        (2012, 2, 29, 0, 0, 0),
+        (2011, 2, 29, 0, 0, 0),
+        (2012, 2, 30, 0, 0, 0),
+        (1900, 2, 29, 0, 0, 0),
+        (2010, 4, 12, 24, 0, 0),
+        (2010, 4, 12, 23, 59, 60),
+        (2010, 4, 12, 23, 59, 61),
+        (0, 1, 1, 0, 0, 0),
+        (1600, 12, 31, 23, 59, 59),
+        (9999, 12, 31, 23, 59, 59),
+    ]:
+        test = example(fields)(test)
+    fields = hs.tuples(
         hs.integers(0, 9999) | hs.sampled_from([0, 1, 1600, 1601, 1900, 1970, 2000, 2012, 9999]),
         hs.integers(0, 13),
         hs.integers(0, 32),
@@ -83,25 +98,41 @@ def strptime_timestamp(text: str) -> int | None:
         hs.integers(0, 61),
         hs.integers(0, 62),
     )
-)
-@example((2012, 2, 29, 0, 0, 0))
-@example((2011, 2, 29, 0, 0, 0))
-@example((2012, 2, 30, 0, 0, 0))
-@example((1900, 2, 29, 0, 0, 0))
-@example((2010, 4, 12, 24, 0, 0))
-@example((2010, 4, 12, 23, 59, 60))
-@example((2010, 4, 12, 23, 59, 61))
-@example((0, 1, 1, 0, 0, 0))
-@example((1600, 12, 31, 23, 59, 59))
-@example((9999, 12, 31, 23, 59, 59))
+    return settings(max_examples=1000, derandomize=True, deadline=None)(given(fields)(test))
+
+
+def timestamp_text(fields: tuple[int, ...]) -> str:
+    return "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*fields)
+
+
+@over_timestamp_texts
 def test_parse_timestamp_agrees_with_strptime(fields):
-    text = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*fields)
+    text = timestamp_text(fields)
     expected = strptime_timestamp(text)
     if expected is None:
         with pytest.raises(SnapshotFormatError):
             parse_timestamp(text)
     else:
         assert parse_timestamp(text) == expected
+
+
+@over_timestamp_texts
+def test_snapshot_rows_read_times_as_parse_timestamp_does(fields):
+    """A row's time text is read as ``parse_timestamp`` reads it, within the
+    bounds a ``TimePoint`` holds, and refused, naming the row's line, otherwise."""
+    text = timestamp_text(fields)
+    try:
+        point = TimePoint(parse_timestamp(text))
+    except ValueError:  # SnapshotFormatError among them
+        point = None
+    head = save_snapshot(snap_of([], meta=xp_meta(capture="9999-12-31T23:59:59Z")))
+    snapshot = f"{head}file,C:\\a,{text},,,\n"
+    if point is None:
+        line = len(head.splitlines()) + 1
+        with pytest.raises(SnapshotFormatError, match=f"^line {line}: "):
+            parse_snapshot(snapshot)
+    else:
+        assert parse_snapshot(snapshot).get(RecordKind.FILE, "C:\\a").modified == point
 
 
 def strftime_timestamp(epoch_s: int) -> str:
@@ -381,6 +412,29 @@ class TestSnapshotIO:
     def test_metadata_refused_by_the_meta_names_its_key(self, line, fragment):
         with pytest.raises(SnapshotFormatError, match=fragment):
             parse_snapshot(line + "\n" + SNAPSHOT_TEXT)
+
+    @pytest.mark.parametrize(
+        "old, new, fragment",
+        [
+            ("#system_root=", "#system_root= ", "system_root"),
+            ("#home_drive=C:", "#home_drive=C:\t", "home_drive"),
+            ("#home_path=", "#home_path = ", "home_path"),
+            ("#sid=", "#sid = ", "sid ' S-1-5-21-"),
+            ("#last", "#install_path.App = C:\\App\n#last", "install path 'App'"),
+            ("#last", "#install_path.App=C:\\App \n#last", "install path 'App'"),
+        ],
+    )
+    def test_metadata_value_with_outer_whitespace_refused(self, old, new, fragment):
+        text = SNAPSHOT_TEXT.replace(old, new, 1)
+        with pytest.raises(SnapshotFormatError, match=f"^metadata: {re.escape(fragment)}.* outer"):
+            parse_snapshot(text)
+
+    def test_install_path_name_and_value_are_checked_apart(self):
+        capture = pt("2010-04-14T16:45:00Z")
+        with pytest.raises(ValueError, match="install path 'App' has outer whitespace"):
+            SnapshotMeta("C:\\WINDOWS", "C:", "", (), True, capture, {"App": " C:\\App"})
+        with pytest.raises(ValueError, match="install path name 'A\\\\nB' holds a line break"):
+            SnapshotMeta("C:\\WINDOWS", "C:", "", (), True, capture, {"A\nB": "C:\\App"})
 
 
 

@@ -18,14 +18,15 @@ from tracesig.evidence import RecordKind, fold_path
 from tracesig.signatures import (
     CoreTrace,
     Signature,
+    SCHEMA_VERSION,
     SignatureFormatError,
     SupportingTrace,
+    _sorted,
     bundled_signature,
     bundled_signature_names,
     derive_signature,
     load_signature,
     save_signature,
-    _document,
 )
 from tracesig.simulate import load_scenario, run_scenario
 from tracesig.templates import PathTemplate, TemplateSyntaxError, instantiate, parse_template
@@ -250,6 +251,31 @@ def any_signature(draw):
     return Signature(
         draw(_SIG_TEXT), draw(hs.text()), tuple(core), tuple(supporting), draw(hs.integers(1, 10**6))
     )
+
+
+def _document(sig: Signature) -> dict:
+    """The .sig JSON object: fixed key order, sorted entries."""
+    core, supporting = _sorted(sig)
+    return {
+        "schema": SCHEMA_VERSION,
+        "action": sig.action,
+        "platform": sig.platform,
+        "window_s": sig.window_s,
+        "core": [
+            {"kind": t.template.kind.value, "template": t.template.text, "field": t.field}
+            for t in core
+        ],
+        "supporting": [
+            {
+                "kind": t.template.kind.value,
+                "template": t.template.text,
+                "field": t.field,
+                "category": t.category.label.value,
+                **({"confounded": True} if t.category.confounded else {}),
+            }
+            for t in supporting
+        ],
+    }
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)

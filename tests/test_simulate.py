@@ -475,6 +475,20 @@ class TestScenarioJson:
         with pytest.raises(ScenarioError, match=fragment):
             load_scenario(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [
+            ("system_root", "C:\\WINDOWS ", "system_root"),
+            ("sids", [f" {SID}"], f"sid ' {SID}'"),
+            ("install_paths", {"App": "\tC:\\App"}, "install path 'App'"),
+        ],
+    )
+    def test_meta_value_with_outer_whitespace(self, key, value, fragment):
+        data = self.base()
+        data["meta"][key] = value
+        with pytest.raises(ScenarioError, match=f"^meta: {fragment} has outer whitespace"):
+            load_scenario(json.dumps(data))
+
     def test_bad_probability_encoding(self):
         data = self.base()
         data["model"]["app.open"][0]["mode"] = {"probability": "0.5"}

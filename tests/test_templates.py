@@ -334,6 +334,8 @@ def linear_instantiate(tpl, snap, fixed=None):
         if match is None:
             continue
         sid = fixed_sid if fixed_sid is not None else match.groupdict().get("sid")
+        if fixed_sid is None and sid is not None:  # the first listed SID spelled so
+            sid = next(s for s in snap.meta.sids if fold_path(s) == fold_path(sid))
         out.append((rec, Binding(sid=sid)))
     out.sort(key=lambda pair: fold_path(pair[0].path))
     return out
